@@ -12,6 +12,7 @@ or below zero are lifted to order one with a Bessel potential first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,10 @@ from .errors import SingularMultiplier
 from .grid import (
     Field,
     apply_multiplier,
+    apply_multipliers,
     lp_norm,
     spectral_derivative,
-    translate,
+    spectral_derivatives,
 )
 from .pdo import multi_indices, mi_order, unit_directions
 
@@ -70,14 +72,9 @@ def fourier_multiplier(spec: MultiplierSpec, f: Field) -> Field:
 def sobolev_norm(f: Field, k: int, p: float) -> float:
     """W^{k,p} norm: sum of L^p norms of all derivatives up to order k."""
     total = 0.0
-    for alpha in multi_indices(f.grid.dim, k):
-        total += lp_norm(spectral_derivative(f, alpha), p)
+    for df in spectral_derivatives(f, multi_indices(f.grid.dim, k)):
+        total += lp_norm(df, p)
     return total
-
-
-def winfty_norm(f: Field, order: int) -> float:
-    """W^{N,inf} norm via spectral derivatives."""
-    return sobolev_norm(f, order, INF)
 
 
 def _sphere_area(m: int) -> float:
@@ -98,23 +95,34 @@ def displacement_shells(grid) -> list:
     return radii
 
 
+@functools.lru_cache(maxsize=16)
+def _difference_table(grid, directions: int):
+    """Dyadic radii, the directions up to sign, and each direction's representative.
+
+    The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
+    antipodal directions share one displacement.
+    """
+    dirs = unit_directions(grid.dim, directions)
+    rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
+           for i, w in enumerate(dirs)]
+    kept = sorted(set(rep))
+    omegas = dirs[kept]
+    omegas.flags.writeable = False
+    return displacement_shells(grid), omegas, tuple(kept.index(j) for j in rep)
+
+
 def second_difference_seminorm(
     f: Field, alpha: float, p: float, q: float, directions: int = 8
 ) -> float:
     """The |x|^(-alpha)-weighted second-difference functional, 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("second-difference seminorm needs alpha in (0, 1]")
-    radii = displacement_shells(f.grid)
-    dirs = unit_directions(f.grid.dim, directions)
-    shell_vals = []
-    for rho in radii:
-        vals = []
-        for omega in dirs:
-            h = rho * omega
-            diff = translate(f, h) - 2.0 * f + translate(f, -h)
-            vals.append(lp_norm(diff, p) / rho**alpha)
-        shell_vals.append(vals)
-    arr = np.asarray(shell_vals)
+    radii, omegas, rep = _difference_table(f.grid, directions)
+    xi = f.grid.freqs()
+    # 2 (cos t - 1) = -4 sin^2(t/2), free of cancellation at small t
+    mults = (-4.0 * np.sin(0.5 * (xi @ (rho * w))) ** 2 for rho in radii for w in omegas)
+    vals = [lp_norm(diff, p) for diff in apply_multipliers(f, mults)]
+    arr = np.reshape(vals, (len(radii), len(omegas)))[:, rep] / np.array(radii)[:, None] ** alpha
     if np.isinf(q):
         return float(np.max(arr))
     # per-shell midpoint rule in log-radius against the measure dx / |x|^m
@@ -136,6 +144,7 @@ def besov_norm(f: Field, params: BesovParams) -> float:
     total = sobolev_norm(f, k, p)
     for beta in multi_indices(f.grid.dim, k):
         if mi_order(beta) == k:
+            # one derivative at a time: a suspended stack would hold dft(f) too
             df = spectral_derivative(f, beta)
             total += second_difference_seminorm(df, frac, p, q)
     return total
@@ -152,7 +161,7 @@ def product_estimate_check(
     af = Field(f.grid, a.samples[..., :1] * f.samples)
     lhs = besov_norm(af, params)
     a_inf = lp_norm(a, INF)
-    a_wn = winfty_norm(a, N)
+    a_wn = sobolev_norm(a, N, INF)
     f_b = besov_norm(f, params)
     f_lower = besov_norm(f, BesovParams(params.alpha - 1.0, params.p, params.q))
     rhs = C * (a_inf * f_b + a_wn * f_lower)

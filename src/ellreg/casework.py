@@ -17,7 +17,7 @@ import numpy as np
 from .besov import BesovParams, besov_norm, sobolev_norm
 from .grid import Field, GridSpec, lp_norm, spectral_derivative
 from .pdo import PDOperator
-from .profiles import Plateau, radial_window
+from .profiles import Plateau, bump, radial_window
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +125,7 @@ class SingularElement:
 
 
 def _bump_samples(line: LineGrid, eps: float) -> np.ndarray:
-    x = line.points()
-    r = np.abs(x) / eps
-    vals = np.zeros_like(x)
-    inside = r < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+    vals = bump(np.abs(line.points()) / eps)
     mass = vals.sum() * line.h
     return vals / mass
 
@@ -185,10 +181,7 @@ def _trace_constant(line: LineGrid, p: float) -> float:
     x = line.points()
     best = 0.0
     for width in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-        r = x / width
-        w = np.zeros_like(x)
-        inside = np.abs(r) < 1.0
-        w[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2)) * np.e
+        w = bump(x / width) * np.e
         denom = line.lp(w, p) + line.lp(line.fd1(w), p)
         if denom > 0:
             best = max(best, line.value_at_zero(w) / denom)

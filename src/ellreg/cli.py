@@ -205,6 +205,8 @@ def _make_rhs(cfg: ExperimentConfig, rng: np.random.Generator) -> Field:
 
 def _run_resolvent(cfg: ExperimentConfig):
     method = cfg.parameters.get("method", "constant")
+    if method == "frozen" and cfg.parameters.get("rhs", "random") == "random":
+        raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
     op_name = cfg.parameters.get("operator", "neg-laplacian")
     Q = _named_operator(cfg.grid, op_name)
     r = float(cfg.parameters.get("r", 8.0))
@@ -218,7 +220,8 @@ def _run_resolvent(cfg: ExperimentConfig):
         report = solve_neumann_lower_order(problem)
     elif method == "frozen":
         x0 = tuple(cfg.parameters.get("x0_index", (cfg.grid.points_per_axis // 2,) * cfg.grid.dim))
-        delta = float(cfg.parameters.get("delta", cfg.grid.half_period / 8.0))
+        # the fixtures are windowed out to radius L/2
+        delta = float(cfg.parameters.get("delta", cfg.grid.half_period / 2.0))
         report = solve_frozen_localized(problem, x0, delta)
     else:
         raise ConfigError(f"unknown solve method {method!r}")
@@ -426,14 +429,6 @@ CATALOG = {
 # ---------------------------------------------------------------------------
 # Artifact emission
 # ---------------------------------------------------------------------------
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _sanitize(obj):

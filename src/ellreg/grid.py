@@ -16,7 +16,10 @@ so a constant field has a single coefficient at xi = 0.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,8 +42,8 @@ class GridSpec:
         n = self.points_per_axis
         if n < 4 or n % 2 != 0:
             raise ValueError("points_per_axis must be even and >= 4")
-        if not self.half_period > 0:
-            raise ValueError("half_period must be positive")
+        if not (math.isfinite(self.half_period) and self.half_period > 0):
+            raise ValueError("half_period must be finite and positive")
 
     @property
     def spacing(self) -> float:
@@ -74,18 +77,33 @@ class GridSpec:
         return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
     def freqs(self) -> np.ndarray:
-        """Frequency lattice xi = (pi/L) k, shape (*shape, dim), FFT ordering."""
-        k = self.axis_wavenumbers() * (np.pi / self.half_period)
-        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Frequency lattice xi = (pi/L) k, shape (*shape, dim), FFT ordering; read-only."""
+        return _lattice(self)[0]
 
     def _phase(self) -> np.ndarray:
         # exp(i pi k) per axis: accounts for the grid starting at x = -L.
-        sign = (-1.0) ** (self.axis_wavenumbers() % 2)
-        out = sign
-        for _ in range(self.dim - 1):
-            out = np.multiply.outer(out, sign)
-        return out
+        return _lattice(self)[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice(grid: GridSpec):
+    """The frequency lattice and origin phase of a grid, built once and frozen."""
+    k = grid.axis_wavenumbers() * (np.pi / grid.half_period)
+    freqs = np.stack(np.meshgrid(*([k] * grid.dim), indexing="ij"), axis=-1)
+    sign = (-1.0) ** (grid.axis_wavenumbers() % 2)
+    phase = functools.reduce(np.multiply.outer, [sign] * grid.dim)
+    for arr in (freqs, phase):
+        arr.flags.writeable = False
+    return freqs, phase
+
+
+def monomial(xi: np.ndarray, alpha) -> np.ndarray:
+    """(i xi)^alpha over the last axis: one frequency vector or a whole lattice."""
+    out = np.ones(xi.shape[:-1], dtype=np.complex128)
+    for axis, a in enumerate(alpha):
+        if a:
+            out = out * (1j * xi[..., axis]) ** a
+    return out
 
 
 @dataclass
@@ -193,29 +211,63 @@ def lp_norm(f: Field, p: float, mask: np.ndarray | None = None) -> float:
     return float((w * np.sum(mag ** p)) ** (1.0 / p))
 
 
+# Complex points one stacked inverse transform may hold (1 MB of complex128):
+# a 1-D grid stacks hundreds of multipliers, a 256^2 field goes one at a time.
+_STACK_POINTS = 1 << 16
+
+
+def apply_multipliers(f: Field, multipliers):
+    """Yield idft(m * dft(f)) for each lattice multiplier m, in order.
+
+    One forward transform serves the whole stack.  Each m is scalar (*shape,)
+    or a matrix (*shape, l1, l0); the products ride along the channel axis and
+    go back through stacked inverse transforms of at most _STACK_POINTS
+    complex points.  `multipliers` may be lazy: one chunk is built at a time.
+    """
+    F = dft(f).coefficients
+    per = max(1, _STACK_POINTS // F.size)
+    stack = iter(multipliers)
+    while (out := _inverse_chunk(F, f.grid, stack, per)) is not None:
+        for j in range(out.shape[-2]):
+            yield Field(f.grid, out[..., j, :])
+
+
+def _inverse_chunk(F: np.ndarray, grid: GridSpec, stack, per: int):
+    """Samples of the next (at most per) products m * F, shape (*shape, count, l)."""
+    chunk = list(itertools.islice(stack, per))
+    if not chunk:
+        return None
+    width = F.shape[-1] if chunk[0].ndim == grid.dim else chunk[0].shape[-2]
+    coeff = np.empty(grid.shape + (len(chunk), width), dtype=np.complex128)
+    for j in range(len(chunk)):
+        if chunk[j].ndim == grid.dim:
+            np.multiply(F, chunk[j][..., None], out=coeff[..., j, :])
+        else:
+            np.einsum("...ij,...j->...i", chunk[j], F, out=coeff[..., j, :])
+    del chunk  # the multipliers are not needed by the inverse transform
+    samples = idft(SpectralField(grid, coeff.reshape(grid.shape + (-1,)))).samples
+    return samples.reshape(grid.shape + (-1, width))
+
+
 def apply_multiplier(f: Field, values: np.ndarray) -> Field:
-    """Multiply coefficients by a lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
-    F = dft(f)
-    if values.ndim == f.grid.dim:
-        coeff = F.coefficients * values[..., None]
-    else:
-        coeff = np.einsum("...ij,...j->...i", values, F.coefficients)
-    return idft(SpectralField(f.grid, coeff))
+    """Multiply coefficients by one lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
+    return next(apply_multipliers(f, [values]))
+
+
+def spectral_derivatives(f: Field, alphas):
+    """Exact band-limited d^alpha f for each multi-index, from one forward transform."""
+    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+    if any(len(alpha) != f.grid.dim for alpha in alphas):
+        raise ValueError("multi-index length must equal grid dimension")
+    xi = f.grid.freqs()
+    stack = apply_multipliers(f, (monomial(xi, a) for a in alphas if any(a)))
+    for alpha in alphas:
+        yield next(stack) if any(alpha) else f.copy()
 
 
 def spectral_derivative(f: Field, alpha) -> Field:
     """Exact band-limited partial derivative of multi-index alpha."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != f.grid.dim:
-        raise ValueError("multi-index length must equal grid dimension")
-    if all(a == 0 for a in alpha):
-        return f.copy()
-    xi = f.grid.freqs()
-    mult = np.ones(f.grid.shape, dtype=np.complex128)
-    for axis, a in enumerate(alpha):
-        if a:
-            mult = mult * (1j * xi[..., axis]) ** a
-    return apply_multiplier(f, mult)
+    return next(spectral_derivatives(f, [alpha]))
 
 
 def translate(f: Field, h) -> Field:
@@ -223,9 +275,7 @@ def translate(f: Field, h) -> Field:
     h = np.asarray(h, dtype=float)
     if h.shape != (f.grid.dim,):
         raise ValueError("shift vector has wrong length")
-    xi = f.grid.freqs()
-    phase = np.exp(1j * np.tensordot(xi, h, axes=([-1], [0])))
-    return apply_multiplier(f, phase)
+    return apply_multiplier(f, np.exp(1j * (f.grid.freqs() @ h)))
 
 
 def random_band_limited_field(

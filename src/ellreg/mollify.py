@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EpsilonOutOfRange
-from .grid import Field, GridSpec, dft, idft, lp_norm, SpectralField
+from .grid import Field, GridSpec, apply_multiplier, dft, lp_norm
 from .pdo import PDOperator, apply
+from .profiles import bump
 
 
 @dataclass(frozen=True)
@@ -20,14 +21,7 @@ class MollifierKernel:
 
 
 def standard_bump_kernel() -> MollifierKernel:
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        inside = r < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-        return out
-
-    return MollifierKernel(profile, "bump")
+    return MollifierKernel(bump, "bump")
 
 
 def polynomial_kernel() -> MollifierKernel:
@@ -63,10 +57,7 @@ def mollify(f: Field, eps: float, kernel: MollifierKernel | None = None) -> Fiel
             f"eps={eps} outside [{2 * grid.spacing}, {grid.half_period / 4.0})"
         )
     h = kernel_field(grid, eps, kernel)
-    Fh = dft(h).coefficients[..., 0]
-    Ff = dft(f)
-    conv = Ff.coefficients * (Fh * grid.volume)[..., None]
-    return idft(SpectralField(grid, conv))
+    return apply_multiplier(f, dft(h).coefficients[..., 0] * grid.volume)
 
 
 def admissible_eps_sequence(grid: GridSpec, count: int = 5, ratio: float = 0.5) -> list:
@@ -121,10 +112,6 @@ class ErrorTable:
         }
 
 
-def _windowed_error(diff: Field, p: float, mask) -> float:
-    return lp_norm(diff, p, mask=mask)
-
-
 def mollifier_convergence_experiment(
     P: PDOperator,
     f: Field,
@@ -140,25 +127,13 @@ def mollifier_convergence_experiment(
     table = ErrorTable(norm_kind=f"L{p}(window)")
     for eps in eps_seq:
         feps = mollify(f, eps, kernel)
-        err = _windowed_error(apply(P, feps) - reference, p, window_mask)
+        err = lp_norm(apply(P, feps) - reference, p, mask=window_mask)
         table.rows.append({"eps": float(eps), "error": float(err)})
     return table
 
 
 def uniform_convergence_experiment(
-    P: PDOperator,
-    f: Field,
-    eps_seq,
-    window_mask,
-    kernel: MollifierKernel | None = None,
-    reference: Field | None = None,
+    P: PDOperator, f: Field, eps_seq, window_mask, kernel=None, reference=None
 ) -> ErrorTable:
     """Sup-norm version for C^k data (uniform convergence on the window)."""
-    if reference is None:
-        reference = apply(P, f)
-    table = ErrorTable(norm_kind="Linf(window)")
-    for eps in eps_seq:
-        feps = mollify(f, eps, kernel)
-        err = _windowed_error(apply(P, feps) - reference, np.inf, window_mask)
-        table.rows.append({"eps": float(eps), "error": float(err)})
-    return table
+    return mollifier_convergence_experiment(P, f, np.inf, eps_seq, window_mask, kernel, reference)

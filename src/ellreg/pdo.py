@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChannelMismatch, GridMismatch
-from .grid import Field, GridSpec, dft, idft, spectral_derivative, SpectralField
+from .grid import Field, GridSpec, monomial, spectral_derivative, spectral_derivatives
 
 
 def multi_indices(dim: int, max_order: int):
@@ -36,10 +36,6 @@ def mi_order(alpha) -> int:
 def mi_binom(alpha, gamma) -> int:
     """Product of per-axis binomials C(alpha_i, gamma_i)."""
     return math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-
-
-def mi_leq(gamma, alpha) -> bool:
-    return all(g <= a for g, a in zip(gamma, alpha))
 
 
 def sub_indices(alpha, strict=False):
@@ -131,27 +127,14 @@ def apply(P: PDOperator, f: Field) -> Field:
             f"field has {f.channels} channels, operator expects {P.in_channels}"
         )
     out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
-    F = dft(f)
-    xi = P.grid.freqs()
-    for alpha, coeff in P.coeffs.items():
-        mult = np.ones(P.grid.shape, dtype=np.complex128)
-        for axis, a in enumerate(alpha):
-            if a:
-                mult = mult * (1j * xi[..., axis]) ** a
-        deriv = idft(SpectralField(P.grid, F.coefficients * mult[..., None]))
+    for coeff, deriv in zip(P.coeffs.values(), spectral_derivatives(f, P.coeffs)):
         out += np.einsum("...ij,...j->...i", coeff, deriv.samples)
     return Field(P.grid, out)
 
 
 def principal_symbol(P: PDOperator, x_index, xi) -> np.ndarray:
     """Top-order symbol sum_{|alpha|=n} C_alpha(x) (i xi)^alpha."""
-    x_index = tuple(int(i) for i in x_index)
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros((P.out_channels, P.in_channels), dtype=np.complex128)
-    for alpha in P.principal_indices():
-        factor = np.prod([(1j * xi[a]) ** alpha[a] for a in range(P.grid.dim)])
-        out += factor * P.coeffs[alpha][x_index]
-    return out
+    return symbol_field(P, xi)[tuple(int(i) for i in x_index)]
 
 
 def symbol_field(P: PDOperator, xi, principal: bool = True) -> np.ndarray:
@@ -160,8 +143,7 @@ def symbol_field(P: PDOperator, xi, principal: bool = True) -> np.ndarray:
     out = np.zeros(P.grid.shape + (P.out_channels, P.in_channels), dtype=np.complex128)
     indices = P.principal_indices() if principal else list(P.coeffs)
     for alpha in indices:
-        factor = np.prod([(1j * xi[a]) ** alpha[a] for a in range(P.grid.dim)])
-        out += factor * P.coeffs[alpha]
+        out += monomial(xi, alpha) * P.coeffs[alpha]
     return out
 
 
@@ -358,7 +340,7 @@ def clip_extend(T: PDOperator, x0_index, phi: Field, t: float) -> PDOperator:
 # Operator description files (JSON)
 # ---------------------------------------------------------------------------
 
-_TOKENS = ("x", "x-1", "const")
+_TOKENS = ("x", "x-1", "const", "product")
 
 
 def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .besov import BesovParams, besov_norm
 from .errors import NotContracting, SingularSymbol, SupportViolation, ZeroRHS
-from .grid import Field, dft, idft, lp_norm, SpectralField
-from .pdo import PDOperator, apply, mi_order
+from .grid import Field, apply_multiplier, lp_norm, monomial
+from .pdo import PDOperator, _min_singular_values, apply, mi_order
 from .profiles import box_mask, box_window
 
 
@@ -69,33 +69,27 @@ def _lattice_symbol(Q: PDOperator, principal_only: bool = False) -> np.ndarray:
     for alpha, arr in Q.coeffs.items():
         if principal_only and mi_order(alpha) != Q.order:
             continue
-        factor = np.ones(grid.shape, dtype=np.complex128)
-        for axis, a in enumerate(alpha):
-            if a:
-                factor = factor * (1j * xi[..., axis]) ** a
-        out += factor[..., None, None] * arr[origin]
+        out += monomial(xi, alpha)[..., None, None] * arr[origin]
     return out
 
 
 def _resolvent_multiplier(Q: PDOperator, r: float, theta0: float, principal_only=False):
-    """(r^n e^{i theta0} - symbol)^{-1} on the lattice; raises on singularity."""
+    """(r^n e^{i theta0} - symbol)^{-1} on the lattice; raises on singularity.
+
+    A frequency is singular when the block's smallest singular value is below
+    1e-14 (|lambda| + |symbol|_F) there, a test free of scale and channel count.
+    """
     grid = Q.grid
     sym = _lattice_symbol(Q, principal_only=principal_only)
     ell = Q.in_channels
     lam = r**Q.order * np.exp(1j * theta0)
     mats = lam * np.eye(ell) - sym
-    dets = np.linalg.det(mats.reshape(-1, ell, ell))
-    bad = np.abs(dets) < 1e-14
+    scale = abs(lam) + np.linalg.norm(sym, axis=(-2, -1))
+    bad = _min_singular_values(mats) <= 1e-14 * scale
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), grid.shape)
         raise SingularSymbol(grid.freqs()[idx])
-    return np.linalg.inv(mats)
-
-
-def _apply_lattice_inverse(minv: np.ndarray, g: Field) -> Field:
-    G = dft(g)
-    coeff = np.einsum("...ij,...j->...i", minv, G.coefficients)
-    return idft(SpectralField(g.grid, coeff))
+    return 1.0 / mats if ell == 1 else np.linalg.inv(mats)
 
 
 def solve_constant(problem: ResolventProblem) -> SolveReport:
@@ -104,7 +98,7 @@ def solve_constant(problem: ResolventProblem) -> SolveReport:
     if not Q.is_constant_coefficient(tol=1e-10):
         raise ValueError("solve_constant needs constant coefficients")
     minv = _resolvent_multiplier(Q, problem.r, problem.theta0)
-    u = _apply_lattice_inverse(minv, problem.g)
+    u = apply_multiplier(problem.g, minv)
     return SolveReport(u, residual(problem, u), None, 0, None)
 
 
@@ -134,7 +128,7 @@ def solve_neumann_lower_order(
     contraction = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        step = apply(Qlow, _apply_lattice_inverse(minv, h)) if lower else None
+        step = apply(Qlow, apply_multiplier(h, minv)) if lower else None
         h_next = problem.g + step if step is not None else problem.g
         inc = lp_norm(h_next - h, 2.0)
         if prev_inc is not None and prev_inc > 0:
@@ -151,7 +145,7 @@ def solve_neumann_lower_order(
         raise NotContracting(
             f"no convergence within {max_iter} iterations at r={problem.r}", contraction
         )
-    u = _apply_lattice_inverse(minv, h)
+    u = apply_multiplier(h, minv)
     return SolveReport(u, residual(problem, u), None, iterations, contraction)
 
 
@@ -185,14 +179,14 @@ def solve_frozen_localized(
     phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
     phi_vals = phi.samples[..., 0].real[..., None]
 
-    u = _apply_lattice_inverse(minv, problem.g)
+    u = apply_multiplier(problem.g, minv)
     prev_inc = None
     contraction = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         correction = apply(Q, u) - apply(Q0, u)
         rhs = Field(grid, problem.g.samples + phi_vals * correction.samples)
-        u_next = _apply_lattice_inverse(minv, rhs)
+        u_next = apply_multiplier(rhs, minv)
         inc = lp_norm(u_next - u, 2.0)
         scale = lp_norm(u_next, 2.0)
         if prev_inc is not None and prev_inc > 0:

@@ -16,13 +16,16 @@ from ellreg.besov import (
 )
 from ellreg.errors import SingularMultiplier
 from ellreg.grid import (
+    _STACK_POINTS,
     Field,
     GridSpec,
     field_from_function,
     lp_norm,
     random_band_limited_field,
     spectral_derivative,
+    translate,
 )
+from ellreg.pdo import unit_directions
 from ellreg.profiles import Plateau
 
 INF = math.inf
@@ -213,3 +216,38 @@ def test_product_estimate_corpus_bound(rng):
         f = random_band_limited_field(grid, 1, rng, band_fraction=0.1)
         rep = product_estimate_check(a, f, params, C=32.0, N=4)
         assert rep["ratio"] <= 1.0
+
+
+def translate_second_differences(f, alpha, ps):
+    """Oracle: weighted L^p norms of u(.+h) - 2u + u(.-h) from two translates, per p."""
+    radii = displacement_shells(f.grid)
+    dirs = unit_directions(f.grid.dim, 8)
+    arr = np.zeros((len(ps), len(radii), len(dirs)))
+    for i, rho in enumerate(radii):
+        for j, omega in enumerate(dirs):
+            diff = translate(f, rho * omega) - 2.0 * f + translate(f, -rho * omega)
+            arr[:, i, j] = [lp_norm(diff, p) / rho**alpha for p in ps]
+    return arr
+
+
+def shell_integral(arr, q, dim):
+    if math.isinf(q):
+        return float(np.max(arr))
+    area = 2.0 * np.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    return float((np.sum(np.mean(arr**q, axis=1)) * area * math.log(2.0)) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8192), (2, 128), (3, 32)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_batched_second_difference_matches_translates(dim, n, channels):
+    grid = GridSpec(dim, n, math.pi)
+    f = random_band_limited_field(grid, channels, np.random.Generator(np.random.PCG64(dim)))
+    # the multiplier stack outgrows one inverse transform, so it is split
+    assert len(displacement_shells(grid)) * f.samples.size > _STACK_POINTS
+    ps = [1.0, 2.0, INF]
+    oracle = translate_second_differences(f, 0.5, ps)
+    for arr, p in zip(oracle, ps):
+        for q in (2.0, INF):
+            got = second_difference_seminorm(f, 0.5, p, q)
+            want = shell_integral(arr, q, dim)
+            assert abs(got - want) <= 1e-12 * want, (p, q, got, want)

@@ -62,6 +62,12 @@ def test_parse_config_rejects_bad_grid():
         parse_config({"kind": "besov-norm", "grid": {"points_per_axis": "many"}})
 
 
+def test_parse_config_rejects_non_finite_half_period():
+    # JSON 1e400 parses to inf; it must not reach results.json as Infinity/NaN
+    with pytest.raises(ConfigError):
+        parse_config({"kind": "besov-norm", "grid": json.loads('{"half_period": 1e400}')})
+
+
 def test_parse_config_rejects_non_dict_parameters():
     with pytest.raises(ConfigError):
         parse_config({"kind": "besov-norm", "parameters": [1, 2]})
@@ -154,6 +160,27 @@ def test_experiment_error_exit_code(tmp_path):
     )
     assert main(["run", cfg_path, "--output-root", str(tmp_path)]) == 3
     assert not (tmp_path / "fail").exists()
+
+
+def _frozen_config(tmp_path, rhs, name):
+    parameters = {"method": "frozen", "operator": "neg-laplacian", "rhs": rhs}
+    obj = {"kind": "resolvent-solve", "grid": {"dim": 1, "points_per_axis": 128},
+           "parameters": parameters, "seed": 5, "output_dir": name}
+    return _write_config(tmp_path, obj, f"{name}.json")
+
+
+def test_frozen_solve_default_delta_covers_the_fixtures(tmp_path):
+    cfg_path = _frozen_config(tmp_path, "smooth", "frozen")
+    assert main(["run", cfg_path, "--output-root", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "frozen" / "results.json").read_text())["results"]["report"]
+    assert report["residual_linf"] < 1e-8
+
+
+def test_frozen_solve_rejects_the_global_random_rhs(tmp_path, capsys):
+    cfg_path = _frozen_config(tmp_path, "random", "frozen-random")
+    assert main(["run", cfg_path, "--output-root", str(tmp_path)]) == 2
+    assert "random rhs is global" in capsys.readouterr().err
+    assert not (tmp_path / "frozen-random").exists()
 
 
 def test_list_plain_and_json(capsys):

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +10,12 @@ from hypothesis import strategies as st
 
 from ellreg.errors import ChannelMismatch, GridMismatch
 from ellreg.grid import (
+    _STACK_POINTS,
     Field,
     GridSpec,
     SpectralField,
+    apply_multiplier,
+    apply_multipliers,
     constant_field,
     dft,
     field_from_function,
@@ -19,6 +25,7 @@ from ellreg.grid import (
     random_band_limited_field,
     save_field,
     spectral_derivative,
+    spectral_derivatives,
     translate,
 )
 
@@ -199,3 +206,49 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_spectral_field_shape_check(grid1d):
     with pytest.raises(ValueError):
         SpectralField(grid1d, np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("half_period", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_grid_rejects_non_finite_or_non_positive_half_period(half_period):
+    with pytest.raises(ValueError):
+        GridSpec(1, 16, half_period)
+
+
+def test_lattice_is_cached_read_only():
+    grid = GridSpec(2, 16, 2.0)
+    xi = grid.freqs()
+    assert xi is grid.freqs() and grid._phase() is grid._phase()
+    # an equal grid is the same cache key
+    assert GridSpec(2, 16, 2.0).freqs() is xi
+    for arr in (xi, grid._phase()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_multiplier_stack_matches_one_at_a_time(rng):
+    grid = GridSpec(2, 64, math.pi)
+    f = random_band_limited_field(grid, 2, rng)
+    xi = grid.freqs()
+    mults = [np.exp(-t * np.sum(xi**2, axis=-1)) for t in np.linspace(0.0, 0.2, 40)]
+    # 40 two-channel fields on 64^2 need several stacked inverse transforms
+    assert len(mults) * f.samples.size > 2 * _STACK_POINTS
+    for m, got in zip(mults, apply_multipliers(f, iter(mults))):
+        want = apply_multiplier(f, m).samples
+        assert np.max(np.abs(got.samples - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
+    f = random_band_limited_field(grid2d, 1, rng)
+    alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
+    for alpha, got in zip(alphas, spectral_derivatives(f, alphas)):
+        want = spectral_derivative(f, alpha).samples
+        assert np.max(np.abs(got.samples - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["besov", "pdo", "resolvent", "mollify", "localize"])
+def test_fourier_side_work_goes_through_the_multiplier_path(name):
+    # transforms and (i xi)^alpha monomials live in ellreg.grid only
+    source = inspect.getsource(importlib.import_module(f"ellreg.{name}"))
+    assert "fft" not in source
+    assert not re.search(r"1j\s*\*\s*xi", source)

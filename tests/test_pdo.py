@@ -259,8 +259,16 @@ def test_operator_from_description(grid1d, rng):
 
 def test_operator_from_description_rejects_unknown_token(grid1d):
     desc = {"order": 1, "entries": [{"alpha": [1], "coeff": {"token": "exp"}}]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'product'"):
         operator_from_description(grid1d, desc)
+
+
+def test_operator_from_description_product_token(grid1d):
+    factors = [{"token": "x"}, {"token": "x-1"}]
+    desc = {"order": 1, "entries": [{"alpha": [1], "coeff": {"token": "product", "factors": factors}}]}
+    A = operator_from_description(grid1d, desc)
+    x = grid1d.coords().real[..., 0]
+    assert np.max(np.abs(A.coefficient((1,))[..., 0, 0] - x * (x - 1.0))) < 1e-14
 
 
 def test_operator_order_validation(grid1d):

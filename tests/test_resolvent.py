@@ -70,6 +70,19 @@ def test_singular_symbol_raises(grid1d, rng):
         solve_constant(ResolventProblem(Q, 0.0, 4.0, g))
 
 
+def test_singularity_guard_does_not_depend_on_channel_count(rng):
+    # lambda = -1e-5: the 3x3 block at xi = 0 has det -1e-15 but is well conditioned
+    grid = GridSpec(1, 128, math.pi)
+    r = math.sqrt(1e-5)
+    g = random_band_limited_field(grid, 1, rng)
+    g3 = Field(grid, g.samples * np.array([1.0, -2.0, 0.5]))
+    one = solve_constant(ResolventProblem(laplacian(grid, sign=-1.0), math.pi, r, g))
+    three = solve_constant(ResolventProblem(laplacian(grid, channels=3, sign=-1.0), math.pi, r, g3))
+    expected = one.u.samples * np.array([1.0, -2.0, 0.5])
+    assert np.max(np.abs(three.u.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert three.residual_linf < 1e-6
+
+
 def test_neumann_matches_full_symbol_solve(grid1d, rng):
     Q = operator_from_constant(grid1d, {(2,): -1.0, (0,): 1.0}, order=2)
     g = random_band_limited_field(grid1d, 1, rng)
