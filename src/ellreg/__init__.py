@@ -9,7 +9,7 @@ norms, and an explicit 1-D counterexample suite, plus a CLI experiment runner.
 from .besov import BesovParams, besov_norm, bessel_lift, sobolev_norm
 from .errors import EllregError
 from .grid import Field, GridSpec, SpectralField, dft, idft, lp_norm
-from .mollify import mollify, standard_bump_kernel
+from .mollify import mollify
 from .pdo import PDOperator, apply, compose, formal_adjoint, laplacian
 
 __version__ = "0.1.0"
@@ -32,6 +32,5 @@ __all__ = [
     "lp_norm",
     "mollify",
     "sobolev_norm",
-    "standard_bump_kernel",
     "__version__",
 ]

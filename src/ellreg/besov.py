@@ -1,4 +1,4 @@
-"""Besov norms on the whole smoothness scale, Bessel lifts, and multipliers.
+"""Besov norms on the whole smoothness scale and Bessel lifts.
 
 Positive fractional orders use the second-difference functional
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMultiplier
 from .grid import (
     Field,
     apply_multiplier,
@@ -28,8 +27,6 @@ from .grid import (
     spectral_derivatives,
 )
 from .pdo import multi_indices, mi_order, unit_directions
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -47,26 +44,11 @@ class BesovParams:
                 raise ValueError(f"{name} must lie in [1, inf]")
 
 
-@dataclass
-class MultiplierSpec:
-    """A matrix-valued symbol a(xi) with polynomial growth of given degree."""
-
-    func: object  # callable xi-array (*shape, m) -> (*shape,) or (*shape, l, l)
-    degree: float = 0.0
-
-
 def bessel_lift(gamma: float, f: Field) -> Field:
     """Convolution with the Bessel potential: multiplier (1+|xi|^2)^(-gamma/2)."""
     xi = f.grid.freqs()
     mult = (1.0 + np.sum(xi**2, axis=-1)) ** (-gamma / 2.0)
     return apply_multiplier(f, mult.astype(np.complex128))
-
-
-def fourier_multiplier(spec: MultiplierSpec, f: Field) -> Field:
-    vals = np.asarray(spec.func(f.grid.freqs()), dtype=np.complex128)
-    if not np.all(np.isfinite(vals)):
-        raise SingularMultiplier("multiplier non-finite on the frequency lattice")
-    return apply_multiplier(f, vals)
 
 
 def sobolev_norm(f: Field, k: int, p: float) -> float:
@@ -149,28 +131,3 @@ def besov_norm(f: Field, params: BesovParams) -> float:
             total += second_difference_seminorm(df, frac, p, q)
     return total
 
-
-def product_estimate_check(
-    a: Field, f: Field, params: BesovParams, C: float = 32.0, N: int = 4
-) -> dict:
-    """Measure ||a f|| against C (||a||_inf ||f|| + ||a||_{W^N,inf} ||f||_{-1}).
-
-    Diagnostic, not a theorem prover: reports both sides and their ratio for
-    a configured (C, N).
-    """
-    af = Field(f.grid, a.samples[..., :1] * f.samples)
-    lhs = besov_norm(af, params)
-    a_inf = lp_norm(a, INF)
-    a_wn = sobolev_norm(a, N, INF)
-    f_b = besov_norm(f, params)
-    f_lower = besov_norm(f, BesovParams(params.alpha - 1.0, params.p, params.q))
-    rhs = C * (a_inf * f_b + a_wn * f_lower)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": lhs / rhs if rhs > 0 else math.inf,
-        "C": C,
-        "N": N,
-        "a_inf": a_inf,
-        "a_wn_inf": a_wn,
-    }

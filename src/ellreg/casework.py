@@ -16,6 +16,7 @@ import numpy as np
 
 from .besov import BesovParams, besov_norm, sobolev_norm
 from .grid import Field, GridSpec, lp_norm, spectral_derivative
+from .mollify import mollify
 from .pdo import PDOperator
 from .profiles import Plateau, bump, radial_window
 
@@ -64,11 +65,6 @@ class LineGrid:
 
     def points(self) -> np.ndarray:
         return -self.half_period + (np.arange(self.n) + 0.5) * self.h
-
-    def quad(self, vals: np.ndarray, mask=None) -> float:
-        if mask is not None:
-            vals = vals[mask]
-        return float(np.sum(vals) * self.h)
 
     def lp(self, vals: np.ndarray, p: float, mask=None) -> float:
         mag = np.abs(vals)
@@ -122,17 +118,6 @@ class SingularElement:
         c, c1, c2 = self.plateau(x), self.plateau.d1(x), self.plateau.d2(x)
         ln = np.log(np.abs(x))
         return c2 * x * x * ln + 2.0 * c1 * x * (ln + 1.0) + c
-
-
-def _bump_samples(line: LineGrid, eps: float) -> np.ndarray:
-    vals = bump(np.abs(line.points()) / eps)
-    mass = vals.sum() * line.h
-    return vals / mass
-
-
-def _circular_convolve(line: LineGrid, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    conv = np.fft.ifft(np.fft.fft(f) * np.fft.fft(np.fft.ifftshift(kernel)))
-    return conv.real * line.h
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +192,13 @@ def nondensity_witness(
     x = line.points()
     u = elem.u(x)
     v = elem.v(x)
+    # the staggered samples are a half-cell translate of the periodic grid, so
+    # the grid's convolution (kernel at integer offsets) applies unchanged
+    u_field = Field(GridSpec(1, n_ref, half_period), u[:, None])
 
     rows = []
     for eps in eps_seq:
-        kern = _bump_samples(line, eps)
-        u_eps = _circular_convolve(line, u, kern)
+        u_eps = mollify(u_field, eps).samples[:, 0].real
         v_eps = x * line.fd2(u_eps)
         w = v_eps - v
         graph_err = line.lp(w, p) + line.lp(line.fd1(w), p)

@@ -114,9 +114,19 @@ def _fixture_field(grid: GridSpec, name: str) -> Field:
     return Field(grid, vals[..., None])
 
 
-def _named_operator(grid: GridSpec, name, order: int | None = None) -> PDOperator:
+def _sample_count(cfg: ExperimentConfig, default: int) -> int:
+    count = int(cfg.parameters.get("count", default))
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
+    return count
+
+
+def _named_operator(grid: GridSpec, name) -> PDOperator:
     if isinstance(name, dict):
-        return operator_from_description(grid, name)
+        try:
+            return operator_from_description(grid, name)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad operator description: {exc}") from exc
     if name == "neg-laplacian":
         return laplacian(grid, sign=-1.0)
     if name == "neg-laplacian-plus-one":
@@ -237,7 +247,7 @@ def _run_resolvent(cfg: ExperimentConfig):
 
 
 def _run_apriori(cfg: ExperimentConfig):
-    count = int(cfg.parameters.get("count", 10))
+    count = _sample_count(cfg, 10)
     r_list = [float(r) for r in cfg.parameters.get("r", [4.0, 8.0, 16.0])]
     betas = [float(b) for b in cfg.parameters.get("beta", [-2.0, 0.0, 1.0])]
     pq_list = [tuple(pq) for pq in cfg.parameters.get("pq", [[2, 2], [1, "inf"], ["inf", "inf"]])]
@@ -291,7 +301,7 @@ def _run_patch(cfg: ExperimentConfig):
     delta = float(cfg.parameters.get("delta", cfg.grid.half_period / 2.0))
     beta = float(cfg.parameters.get("beta", 1.0))
     p = float(cfg.parameters.get("p", 2.0))
-    count = int(cfg.parameters.get("count", 5))
+    count = _sample_count(cfg, 5)
     part = build_partition(cfg.grid, delta)
     rng = _rng(cfg.seed)
     rows = []
@@ -533,13 +543,6 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = parse_config({"kind": "calibrate", "seed": 0, "output_dir": args.output_dir})
-    out = run_experiment(cfg, output_root=args.output_root)
-    print(f"wrote {out}/results.json")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ellreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -556,11 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="show the experiment catalog")
     p_list.add_argument("--json", action="store_true")
     p_list.set_defaults(func=_cmd_list)
-
-    p_cal = sub.add_parser("calibrate", help="emit the measured-constants table")
-    p_cal.add_argument("--output-root", default=None)
-    p_cal.add_argument("--output-dir", default="calibrate")
-    p_cal.set_defaults(func=_cmd_calibrate)
 
     return parser
 

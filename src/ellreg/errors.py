@@ -13,10 +13,6 @@ class ChannelMismatch(EllregError):
     """Channel counts are incompatible."""
 
 
-class SingularMultiplier(EllregError):
-    """A Fourier multiplier is non-finite at some lattice frequency."""
-
-
 class SingularSymbol(EllregError):
     """The resolvent symbol is singular at a lattice frequency."""
 

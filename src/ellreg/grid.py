@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +171,6 @@ def field_from_function(grid: GridSpec, func, channels: int | None = None) -> Fi
     return Field(grid, vals)
 
 
-def constant_field(grid: GridSpec, values) -> Field:
-    vec = np.atleast_1d(np.asarray(values, dtype=np.complex128))
-    samples = np.broadcast_to(vec, grid.shape + vec.shape).copy()
-    return Field(grid, samples)
-
-
 def dft(f: Field) -> SpectralField:
     axes = tuple(range(f.grid.dim))
     raw = np.fft.fftn(f.samples, axes=axes)
@@ -289,58 +281,3 @@ def random_band_limited_field(
     coeff = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * taper[..., None]
     return idft(SpectralField(grid, coeff))
 
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON for small fixtures, little-endian binary otherwise.
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"ELRF"
-
-
-def field_to_json(f: Field) -> dict:
-    flat = f.samples.reshape(-1)
-    return {
-        "dim": f.grid.dim,
-        "points_per_axis": f.grid.points_per_axis,
-        "half_period": f.grid.half_period,
-        "channels": f.channels,
-        "samples": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def field_from_json(obj: dict) -> Field:
-    grid = GridSpec(obj["dim"], obj["points_per_axis"], obj["half_period"])
-    flat = np.array([complex(re, im) for re, im in obj["samples"]], dtype=np.complex128)
-    return Field(grid, flat.reshape(grid.shape + (obj["channels"],)))
-
-
-def save_field(path, f: Field):
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, "w") as fh:
-            json.dump(field_to_json(f), fh)
-        return
-    header = struct.pack(
-        "<4scIIdI", _MAGIC, b"<", f.grid.dim, f.grid.points_per_axis,
-        f.grid.half_period, f.channels,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.samples, dtype="<c16").tobytes())
-
-
-def load_field(path) -> Field:
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return field_from_json(json.load(fh))
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4scIIdI"))
-        magic, endian, dim, n, L, channels = struct.unpack("<4scIIdI", head)
-        if magic != _MAGIC:
-            raise ValueError("not an ellreg field file")
-        if endian != b"<":
-            raise ValueError("only little-endian field files are supported")
-        grid = GridSpec(dim, n, L)
-        data = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-    return Field(grid, data.reshape(grid.shape + (channels,)))

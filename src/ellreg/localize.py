@@ -17,7 +17,6 @@ import numpy as np
 from .besov import BesovParams, besov_norm
 from .errors import IncommensurableDelta
 from .grid import Field, GridSpec
-from .pdo import PDOperator, commutator_with_cutoff
 from .profiles import Plateau
 
 
@@ -31,9 +30,6 @@ class PartitionSpec:
     @property
     def num_patches(self) -> int:
         return len(self.labels)
-
-    def psi_field(self, idx: int) -> Field:
-        return Field(self.grid, self.psis[idx][..., None])
 
     def patch_fields(self, f: Field):
         for idx in range(self.num_patches):
@@ -84,10 +80,3 @@ def patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> float:
         return float(np.max(vals))
     return float(np.sum(vals**p) ** (1.0 / p))
 
-
-def patch_commutators(Q: PDOperator, part: PartitionSpec) -> list:
-    """Per-patch commutators [Q, psi_j], each of order <= order(Q) - 1."""
-    return [
-        commutator_with_cutoff(Q, part.psi_field(idx))
-        for idx in range(part.num_patches)
-    ]

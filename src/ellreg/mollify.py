@@ -1,4 +1,4 @@
-"""Friedrichs mollifiers and the convergence experiments built on them."""
+"""Friedrichs mollification by the bump profile, and the convergence experiments built on it."""
 
 from __future__ import annotations
 
@@ -12,51 +12,24 @@ from .pdo import PDOperator, apply
 from .profiles import bump
 
 
-@dataclass(frozen=True)
-class MollifierKernel:
-    """Radial profile h supported in the unit ball; unit mass after sampling."""
-
-    profile: object  # callable r-array -> values, zero for r >= 1
-    name: str = "bump"
-
-
-def standard_bump_kernel() -> MollifierKernel:
-    return MollifierKernel(bump, "bump")
-
-
-def polynomial_kernel() -> MollifierKernel:
-    """C^4 piecewise-polynomial alternative profile (1 - r^2)^5."""
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        inside = r < 1.0
-        out[inside] = (1.0 - r[inside] ** 2) ** 5
-        return out
-
-    return MollifierKernel(profile, "poly5")
-
-
-def kernel_field(grid: GridSpec, eps: float, kernel: MollifierKernel) -> Field:
-    """Sample h_eps on the grid, renormalized to exact unit discrete mass."""
+def kernel_field(grid: GridSpec, eps: float) -> Field:
+    """Sample the bump dilate h_eps on the grid, renormalized to exact unit discrete mass."""
     r = np.sqrt(np.sum(grid.coords().real ** 2, axis=-1)) / eps
-    vals = kernel.profile(r)
+    vals = bump(r)
     mass = vals.sum() * grid.spacing**grid.dim
     if mass <= 0:
         raise EpsilonOutOfRange(f"eps={eps} leaves no kernel samples")
     return Field(grid, (vals / mass)[..., None])
 
 
-def mollify(f: Field, eps: float, kernel: MollifierKernel | None = None) -> Field:
+def mollify(f: Field, eps: float) -> Field:
     """Spectral convolution with the sampled, mass-renormalized dilate h_eps."""
-    if kernel is None:
-        kernel = standard_bump_kernel()
     grid = f.grid
     if not (2.0 * grid.spacing <= eps < grid.half_period / 4.0):
         raise EpsilonOutOfRange(
             f"eps={eps} outside [{2 * grid.spacing}, {grid.half_period / 4.0})"
         )
-    h = kernel_field(grid, eps, kernel)
+    h = kernel_field(grid, eps)
     return apply_multiplier(f, dft(h).coefficients[..., 0] * grid.volume)
 
 
@@ -113,27 +86,18 @@ class ErrorTable:
 
 
 def mollifier_convergence_experiment(
-    P: PDOperator,
-    f: Field,
-    p: float,
-    eps_seq,
-    window_mask,
-    kernel: MollifierKernel | None = None,
-    reference: Field | None = None,
+    P: PDOperator, f: Field, p: float, eps_seq, window_mask
 ) -> ErrorTable:
     """Errors ||P f_eps - P f||_{L^p(window)} along an epsilon sweep."""
-    if reference is None:
-        reference = apply(P, f)
+    reference = apply(P, f)
     table = ErrorTable(norm_kind=f"L{p}(window)")
     for eps in eps_seq:
-        feps = mollify(f, eps, kernel)
+        feps = mollify(f, eps)
         err = lp_norm(apply(P, feps) - reference, p, mask=window_mask)
         table.rows.append({"eps": float(eps), "error": float(err)})
     return table
 
 
-def uniform_convergence_experiment(
-    P: PDOperator, f: Field, eps_seq, window_mask, kernel=None, reference=None
-) -> ErrorTable:
+def uniform_convergence_experiment(P: PDOperator, f: Field, eps_seq, window_mask) -> ErrorTable:
     """Sup-norm version for C^k data (uniform convergence on the window)."""
-    return mollifier_convergence_experiment(P, f, np.inf, eps_seq, window_mask, kernel, reference)
+    return mollifier_convergence_experiment(P, f, np.inf, eps_seq, window_mask)

@@ -3,8 +3,7 @@
 An operator is a finite map from multi-indices to matrix coefficient arrays
 of shape (*grid.shape, out_channels, in_channels).  Derivatives of fields are
 spectral (exact on band-limited data); coefficient multiplication is
-pointwise.  Symbol calculus, adjoints, compositions, commutators with
-cutoffs, and the clipped frozen-coefficient globalization live here.
+pointwise.  Symbol calculus, adjoints and compositions live here.
 """
 
 from __future__ import annotations
@@ -38,13 +37,9 @@ def mi_binom(alpha, gamma) -> int:
     return math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
 
 
-def sub_indices(alpha, strict=False):
-    """All gamma <= alpha componentwise; strict drops gamma == alpha."""
-    ranges = [range(a + 1) for a in alpha]
-    for gamma in itertools.product(*ranges):
-        if strict and gamma == tuple(alpha):
-            continue
-        yield gamma
+def sub_indices(alpha):
+    """All gamma <= alpha componentwise."""
+    return itertools.product(*[range(a + 1) for a in alpha])
 
 
 @dataclass(eq=False)
@@ -132,17 +127,11 @@ def apply(P: PDOperator, f: Field) -> Field:
     return Field(P.grid, out)
 
 
-def principal_symbol(P: PDOperator, x_index, xi) -> np.ndarray:
-    """Top-order symbol sum_{|alpha|=n} C_alpha(x) (i xi)^alpha."""
-    return symbol_field(P, xi)[tuple(int(i) for i in x_index)]
-
-
-def symbol_field(P: PDOperator, xi, principal: bool = True) -> np.ndarray:
-    """Symbol matrix at every grid point for a fixed frequency vector."""
+def symbol_field(P: PDOperator, xi) -> np.ndarray:
+    """Principal symbol sum_{|alpha|=n} C_alpha(x) (i xi)^alpha at every grid point."""
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(P.grid.shape + (P.out_channels, P.in_channels), dtype=np.complex128)
-    indices = P.principal_indices() if principal else list(P.coeffs)
-    for alpha in indices:
+    for alpha in P.principal_indices():
         out += monomial(xi, alpha) * P.coeffs[alpha]
     return out
 
@@ -171,7 +160,7 @@ def ellipticity_margin(P: PDOperator, sphere_samples: int = 64) -> float:
         raise ChannelMismatch("ellipticity requires square channel counts")
     margin = np.inf
     for xi in unit_directions(P.grid.dim, sphere_samples):
-        sv = _min_singular_values(symbol_field(P, xi, principal=True))
+        sv = _min_singular_values(symbol_field(P, xi))
         margin = min(margin, float(np.min(sv)))
     return max(margin, 0.0)
 
@@ -201,7 +190,7 @@ def parameter_ellipticity_constant(
             xi = rho * omega
             if r == 0.0 and rho == 0.0:
                 continue
-            sym = symbol_field(Q, xi, principal=True)
+            sym = symbol_field(Q, xi)
             mats = (r**n) * np.exp(1j * theta0) * eye - sym
             sv = _min_singular_values(mats)
             smin = float(np.min(sv))
@@ -263,77 +252,6 @@ def compose(P2: PDOperator, P1: PDOperator) -> PDOperator:
     order = P1.order + P2.order
     out = {k: v for k, v in out.items() if np.max(np.abs(v)) > 1e-14}
     return PDOperator(P1.grid, order, P1.in_channels, P2.out_channels, out)
-
-
-def compose_adjoint_self(P: PDOperator) -> PDOperator:
-    """T = P-dagger P, the formally self-adjoint square of P."""
-    return compose(formal_adjoint(P), P)
-
-
-def commutator_with_cutoff(P: PDOperator, psi: Field) -> PDOperator:
-    """[P, psi] for a smooth scalar cutoff; order drops by at least one."""
-    if psi.channels != 1:
-        raise ChannelMismatch("cutoff must be scalar")
-    if psi.grid != P.grid:
-        raise GridMismatch("cutoff grid differs")
-    out: dict = {}
-    for alpha, arr in P.coeffs.items():
-        for gamma in sub_indices(alpha, strict=True):
-            diff = tuple(a - g for a, g in zip(alpha, gamma))
-            dpsi = spectral_derivative(psi, diff).samples[..., 0]
-            term = mi_binom(alpha, gamma) * arr * dpsi[..., None, None]
-            if gamma in out:
-                out[gamma] = out[gamma] + term
-            else:
-                out[gamma] = term
-    order = max(P.order - 1, 0)
-    shape = P.grid.shape + (P.out_channels, P.in_channels)
-    out = {g: a for g, a in out.items() if np.max(np.abs(a)) > 0.0}
-    if not out:
-        out = {(0,) * P.grid.dim: np.zeros(shape, dtype=np.complex128)}
-    return PDOperator(P.grid, order, P.in_channels, P.out_channels, out)
-
-
-def _chi_clip(z: np.ndarray, c: float) -> np.ndarray:
-    """Smooth radial retraction: identity for |z| <= c, |chi(z)| < 2c globally."""
-    if c == 0.0:
-        return np.zeros_like(z)
-    mag = np.abs(z)
-    scale = np.ones_like(mag)
-    over = mag > c
-    mo = mag[over]
-    scale[over] = (c + c * np.tanh((mo - c) / c)) / mo
-    return z * scale
-
-
-def clip_extend(T: PDOperator, x0_index, phi: Field, t: float) -> PDOperator:
-    """Freeze T's coefficients at x0 and clip the windowed deviation.
-
-    Coefficients become T(x0) + chi_t(phi (T - T(x0))) with the clip level
-    C_t the local oscillation of T over the radius-t ball around x0; the
-    output agrees with T where phi = 1 and the deviation is small, equals the
-    frozen operator far away, and deviates from T(x0) by at most 2 C_t.
-    """
-    x0_index = tuple(int(i) for i in x0_index)
-    coords = T.grid.coords().real
-    x0 = coords[x0_index]
-    period = 2.0 * T.grid.half_period
-    d = coords - x0
-    d = (d + T.grid.half_period) % period - T.grid.half_period
-    ball = np.sqrt(np.sum(d**2, axis=-1)) <= t
-
-    c_t = 0.0
-    for arr in T.coeffs.values():
-        dev = np.abs(arr - arr[x0_index])
-        c_t = max(c_t, float(np.max(dev[ball])))
-
-    phi_vals = phi.samples[..., 0].real
-    out = {}
-    for alpha, arr in T.coeffs.items():
-        frozen = arr[x0_index]
-        dev = phi_vals[..., None, None] * (arr - frozen)
-        out[alpha] = frozen + _chi_clip(dev, c_t)
-    return PDOperator(T.grid, T.order, T.in_channels, T.out_channels, out)
 
 
 # ---------------------------------------------------------------------------

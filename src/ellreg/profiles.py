@@ -1,9 +1,9 @@
 """Smooth bumps, ramps, and plateau windows.
 
-Everything here is built from the standard bump exp(-1/(1 - r^2)).  The ramp
-is its normalized antiderivative, cached on a dense grid once; its first and
-second derivatives are available in closed form, which the singular casework
-relies on.
+Everything here is built from exp(-1/t): the standard bump exp(-1/(1 - r^2))
+and the ramp e(t) / (e(t) + e(1-t)) with e(t) = exp(-1/t).  The ramp's first
+and second derivatives are available in closed form, which the singular
+casework relies on.
 """
 
 from __future__ import annotations
@@ -20,17 +20,6 @@ def bump(r):
     inside = np.abs(r) < 1.0
     ri = r[inside]
     out[inside] = np.exp(-1.0 / (1.0 - ri * ri))
-    return out
-
-
-def bump_d1(r):
-    """Derivative of bump with respect to r."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    ri = r[inside]
-    denom = 1.0 - ri * ri
-    out[inside] = np.exp(-1.0 / denom) * (-2.0 * ri / denom**2)
     return out
 
 

@@ -92,6 +92,30 @@ def _resolvent_multiplier(Q: PDOperator, r: float, theta0: float, principal_only
     return 1.0 / mats if ell == 1 else np.linalg.inv(mats)
 
 
+def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
+    """Iterate x <- step(x) from x0 until the L^2 increment is <= tol (1 + ||x||_2).
+
+    Returns (x, iterations, contraction) with contraction the last ratio of
+    successive increments.  Raises NotContracting when that ratio reaches
+    1 - 1e-3 from the third step on, or when max_iter steps do not converge.
+    """
+    x, prev_inc, contraction = x0, None, None
+    for iterations in range(1, max_iter + 1):
+        x_next = step(x)
+        inc = lp_norm(x_next - x, 2.0)
+        if prev_inc is not None and prev_inc > 0:
+            contraction = inc / prev_inc
+            if iterations >= 3 and contraction >= 1.0 - 1e-3:
+                raise NotContracting(
+                    f"{what}: not contracting (ratio {contraction:.4f})", contraction
+                )
+        x = x_next
+        if inc <= tol * (1.0 + lp_norm(x, 2.0)):
+            return x, iterations, contraction
+        prev_inc = inc
+    raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction)
+
+
 def solve_constant(problem: ResolventProblem) -> SolveReport:
     """Exact multiplier solve; all coefficients must be constant."""
     Q = problem.Q
@@ -123,28 +147,12 @@ def solve_neumann_lower_order(
     Qlow = PDOperator(grid, low_order, Q.in_channels, Q.out_channels, lower)
     minv = _resolvent_multiplier(Qn, problem.r, problem.theta0, principal_only=True)
 
-    h = problem.g.copy()
-    prev_inc = None
-    contraction = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        step = apply(Qlow, apply_multiplier(h, minv)) if lower else None
-        h_next = problem.g + step if step is not None else problem.g
-        inc = lp_norm(h_next - h, 2.0)
-        if prev_inc is not None and prev_inc > 0:
-            contraction = inc / prev_inc
-            if iterations >= 3 and contraction >= 1.0 - 1e-3:
-                raise NotContracting(
-                    f"contraction {contraction:.4f} at r={problem.r}", contraction
-                )
-        h = h_next
-        if inc <= tol * (1.0 + lp_norm(h, 2.0)):
-            break
-        prev_inc = inc
-    else:
-        raise NotContracting(
-            f"no convergence within {max_iter} iterations at r={problem.r}", contraction
-        )
+    def step(h):
+        return problem.g + apply(Qlow, apply_multiplier(h, minv)) if lower else problem.g
+
+    h, iterations, contraction = _fixed_point(
+        step, problem.g, tol, max_iter, f"Neumann solve at r={problem.r}"
+    )
     u = apply_multiplier(h, minv)
     return SolveReport(u, residual(problem, u), None, iterations, contraction)
 
@@ -179,29 +187,13 @@ def solve_frozen_localized(
     phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
     phi_vals = phi.samples[..., 0].real[..., None]
 
-    u = apply_multiplier(problem.g, minv)
-    prev_inc = None
-    contraction = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    def step(u):
         correction = apply(Q, u) - apply(Q0, u)
-        rhs = Field(grid, problem.g.samples + phi_vals * correction.samples)
-        u_next = apply_multiplier(rhs, minv)
-        inc = lp_norm(u_next - u, 2.0)
-        scale = lp_norm(u_next, 2.0)
-        if prev_inc is not None and prev_inc > 0:
-            contraction = inc / prev_inc
-            if iterations >= 3 and contraction >= 1.0 - 1e-3:
-                raise NotContracting(
-                    f"frozen solve not contracting (ratio {contraction:.3f})",
-                    contraction,
-                )
-        u = u_next
-        if inc <= tol * (1.0 + scale):
-            break
-        prev_inc = inc
-    else:
-        raise NotContracting("frozen solve did not converge", contraction)
+        return apply_multiplier(Field(grid, problem.g.samples + phi_vals * correction.samples), minv)
+
+    u, iterations, contraction = _fixed_point(
+        step, apply_multiplier(problem.g, minv), tol, max_iter, f"frozen solve at r={problem.r}"
+    )
 
     mask_in = box_mask(grid, x0, delta)
     lam = problem.r**Q.order * np.exp(1j * problem.theta0)

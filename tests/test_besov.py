@@ -5,16 +5,12 @@ import pytest
 
 from ellreg.besov import (
     BesovParams,
-    MultiplierSpec,
     bessel_lift,
     besov_norm,
     displacement_shells,
-    fourier_multiplier,
-    product_estimate_check,
     second_difference_seminorm,
     sobolev_norm,
 )
-from ellreg.errors import SingularMultiplier
 from ellreg.grid import (
     _STACK_POINTS,
     Field,
@@ -22,7 +18,6 @@ from ellreg.grid import (
     field_from_function,
     lp_norm,
     random_band_limited_field,
-    spectral_derivative,
     translate,
 )
 from ellreg.pdo import unit_directions
@@ -62,21 +57,6 @@ def test_bessel_lift_identity_and_group_law(grid1d, rng):
     assert np.max(np.abs(twice.samples - once.samples)) < 1e-11 * (
         1.0 + np.max(np.abs(once.samples))
     )
-
-
-def test_fourier_multiplier_matches_derivative(grid1d, rng):
-    f = random_band_limited_field(grid1d, 1, rng)
-    spec = MultiplierSpec(lambda xi: 1j * xi[..., 0], degree=1.0)
-    out = fourier_multiplier(spec, f)
-    exact = spectral_derivative(f, (1,))
-    assert np.max(np.abs(out.samples - exact.samples)) < 1e-10
-
-
-def test_fourier_multiplier_rejects_singular(grid1d, rng):
-    f = random_band_limited_field(grid1d, 1, rng)
-    spec = MultiplierSpec(lambda xi: 1.0 / np.sum(xi**2, axis=-1), degree=-2.0)
-    with np.errstate(divide="ignore"), pytest.raises(SingularMultiplier):
-        fourier_multiplier(spec, f)
 
 
 def test_sobolev_norm_oracle():
@@ -192,30 +172,6 @@ def test_besov_monotone_in_alpha(grid1d):
     alphas = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
     norms = [besov_norm(f, BesovParams(a, 2.0, INF)) for a in alphas]
     assert all(b > 0.8 * a for a, b in zip(norms, norms[1:]))
-
-
-def test_product_estimate_trivial_and_homogeneity(grid1d, rng):
-    ones = Field(grid1d, np.ones(grid1d.shape + (1,)))
-    f = random_band_limited_field(grid1d, 1, rng, band_fraction=0.1)
-    params = BesovParams(1.0, 2.0, 2.0)
-    rep = product_estimate_check(ones, f, params, C=1.0, N=2)
-    assert abs(rep["lhs"] - besov_norm(f, params)) < 1e-9 * (1 + rep["lhs"])
-    a = Field(grid1d, np.cos(grid1d.coords().real[..., :1]))
-    r1 = product_estimate_check(a, f, params)
-    r2 = product_estimate_check(2.0 * a, f, params)
-    assert r2["lhs"] <= 2.0 * r1["rhs"] + 1e-9
-    assert abs(r2["rhs"] - 2.0 * r1["rhs"]) < 1e-8 * (1 + r2["rhs"])
-
-
-def test_product_estimate_corpus_bound(rng):
-    grid = GridSpec(1, 128, math.pi)
-    x = grid.coords().real[..., 0]
-    a = Field(grid, Plateau(1.0, 2.5)(x)[..., None])
-    params = BesovParams(1.0, 2.0, 2.0)
-    for _ in range(5):
-        f = random_band_limited_field(grid, 1, rng, band_fraction=0.1)
-        rep = product_estimate_check(a, f, params, C=32.0, N=4)
-        assert rep["ratio"] <= 1.0
 
 
 def translate_second_differences(f, alpha, ps):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ellreg import casework
-from ellreg.grid import Field, GridSpec, lp_norm, random_band_limited_field, spectral_derivative
+from ellreg.grid import Field, GridSpec, random_band_limited_field, spectral_derivative
+from ellreg.mollify import mollify
 from ellreg.pdo import apply
 from ellreg.profiles import Plateau, radial_window
 
@@ -37,7 +38,7 @@ def test_line_grid_excludes_origin():
 def test_line_grid_quadrature():
     line = casework.LineGrid(4096, math.pi)
     x = line.points()
-    assert abs(line.quad(np.sin(x) ** 2) - math.pi) < 1e-6
+    assert abs(line.lp(np.sin(x), 1.0) - 4.0) < 1e-6
     assert abs(line.lp(np.sin(x), 2.0) - math.sqrt(math.pi)) < 1e-6
 
 
@@ -117,6 +118,23 @@ def test_nondensity_witness():
     assert wit["trace_lower_bound"] >= 0.5
     errors = [row["u_lp_error"] for row in wit["rows"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+def test_witness_smoothing_keeps_the_odd_element_odd(monkeypatch):
+    # u = phi ln|x| is odd on the symmetric staggered line, so its smoothing
+    # must be too: a kernel off centre by half a cell breaks the symmetry
+    smoothed = []
+
+    def spy(f, eps):
+        out = mollify(f, eps)
+        smoothed.append(out.samples[:, 0].real)
+        return out
+
+    monkeypatch.setattr(casework, "mollify", spy)
+    casework.nondensity_witness(2.0, [0.4, 0.05], n_ref=8192)
+    assert len(smoothed) == 2
+    for u_eps in smoothed:
+        assert np.max(np.abs(u_eps + u_eps[::-1])) <= 1e-12 * np.max(np.abs(u_eps))
 
 
 def test_w1p_inclusion_smooth_reduces_directly():

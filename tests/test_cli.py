@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -162,6 +163,37 @@ def test_experiment_error_exit_code(tmp_path):
     assert not (tmp_path / "fail").exists()
 
 
+def _assert_one_line_failure(capsys, code, argv, expected):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert expected in err and err.count("\n") == 1
+
+
+def test_unknown_coefficient_token_is_a_config_error(tmp_path, capsys):
+    operator = {"order": 2, "entries": [{"alpha": [2], "coeff": {"token": "exp"}}]}
+    cfg_path = _write_config(tmp_path, {
+        "kind": "resolvent-solve", "grid": {"dim": 1, "points_per_axis": 64},
+        "parameters": {"operator": operator}, "output_dir": "token",
+    })
+    _assert_one_line_failure(capsys, 2, ["run", cfg_path, "--output-root", str(tmp_path)], "'exp'")
+    assert not (tmp_path / "token").exists()
+
+
+@pytest.mark.parametrize("kind, count", [("patch-equivalence", 0), ("apriori-sweep", -1)])
+def test_sample_count_below_one_is_a_config_error(tmp_path, capsys, kind, count):
+    cfg_path = _write_config(tmp_path, {"kind": kind, "parameters": {"count": count}})
+    argv = ["run", cfg_path, "--output-root", str(tmp_path)]
+    _assert_one_line_failure(capsys, 2, argv, "count must be >= 1")
+    assert not (tmp_path / kind).exists()
+
+
+def test_example_a_eps_outside_the_mollifier_range_is_an_experiment_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, {"kind": "example-a", "parameters": {"eps": [1.0]}})
+    argv = ["run", cfg_path, "--output-root", str(tmp_path)]
+    _assert_one_line_failure(capsys, 3, argv, "EpsilonOutOfRange: eps=1.0 outside")
+    assert not (tmp_path / "example-a").exists()
+
+
 def _frozen_config(tmp_path, rhs, name):
     parameters = {"method": "frozen", "operator": "neg-laplacian", "rhs": rhs}
     obj = {"kind": "resolvent-solve", "grid": {"dim": 1, "points_per_axis": 128},
@@ -196,7 +228,9 @@ def test_list_plain_and_json(capsys):
 
 
 def test_calibrate_subcommand(tmp_path):
-    assert main(["calibrate", "--output-root", str(tmp_path)]) == 0
+    # the measured-constants table is the shipped calibrate config, run like any other
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "calibrate.json"
+    assert main(["run", str(config), "--output-root", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "calibrate" / "results.json").read_text())
     entries = payload["results"]["entries"]
     assert abs(entries["param_ellipticity_neg_laplacian_m1"] - 2.0) < 1e-3
@@ -204,8 +238,6 @@ def test_calibrate_subcommand(tmp_path):
 
 
 def test_shipped_configs_parse():
-    import pathlib
-
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(here.glob("*.json"))
     assert len(paths) == len(EXPECTED_KINDS)

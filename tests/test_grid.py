@@ -16,14 +16,11 @@ from ellreg.grid import (
     SpectralField,
     apply_multiplier,
     apply_multipliers,
-    constant_field,
     dft,
     field_from_function,
     idft,
-    load_field,
     lp_norm,
     random_band_limited_field,
-    save_field,
     spectral_derivative,
     spectral_derivatives,
     translate,
@@ -68,7 +65,7 @@ def test_single_mode_has_single_coefficient(grid1d):
 
 
 def test_constant_field_spectrum(grid2d):
-    f = constant_field(grid2d, [3.0, -1.0j])
+    f = Field(grid2d, np.broadcast_to([3.0, -1.0j], grid2d.shape + (2,)))
     coeff = dft(f).coefficients
     assert abs(coeff[0, 0, 0] - 3.0) < 1e-13
     assert abs(coeff[0, 0, 1] + 1.0j) < 1e-13
@@ -112,7 +109,7 @@ def test_lp_norm_quadrature_against_fine_grid():
 
 
 def test_lp_norm_mask(grid1d):
-    f = constant_field(grid1d, 1.0)
+    f = Field(grid1d, np.ones(grid1d.shape + (1,)))
     x = grid1d.coords().real[..., 0]
     mask = x >= 0.0
     # half the domain: measure pi, so L^1 norm is pi
@@ -177,32 +174,6 @@ def test_gridspec_validation():
         Field(GridSpec(1, 8, 1.0), np.zeros((7, 1)))
 
 
-def test_serialization_roundtrip_binary(tmp_path, grid1d, rng):
-    f = random_band_limited_field(grid1d, 2, rng)
-    path = tmp_path / "field.elrf"
-    save_field(path, f)
-    g = load_field(path)
-    assert g.grid == f.grid
-    assert np.array_equal(g.samples, f.samples)
-
-
-def test_serialization_roundtrip_json(tmp_path, rng):
-    grid = GridSpec(1, 8, 1.0)
-    f = random_band_limited_field(grid, 1, rng)
-    path = tmp_path / "field.json"
-    save_field(path, f)
-    g = load_field(path)
-    assert g.grid == f.grid
-    assert np.max(np.abs(g.samples - f.samples)) < 1e-15
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.elrf"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValueError):
-        load_field(path)
-
-
 def test_spectral_field_shape_check(grid1d):
     with pytest.raises(ValueError):
         SpectralField(grid1d, np.zeros((5, 1)))
@@ -246,7 +217,9 @@ def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
         assert np.max(np.abs(got.samples - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("name", ["besov", "pdo", "resolvent", "mollify", "localize"])
+@pytest.mark.parametrize(
+    "name", ["besov", "pdo", "resolvent", "mollify", "localize", "casework", "cli"]
+)
 def test_fourier_side_work_goes_through_the_multiplier_path(name):
     # transforms and (i xi)^alpha monomials live in ellreg.grid only
     source = inspect.getsource(importlib.import_module(f"ellreg.{name}"))

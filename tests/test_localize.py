@@ -6,8 +6,7 @@ import pytest
 from ellreg.besov import BesovParams, besov_norm
 from ellreg.errors import IncommensurableDelta
 from ellreg.grid import GridSpec, random_band_limited_field
-from ellreg.localize import build_partition, patch_commutators, patch_norm
-from ellreg.pdo import laplacian
+from ellreg.localize import build_partition, patch_norm
 
 
 def test_partition_sums_to_one_1d(grid1d):
@@ -66,8 +65,3 @@ def test_patch_norm_two_sided_and_refinement_stable(rng):
     assert abs(ratios[128][1] / ratios[64][1] - 1.0) < 0.20
     assert abs(ratios[128][0] / ratios[64][0] - 1.0) < 0.20
 
-
-def test_patch_commutators_drop_order(grid1d):
-    Q = laplacian(grid1d, sign=-1.0)
-    for K in patch_commutators(Q, build_partition(grid1d, math.pi)):
-        assert K.order <= Q.order - 1

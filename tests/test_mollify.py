@@ -9,7 +9,6 @@ from ellreg.errors import EpsilonOutOfRange
 from ellreg.grid import (
     Field,
     GridSpec,
-    constant_field,
     field_from_function,
     lp_norm,
     random_band_limited_field,
@@ -21,8 +20,6 @@ from ellreg.mollify import (
     kernel_field,
     mollifier_convergence_experiment,
     mollify,
-    polynomial_kernel,
-    standard_bump_kernel,
     uniform_convergence_experiment,
 )
 from ellreg.pdo import operator_from_constant
@@ -30,20 +27,19 @@ from ellreg.profiles import radial_window
 
 
 def test_kernel_unit_mass(grid1d):
-    for kernel in (standard_bump_kernel(), polynomial_kernel()):
-        h = kernel_field(grid1d, 0.5, kernel)
-        mass = float(np.sum(h.samples.real)) * grid1d.spacing
-        assert abs(mass - 1.0) < 1e-12
+    h = kernel_field(grid1d, 0.5)
+    mass = float(np.sum(h.samples.real)) * grid1d.spacing
+    assert abs(mass - 1.0) < 1e-12
 
 
 def test_kernel_compact_support(grid1d):
-    h = kernel_field(grid1d, 0.5, standard_bump_kernel())
+    h = kernel_field(grid1d, 0.5)
     x = grid1d.coords().real[..., 0]
     assert np.all(h.samples[np.abs(x) >= 0.5] == 0.0)
 
 
 def test_mollify_preserves_constants(grid1d):
-    f = constant_field(grid1d, 2.5)
+    f = Field(grid1d, np.full(grid1d.shape + (1,), 2.5))
     out = mollify(f, 0.4)
     assert np.max(np.abs(out.samples - 2.5)) < 1e-12
 
@@ -122,14 +118,3 @@ def test_uniform_experiment_matches_sup_norm():
         direct = lp_norm(mollify(f, row["eps"]) - f, math.inf)
         assert abs(row["error"] - direct) < 1e-12
 
-
-def test_alternative_kernel_also_converges():
-    grid = GridSpec(1, 1024, math.pi)
-    x = grid.coords().real[..., 0]
-    w = radial_window(grid, 1.0, 2.0).samples[..., 0].real
-    f = Field(grid, (np.abs(x) * w)[..., None])
-    mask = np.abs(x) <= grid.half_period / 2.0
-    P = operator_from_constant(grid, {(0,): 1.0}, order=0)
-    eps = admissible_eps_sequence(grid, count=5)
-    table = mollifier_convergence_experiment(P, f, 1.0, eps, mask, kernel=polynomial_kernel())
-    assert table.converging

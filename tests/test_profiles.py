@@ -9,7 +9,6 @@ from ellreg.profiles import (
     box_mask,
     box_window,
     bump,
-    bump_d1,
     radial_window,
     ramp,
     ramp_d1,
@@ -23,13 +22,6 @@ def test_bump_support_and_peak():
     assert v[0] == v[1] == v[4] == v[5] == 0.0
     assert abs(v[2] - math.exp(-1.0)) < 1e-15
     assert 0 < v[3] < v[2]
-
-
-def test_bump_d1_matches_finite_difference():
-    r = np.linspace(-0.95, 0.95, 401)
-    h = 1e-6
-    fd = (bump(r + h) - bump(r - h)) / (2 * h)
-    assert np.max(np.abs(fd - bump_d1(r))) < 1e-7
 
 
 def test_ramp_endpoints_and_monotone():

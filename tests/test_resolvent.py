@@ -15,6 +15,7 @@ from ellreg.pdo import PDOperator, laplacian, operator_from_constant
 from ellreg.profiles import box_window
 from ellreg.resolvent import (
     ResolventProblem,
+    _fixed_point,
     apriori_ratio,
     residual,
     solve_constant,
@@ -141,6 +142,55 @@ def test_frozen_localized_rejects_leaking_data():
     bad = ResolventProblem(problem.Q, math.pi, 8.0, wide)
     with pytest.raises(SupportViolation):
         solve_frozen_localized(bad, (grid.points_per_axis // 2,), delta)
+
+
+def test_frozen_localized_refuses_a_poor_frozen_model():
+    # the coefficient 1.1 - cos x is 0.1 at x0 = 0 but reaches 1.1 - cos(pi) on
+    # the cutoff's support, so the frozen correction outweighs the frozen operator
+    grid = GridSpec(1, 64, math.pi)
+    delta = math.pi / 2.0
+    coeff = -(1.1 - np.cos(grid.coords().real[..., 0]))[..., None, None]
+    Q = PDOperator(grid, 2, 1, 1, {(2,): coeff})
+    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta).samples)
+    with pytest.raises(NotContracting) as info:
+        solve_frozen_localized(ResolventProblem(Q, math.pi, 2.0, g), (32,), delta)
+    assert info.value.contraction > 1.0
+
+
+def test_fixed_point_converges_at_the_step_contraction(grid1d):
+    # x <- x/2 + g from 0: the iterates 2 g (1 - 2^-k) and their increments are
+    # exact in binary, so every increment ratio is exactly 1/2
+    g = Field(grid1d, np.ones(grid1d.shape + (1,)))
+    zero = Field(grid1d, np.zeros(grid1d.shape + (1,)))
+    x, iterations, contraction = _fixed_point(lambda x: 0.5 * x + g, zero, 1e-10, 200, "halving")
+    assert contraction == 0.5
+    assert np.max(np.abs(x.samples - 2.0)) <= 1e-9
+    # stops at the first increment 2^-(k-1) ||g|| below 1e-10 (1 + ||x||)
+    norm_g = lp_norm(g, 2.0)
+    assert 2.0 ** -(iterations - 1) * norm_g <= 1e-10 * (1.0 + 2.0 * norm_g)
+    assert 2.0 ** -(iterations - 2) * norm_g > 1e-10 * (1.0 + 2.0 * norm_g)
+
+
+def test_fixed_point_refuses_a_doubling_step_at_step_three(grid1d):
+    calls = []
+
+    def doubling(x):
+        calls.append(x)
+        return 2.0 * x
+
+    one = Field(grid1d, np.ones(grid1d.shape + (1,)))
+    with pytest.raises(NotContracting, match="doubling: not contracting") as info:
+        _fixed_point(doubling, one, 1e-12, 200, "doubling")
+    assert len(calls) == 3
+    assert info.value.contraction == 2.0
+
+
+def test_fixed_point_refuses_when_max_iter_runs_out(grid1d):
+    g = Field(grid1d, np.ones(grid1d.shape + (1,)))
+    zero = Field(grid1d, np.zeros(grid1d.shape + (1,)))
+    with pytest.raises(NotContracting, match="no convergence within 2 iterations") as info:
+        _fixed_point(lambda x: 0.9 * x + g, zero, 1e-12, 2, "slow")
+    assert abs(info.value.contraction - 0.9) < 1e-12
 
 
 def test_apriori_ratio_zero_rhs(grid1d):
