@@ -67,12 +67,8 @@ class LineGrid:
         return -self.half_period + (np.arange(self.n) + 0.5) * self.h
 
     def lp(self, vals: np.ndarray, p: float, mask=None) -> float:
-        mag = np.abs(vals)
-        if mask is not None:
-            mag = mag[mask]
-        if math.isinf(p):
-            return float(np.max(mag)) if mag.size else 0.0
-        return float((np.sum(mag**p) * self.h) ** (1.0 / p))
+        # the same cell width h as the periodic grid, so one quadrature serves both
+        return lp_norm(Field(GridSpec(1, self.n, self.half_period), vals[:, None]), p, mask)
 
     def fd1(self, vals: np.ndarray) -> np.ndarray:
         return (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * self.h)

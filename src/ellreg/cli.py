@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,43 +49,126 @@ SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "ELLREG_OUTPUT_ROOT"
 
 _CONFIG_KEYS = {"schema_version", "kind", "grid", "parameters", "seed", "output_dir"}
+_GRID_DEFAULTS = {"dim": 1, "points_per_axis": 256, "half_period": math.pi}
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
     grid: GridSpec
-    parameters: dict
+    parameters: dict  # every keyword argument of the kind's handler, coerced
     seed: int
     output_dir: str
 
 
+@dataclass(eq=False)
+class _Operator:
+    """An `operator` parameter: its config spelling and the operator built from it."""
+
+    spec: object
+    op: PDOperator
+
+
+# Fixture profiles f(r, x), multiplied by a window that ends at radius L/2
+_FIXTURES = {
+    "smooth": lambda r, x: np.exp(-(r**2)),
+    "kink": lambda r, x: r,
+    "cubic-kink": lambda r, x: r**3,
+    "wave": lambda r, x: np.cos(3.0 * x[..., 0]),
+}
+
+# The range of every scalar of a parameter, by name: (test on the grid, what it asks)
+_EXPONENT = (lambda v, g: v >= 1.0, '>= 1 or "inf"')
+_RANGES = {
+    **dict.fromkeys(("p", "q", "pq"), _EXPONENT),
+    **dict.fromkeys(("count", "eps_count"), (lambda v, g: v >= 1, ">= 1")),
+    **dict.fromkeys(("r", "delta", "eps"), (lambda v, g: v > 0.0, "> 0")),
+    **dict.fromkeys(("n_ref", "grid_sizes"), (lambda v, g: v >= 4 and v % 2 == 0, "even and >= 4")),
+    "seed": (lambda v, g: v >= 0, ">= 0"),
+    "hardy_p": (lambda v, g: v > 1.0, "> 1"),
+    "x0_index": (lambda v, g: 0 <= v < g.points_per_axis, "a grid index"),
+    "method": (lambda v, g: v in ("constant", "neumann", "frozen"), "constant, neumann or frozen"),
+    "fixture": (lambda v, g: v in _FIXTURES, f"one of {list(_FIXTURES)}"),
+    "rhs": (lambda v, g: v == "random" or v in _FIXTURES, f"random or one of {list(_FIXTURES)}"),
+}
+
+
+def _coerce(name: str, value, default, grid: GridSpec | None):
+    """`value` cast like `default` and range-checked by `name`, or ConfigError.
+
+    A list default takes a non-empty list of items like its first item, a
+    tuple default a list of its length, a dict default an object with its
+    keys.  An int takes only a JSON integer, a float a finite JSON number,
+    and an exponent also the string "inf".  An `operator` is built here.
+    """
+    if name == "operator":
+        return _Operator(value, _named_operator(grid, value))
+    if isinstance(default, dict):
+        if isinstance(value, dict) and set(value) != set(default):
+            raise ConfigError(f"{name} must have the keys {sorted(default)}, got {value!r}")
+        return _fields(name, value, default, grid)
+    if isinstance(default, tuple):  # a record: one item per position
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"{name} must be a list of {len(default)}, got {value!r}")
+        return tuple(_coerce(name, v, d, grid) for v, d in zip(value, default))
+    if isinstance(default, list):  # a sequence of items like the first
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [_coerce(name, v, default[0], grid) for v in value]
+    rule = _RANGES.get(name)
+    if isinstance(default, str):
+        ok, need = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, need = type(value) is int, "an integer"
+    elif value == "inf" and rule is _EXPONENT:
+        ok, value = True, math.inf
+    else:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        need = 'a finite number or "inf"' if rule is _EXPONENT else "a finite number"
+        value = float(value) if ok else value
+    if not ok:
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    if rule is not None and not rule[0](value, grid):
+        raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+    return value
+
+
+def _fields(what: str, raw, schema: dict, grid: GridSpec | None) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object")
+    if unknown := set(raw) - set(schema):
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return {name: _coerce(name, raw.get(name, d), d, grid) for name, d in schema.items()}
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
+    """The one parse behind `validate` and `run`: checks a config, fills every default.
+
+    A kind's schema is the keyword parameters of its handler; a default that
+    depends on the grid is a callable of the grid.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
+    if unknown := set(obj) - _CONFIG_KEYS:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
     kind = obj.get("kind")
-    if kind not in CATALOG:
+    if not isinstance(kind, str) or kind not in CATALOG:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    gspec = obj.get("grid", {})
     try:
-        grid = GridSpec(
-            int(gspec.get("dim", 1)),
-            int(gspec.get("points_per_axis", 256)),
-            float(gspec.get("half_period", math.pi)),
-        )
-    except (TypeError, ValueError) as exc:
+        grid = GridSpec(**_fields("grid", obj.get("grid", {}), _GRID_DEFAULTS, None))
+    except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
-    params = obj.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters must be an object")
-    return ExperimentConfig(
-        kind, grid, params, int(obj.get("seed", 0)), str(obj.get("output_dir", kind))
-    )
+    # operators are built on the grid here: 2^22 points are 64 MiB per coefficient
+    if grid.dim > 22 or grid.num_points > 1 << 22:  # dim > 22 gives > 2^44 points
+        raise ConfigError(f"grid has {grid.points_per_axis}^{grid.dim} points, more than 2^22")
+    _, *args = inspect.signature(CATALOG[kind]["handler"]).parameters.values()
+    schema = {a.name: a.default(grid) if callable(a.default) else a.default for a in args}
+    params = _fields("parameters", obj.get("parameters", {}), schema, grid)
+    seed = _coerce("seed", obj.get("seed", 0), 0, grid)
+    output_dir = _coerce("output_dir", obj.get("output_dir", kind), kind, grid)
+    return ExperimentConfig(kind, grid, params, seed, output_dir)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -101,39 +185,20 @@ def _fixture_field(grid: GridSpec, name: str) -> Field:
     win = radial_window(grid, grid.half_period / 4.0, grid.half_period / 2.0)
     w = win.samples[..., 0].real
     r = np.sqrt(np.sum(coords**2, axis=-1))
-    if name == "smooth":
-        vals = np.exp(-(r**2)) * w
-    elif name == "kink":
-        vals = r * w
-    elif name == "cubic-kink":
-        vals = r**3 * w
-    elif name == "wave":
-        vals = np.cos(3.0 * coords[..., 0]) * w
-    else:
-        raise ConfigError(f"unknown fixture {name!r}")
-    return Field(grid, vals[..., None])
-
-
-def _sample_count(cfg: ExperimentConfig, default: int) -> int:
-    count = int(cfg.parameters.get("count", default))
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    return count
+    return Field(grid, (_FIXTURES[name](r, coords) * w)[..., None])
 
 
 def _named_operator(grid: GridSpec, name) -> PDOperator:
     if isinstance(name, dict):
         try:
             return operator_from_description(grid, name)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
             raise ConfigError(f"bad operator description: {exc}") from exc
     if name == "neg-laplacian":
         return laplacian(grid, sign=-1.0)
     if name == "neg-laplacian-plus-one":
         Q = laplacian(grid, sign=-1.0)
-        Q.coeffs[(0,) * grid.dim] = np.broadcast_to(
-            np.eye(1, dtype=np.complex128), grid.shape + (1, 1)
-        ).copy()
+        Q.coeffs[(0,) * grid.dim] = np.ones(grid.shape + (1, 1), dtype=np.complex128)
         return Q
     if name == "neg-d2-drift":
         if grid.dim != 1:
@@ -148,55 +213,48 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
 
 
 # ---------------------------------------------------------------------------
-# Experiment handlers: each returns (results_dict, [(table_name, header, rows)])
+# Experiment handlers: each returns (results_dict, [(table_name, header, rows)]).
+# The keyword parameters are the kind's schema, whose defaults are only read:
+# parse_config coerces and fills in every one, and the handler gets them all.
 # ---------------------------------------------------------------------------
 
 
-def _run_mollify(cfg: ExperimentConfig):
-    p_list = cfg.parameters.get("p", [1.0, 2.0])
-    cases = cfg.parameters.get(
-        "cases",
-        [
-            {"operator": "identity", "fixture": "kink"},
-            {"operator": "derivative", "fixture": "kink"},
-            {"operator": "neg-laplacian", "fixture": "cubic-kink"},
-            {"operator": "neg-laplacian", "fixture": "kink"},
-        ],
-    )
-    eps_seq = admissible_eps_sequence(cfg.grid, count=int(cfg.parameters.get("eps_count", 6)))
+def _run_mollify(
+    cfg: ExperimentConfig,
+    p=[1.0, 2.0],
+    cases=[
+        {"operator": "identity", "fixture": "kink"},
+        {"operator": "derivative", "fixture": "kink"},
+        {"operator": "neg-laplacian", "fixture": "cubic-kink"},
+        {"operator": "neg-laplacian", "fixture": "kink"},
+    ],
+    eps_count=6,
+):
+    eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
     mask = _window_mask(cfg.grid)
     results = {"eps_seq": [float(e) for e in eps_seq], "cases": []}
     tables = []
     for case in cases:
-        P = _named_operator(cfg.grid, case["operator"])
-        f = _fixture_field(cfg.grid, case["fixture"])
+        operator, fixture = case["operator"], case["fixture"]
+        f = _fixture_field(cfg.grid, fixture)
         per_p = {}
-        for p in p_list:
-            table = mollifier_convergence_experiment(P, f, float(p), eps_seq, mask)
-            per_p[str(p)] = table.as_dict()
-            tables.append(
-                (
-                    f"mollify_{case['operator']}_{case['fixture']}_p{p}",
-                    ["eps", "error"],
-                    [[row["eps"], row["error"]] for row in table.rows],
-                )
-            )
-        results["cases"].append(
-            {"operator": case["operator"], "fixture": case["fixture"], "by_p": per_p}
-        )
+        for exponent in p:
+            table = mollifier_convergence_experiment(operator.op, f, exponent, eps_seq, mask)
+            per_p[str(exponent)] = table.as_dict()
+            rows = [[row["eps"], row["error"]] for row in table.rows]
+            name = f"mollify_{operator.spec}_{fixture}_p{exponent}"
+            tables.append((name, ["eps", "error"], rows))
+        results["cases"].append({"operator": operator, "fixture": fixture, "by_p": per_p})
     return results, tables
 
 
-def _run_uniform(cfg: ExperimentConfig):
-    fixture = cfg.parameters.get("fixture", "smooth")
-    op_name = cfg.parameters.get("operator", "neg-laplacian")
-    P = _named_operator(cfg.grid, op_name)
+def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacian", eps_count=6):
     f = _fixture_field(cfg.grid, fixture)
-    eps_seq = admissible_eps_sequence(cfg.grid, count=int(cfg.parameters.get("eps_count", 6)))
-    table = uniform_convergence_experiment(P, f, eps_seq, _window_mask(cfg.grid))
+    eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
+    table = uniform_convergence_experiment(operator.op, f, eps_seq, _window_mask(cfg.grid))
     rates = table.rates()
     results = {
-        "operator": op_name,
+        "operator": operator,
         "fixture": fixture,
         "table": table.as_dict(),
         "final_rates": rates[-2:],
@@ -206,38 +264,32 @@ def _run_uniform(cfg: ExperimentConfig):
     ]
 
 
-def _make_rhs(cfg: ExperimentConfig, rng: np.random.Generator) -> Field:
-    kind = cfg.parameters.get("rhs", "random")
-    if kind == "random":
-        return random_band_limited_field(cfg.grid, 1, rng)
-    return _fixture_field(cfg.grid, kind)
-
-
-def _run_resolvent(cfg: ExperimentConfig):
-    method = cfg.parameters.get("method", "constant")
-    if method == "frozen" and cfg.parameters.get("rhs", "random") == "random":
+def _run_resolvent(
+    cfg: ExperimentConfig,
+    method="constant",
+    operator="neg-laplacian",
+    r=8.0,
+    theta0=math.pi,
+    rhs="random",
+    x0_index=lambda grid: (grid.points_per_axis // 2,) * grid.dim,
+    delta=lambda grid: grid.half_period / 2.0,  # the fixtures are windowed out to radius L/2
+):
+    if method == "frozen" and rhs == "random":
         raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
-    op_name = cfg.parameters.get("operator", "neg-laplacian")
-    Q = _named_operator(cfg.grid, op_name)
-    r = float(cfg.parameters.get("r", 8.0))
-    theta0 = float(cfg.parameters.get("theta0", math.pi))
-    rng = _rng(cfg.seed)
-    g = _make_rhs(cfg, rng)
-    problem = ResolventProblem(Q, theta0, r, g)
+    if rhs == "random":
+        g = random_band_limited_field(cfg.grid, 1, _rng(cfg.seed))
+    else:
+        g = _fixture_field(cfg.grid, rhs)
+    problem = ResolventProblem(operator.op, theta0, r, g)
     if method == "constant":
         report = solve_constant(problem)
     elif method == "neumann":
         report = solve_neumann_lower_order(problem)
-    elif method == "frozen":
-        x0 = tuple(cfg.parameters.get("x0_index", (cfg.grid.points_per_axis // 2,) * cfg.grid.dim))
-        # the fixtures are windowed out to radius L/2
-        delta = float(cfg.parameters.get("delta", cfg.grid.half_period / 2.0))
-        report = solve_frozen_localized(problem, x0, delta)
     else:
-        raise ConfigError(f"unknown solve method {method!r}")
+        report = solve_frozen_localized(problem, x0_index, delta)
     results = {
         "method": method,
-        "operator": op_name,
+        "operator": operator,
         "r": r,
         "theta0": theta0,
         "report": report.as_dict(),
@@ -246,62 +298,49 @@ def _run_resolvent(cfg: ExperimentConfig):
     return results, []
 
 
-def _run_apriori(cfg: ExperimentConfig):
-    count = _sample_count(cfg, 10)
-    r_list = [float(r) for r in cfg.parameters.get("r", [4.0, 8.0, 16.0])]
-    betas = [float(b) for b in cfg.parameters.get("beta", [-2.0, 0.0, 1.0])]
-    pq_list = [tuple(pq) for pq in cfg.parameters.get("pq", [[2, 2], [1, "inf"], ["inf", "inf"]])]
-    pq_list = [(float(p) if p != "inf" else math.inf, float(q) if q != "inf" else math.inf) for p, q in pq_list]
-    Q = _named_operator(cfg.grid, cfg.parameters.get("operator", "neg-laplacian"))
-    theta0 = float(cfg.parameters.get("theta0", math.pi))
+def _run_apriori(
+    cfg: ExperimentConfig,
+    count=10,
+    r=[4.0, 8.0, 16.0],
+    beta=[-2.0, 0.0, 1.0],
+    pq=[(2.0, 2.0), (1.0, "inf"), ("inf", "inf")],
+    operator="neg-laplacian",
+    theta0=math.pi,
+):
+    Q = operator.op
     rng = _rng(cfg.seed)
     rows = []
     overall = 0.0
     for idx in range(count):
         g = random_band_limited_field(cfg.grid, 1, rng)
-        for r in r_list:
-            problem = ResolventProblem(Q, theta0, r, g)
-            u = solve_constant(problem).u
-            for beta in betas:
-                for p, q in pq_list:
-                    ratio = apriori_ratio(u, g, Q, r, theta0, beta, p, q)
+        for radius in r:
+            u = solve_constant(ResolventProblem(Q, theta0, radius, g)).u
+            for b in beta:
+                for p, q in pq:
+                    ratio = apriori_ratio(u, g, Q, radius, theta0, b, p, q)
                     overall = max(overall, ratio)
-                    rows.append([idx, r, beta, p, q, ratio])
-    results = {
-        "count": count,
-        "r": r_list,
-        "beta": betas,
-        "max_ratio": overall,
-    }
+                    rows.append([idx, radius, b, p, q, ratio])
+    results = {"count": count, "r": r, "beta": beta, "max_ratio": overall}
     header = ["sample", "r", "beta", "p", "q", "ratio"]
     return results, [("apriori_ratios", header, rows)]
 
 
-def _run_besov(cfg: ExperimentConfig):
-    alphas = [float(a) for a in cfg.parameters.get("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])]
-    p = float(cfg.parameters.get("p", 2.0))
-    q_raw = cfg.parameters.get("q", 2.0)
-    q = math.inf if q_raw == "inf" else float(q_raw)
-    k = int(cfg.parameters.get("wavenumber", 3))
-    f = field_from_function(cfg.grid, lambda x: np.exp(1j * k * x[..., 0]))
-    rows = []
-    for alpha in alphas:
-        rows.append([alpha, besov_norm(f, BesovParams(alpha, p, q))])
+def _run_besov(cfg: ExperimentConfig, alpha=[-1.0, 0.0, 0.5, 1.0, 2.0], p=2.0, q=2.0, wavenumber=3):
+    f = field_from_function(cfg.grid, lambda x: np.exp(1j * wavenumber * x[..., 0]))
+    rows = [[a, besov_norm(f, BesovParams(a, p, q))] for a in alpha]
     results = {
-        "fixture": f"exp(i {k} x)",
+        "fixture": f"exp(i {wavenumber} x)",
         "p": p,
-        "q": "inf" if math.isinf(q) else q,
+        "q": q,
         "norms": {str(a): n for a, n in rows},
         "all_finite": all(math.isfinite(n) for _, n in rows),
     }
     return results, [("besov_norms", ["alpha", "norm"], rows)]
 
 
-def _run_patch(cfg: ExperimentConfig):
-    delta = float(cfg.parameters.get("delta", cfg.grid.half_period / 2.0))
-    beta = float(cfg.parameters.get("beta", 1.0))
-    p = float(cfg.parameters.get("p", 2.0))
-    count = _sample_count(cfg, 5)
+def _run_patch(
+    cfg: ExperimentConfig, delta=lambda grid: grid.half_period / 2.0, beta=1.0, p=2.0, count=5
+):
     part = build_partition(cfg.grid, delta)
     rng = _rng(cfg.seed)
     rows = []
@@ -323,15 +362,13 @@ def _run_patch(cfg: ExperimentConfig):
     return results, [("patch_equivalence", header, rows)]
 
 
-def _run_example_a(cfg: ExperimentConfig):
-    p = float(cfg.parameters.get("p", 2.0))
-    n_ref = int(cfg.parameters.get("n_ref", 8192))
-    eps_seq = [float(e) for e in cfg.parameters.get("eps", [0.4, 0.2, 0.1, 0.05])]
-    witness = casework.nondensity_witness(p, eps_seq, n_ref=n_ref)
-    hardy_ps = [float(v) for v in cfg.parameters.get("hardy_p", [1.5, 2.0, 4.0])]
+def _run_example_a(
+    cfg: ExperimentConfig, p=2.0, n_ref=8192, eps=[0.4, 0.2, 0.1, 0.05], hardy_p=[1.5, 2.0, 4.0]
+):
+    witness = casework.nondensity_witness(p, eps, n_ref=n_ref)
     rng = _rng(cfg.seed)
     hardy_rows = []
-    for hp in hardy_ps:
+    for hp in hardy_p:
         g = random_band_limited_field(cfg.grid, 1, rng)
         rep = casework.hardy_average(g, hp)
         hardy_rows.append([hp, rep.ratio, hp / (hp - 1.0)])
@@ -354,21 +391,12 @@ def _run_example_a(cfg: ExperimentConfig):
     return results, tables
 
 
-def _run_gap(cfg: ExperimentConfig):
-    sizes = [int(n) for n in cfg.parameters.get("grid_sizes", [64, 128, 256])]
+def _run_gap(cfg: ExperimentConfig, grid_sizes=[64, 128, 256]):
     report = casework.regularity_gap_experiment(
-        grid_sizes=sizes, half_period=cfg.grid.half_period
+        grid_sizes=grid_sizes, half_period=cfg.grid.half_period
     )
-    rows = []
-    for i, n in enumerate(report["grid_sizes"]):
-        rows.append(
-            [
-                n,
-                report["trajectories"]["w_k_2"][i],
-                report["trajectories"]["w_km1_1"][i],
-                report["trajectories"]["besov_k_1_inf"][i],
-            ]
-        )
+    traj = report["trajectories"]
+    rows = list(zip(report["grid_sizes"], traj["w_k_2"], traj["w_km1_1"], traj["besov_k_1_inf"]))
     header = ["points_per_axis", "w_2_2", "w_1_1", "besov_2_1_inf"]
     return report, [("regularity_gap", header, rows)]
 
@@ -388,51 +416,27 @@ def _run_calibrate(cfg: ExperimentConfig):
 
 
 CATALOG = {
-    "mollify-convergence": {
-        "handler": _run_mollify,
-        "topic": "smoothing error P f_eps - P f in L^p on a window, swept over eps",
-        "default": {"grid": {"dim": 1, "points_per_axis": 2048}, "parameters": {}},
-    },
-    "uniform-convergence": {
-        "handler": _run_uniform,
-        "topic": "sup-norm smoothing error for smooth data, with measured decay order",
-        "default": {"grid": {"dim": 1, "points_per_axis": 2048}, "parameters": {}},
-    },
-    "resolvent-solve": {
-        "handler": _run_resolvent,
-        "topic": "solve r^n e^{i theta0} u - Q u = g by multiplier or fixed-point iteration",
-        "default": {"grid": {"dim": 1, "points_per_axis": 256}, "parameters": {"method": "constant"}},
-    },
-    "apriori-sweep": {
-        "handler": _run_apriori,
-        "topic": "measured a-priori quotients over a random corpus and parameter grid",
-        "default": {"grid": {"dim": 1, "points_per_axis": 128}, "parameters": {"count": 5}},
-    },
-    "besov-norm": {
-        "handler": _run_besov,
-        "topic": "Besov norms of a single Fourier mode across the smoothness scale",
-        "default": {"grid": {"dim": 1, "points_per_axis": 128}, "parameters": {}},
-    },
-    "patch-equivalence": {
-        "handler": _run_patch,
-        "topic": "partition-of-unity patch norms against the global norm",
-        "default": {"grid": {"dim": 1, "points_per_axis": 128}, "parameters": {}},
-    },
-    "example-a": {
-        "handler": _run_example_a,
-        "topic": "graph-space non-density witness for -x d^3 + (x-1) d^2, plus Hardy ratios",
-        "default": {"grid": {"dim": 1, "points_per_axis": 256}, "parameters": {}},
-    },
-    "regularity-gap": {
-        "handler": _run_gap,
-        "topic": "refinement trajectories of Sobolev and Besov norms of a log-singular field",
-        "default": {"grid": {"dim": 2, "points_per_axis": 64}, "parameters": {"grid_sizes": [64, 128]}},
-    },
-    "calibrate": {
-        "handler": _run_calibrate,
-        "topic": "measured constants (parameter-ellipticity, trace) for the test fixtures",
-        "default": {"grid": {"dim": 1, "points_per_axis": 64}, "parameters": {}},
-    },
+    kind: {"handler": handler, "topic": topic}
+    for kind, handler, topic in [
+        ("mollify-convergence", _run_mollify,
+         "smoothing error P f_eps - P f in L^p on a window, swept over eps"),
+        ("uniform-convergence", _run_uniform,
+         "sup-norm smoothing error for smooth data, with measured decay order"),
+        ("resolvent-solve", _run_resolvent,
+         "solve r^n e^{i theta0} u - Q u = g by multiplier or fixed-point iteration"),
+        ("apriori-sweep", _run_apriori,
+         "measured a-priori quotients over a random corpus and parameter grid"),
+        ("besov-norm", _run_besov,
+         "Besov norms of a single Fourier mode across the smoothness scale"),
+        ("patch-equivalence", _run_patch,
+         "partition-of-unity patch norms against the global norm"),
+        ("example-a", _run_example_a,
+         "graph-space non-density witness for -x d^3 + (x-1) d^2, plus Hardy ratios"),
+        ("regularity-gap", _run_gap,
+         "refinement trajectories of Sobolev and Besov norms of a log-singular field"),
+        ("calibrate", _run_calibrate,
+         "measured constants (parameter-ellipticity, trace) for the test fixtures"),
+    ]
 }
 
 
@@ -442,39 +446,40 @@ CATALOG = {
 
 
 def _sanitize(obj):
+    """JSON-ready copy: +-inf become "inf"/"-inf"; a NaN is an ExperimentError."""
+    if isinstance(obj, _Operator):
+        return _sanitize(obj.spec)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        raise ExperimentError("a result is NaN; nothing was written")
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
 
 
 def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables):
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "grid": {
-            "dim": cfg.grid.dim,
-            "points_per_axis": cfg.grid.points_per_axis,
-            "half_period": cfg.grid.half_period,
-        },
+        "grid": asdict(cfg.grid),
         "results": _sanitize(results),
     }
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    tables = [(name, header, _sanitize(rows)) for name, header, rows in tables]
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     for name, header, rows in tables:
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(_sanitize(list(row)))
+            writer.writerows(rows)
     manifest = {
         "kind": cfg.kind,
         "topic": CATALOG[cfg.kind]["topic"],
@@ -492,10 +497,10 @@ def run_experiment(cfg: ExperimentConfig, output_root: str | None = None) -> Pat
     out_dir = root / cfg.output_dir
     handler = CATALOG[cfg.kind]["handler"]
     try:
-        results, tables = handler(cfg)
+        results, tables = handler(cfg, **cfg.parameters)
     except ConfigError:
         raise
-    except EllregError as exc:
+    except (EllregError, ArithmeticError) as exc:
         raise ExperimentError(f"{cfg.kind}: {type(exc).__name__}: {exc}") from exc
     write_artifacts(out_dir, cfg, results, tables)
     return out_dir
@@ -532,10 +537,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_list(args) -> int:
     if args.json:
-        catalog = {
-            kind: {"topic": entry["topic"], "default_config": entry["default"]}
-            for kind, entry in CATALOG.items()
-        }
+        catalog = {}
+        for kind, entry in CATALOG.items():
+            cfg = parse_config({"kind": kind})
+            default = _sanitize({**vars(cfg), "grid": asdict(cfg.grid)})
+            catalog[kind] = {"topic": entry["topic"], "default_config": default}
         print(json.dumps(catalog, sort_keys=True, indent=2))
         return 0
     for kind in sorted(CATALOG):
@@ -567,7 +573,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is reported once, below, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

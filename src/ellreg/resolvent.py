@@ -52,35 +52,33 @@ class SolveReport:
         }
 
 
-def residual(problem: ResolventProblem, u: Field) -> float:
-    """Max-norm of r^n e^{i theta0} u - Q u - g, recomputed from scratch."""
+def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None) -> float:
+    """Max-norm of r^n e^{i theta0} u - Q u - g (on `mask`), recomputed from scratch."""
     lam = problem.r**problem.Q.order * np.exp(1j * problem.theta0)
     res = lam * u - apply(problem.Q, u) - problem.g
-    return lp_norm(res, math.inf)
+    return lp_norm(res, math.inf, mask=mask)
 
 
-def _lattice_symbol(Q: PDOperator, principal_only: bool = False) -> np.ndarray:
-    """Full (or principal) constant-coefficient symbol on the lattice."""
+def _lattice_symbol(Q: PDOperator) -> np.ndarray:
+    """Constant-coefficient symbol on the lattice."""
     grid = Q.grid
     origin = (0,) * grid.dim
     xi = grid.freqs()
     ell = Q.in_channels
     out = np.zeros(grid.shape + (ell, ell), dtype=np.complex128)
     for alpha, arr in Q.coeffs.items():
-        if principal_only and mi_order(alpha) != Q.order:
-            continue
         out += monomial(xi, alpha)[..., None, None] * arr[origin]
     return out
 
 
-def _resolvent_multiplier(Q: PDOperator, r: float, theta0: float, principal_only=False):
+def _resolvent_multiplier(Q: PDOperator, r: float, theta0: float):
     """(r^n e^{i theta0} - symbol)^{-1} on the lattice; raises on singularity.
 
     A frequency is singular when the block's smallest singular value is below
     1e-14 (|lambda| + |symbol|_F) there, a test free of scale and channel count.
     """
     grid = Q.grid
-    sym = _lattice_symbol(Q, principal_only=principal_only)
+    sym = _lattice_symbol(Q)
     ell = Q.in_channels
     lam = r**Q.order * np.exp(1j * theta0)
     mats = lam * np.eye(ell) - sym
@@ -145,7 +143,7 @@ def solve_neumann_lower_order(
         raise ValueError("principal part must be constant-coefficient")
     low_order = max([mi_order(a) for a in lower], default=0)
     Qlow = PDOperator(grid, low_order, Q.in_channels, Q.out_channels, lower)
-    minv = _resolvent_multiplier(Qn, problem.r, problem.theta0, principal_only=True)
+    minv = _resolvent_multiplier(Qn, problem.r, problem.theta0)
 
     def step(h):
         return problem.g + apply(Qlow, apply_multiplier(h, minv)) if lower else problem.g
@@ -195,10 +193,7 @@ def solve_frozen_localized(
         step, apply_multiplier(problem.g, minv), tol, max_iter, f"frozen solve at r={problem.r}"
     )
 
-    mask_in = box_mask(grid, x0, delta)
-    lam = problem.r**Q.order * np.exp(1j * problem.theta0)
-    res = lam * u - apply(Q, u) - problem.g
-    res_in = lp_norm(res, math.inf, mask=mask_in)
+    res_in = residual(problem, u, box_mask(grid, x0, delta))
     return SolveReport(u, res_in, None, iterations, contraction)
 
 

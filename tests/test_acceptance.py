@@ -15,7 +15,7 @@ import pytest
 
 from ellreg import casework
 from ellreg.besov import BesovParams, besov_norm
-from ellreg.cli import _fixture_field, main, parse_config
+from ellreg.cli import _fixture_field, _window_mask, main, parse_config
 from ellreg.errors import NotContracting
 from ellreg.grid import (
     GridSpec,
@@ -46,11 +46,6 @@ def _report(capsys, number, ok, detail):
         status = "PASS" if ok else "FAIL"
         print(f"[criterion {number:2d}] {status}  {detail}")
     assert ok, detail
-
-
-def _window_mask(grid):
-    coords = grid.coords().real
-    return np.max(np.abs(coords), axis=-1) <= grid.half_period / 2.0
 
 
 def test_criterion_01_transform_roundtrip(capsys):

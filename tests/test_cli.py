@@ -1,17 +1,25 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellreg import cli
 from ellreg.cli import (
     CATALOG,
     ExperimentConfig,
+    _sanitize,
     main,
     parse_config,
     run_experiment,
 )
 from ellreg.errors import ConfigError
+from ellreg.grid import GridSpec
+
+SHIPPED = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 EXPECTED_KINDS = {
@@ -27,11 +35,19 @@ EXPECTED_KINDS = {
 }
 
 
-def test_catalog_kinds_and_topics():
+def test_catalog_kinds_and_topics(capsys):
     assert set(CATALOG) == EXPECTED_KINDS
     for entry in CATALOG.values():
         assert entry["topic"]
-        assert "handler" in entry and "default" in entry
+        assert "handler" in entry
+    # the full defaults that `list --json` shows are a config that parses to itself
+    assert main(["list", "--json"]) == 0
+    for kind, entry in json.loads(capsys.readouterr().out).items():
+        default = entry["default_config"]
+        cfg = parse_config(default)
+        assert (cfg.kind, cfg.seed, cfg.output_dir) == (kind, default["seed"], default["output_dir"])
+        assert cfg.grid == GridSpec(**default["grid"])
+        assert _sanitize(cfg.parameters) == default["parameters"]
 
 
 def test_parse_config_defaults():
@@ -238,12 +254,111 @@ def test_calibrate_subcommand(tmp_path):
 
 
 def test_shipped_configs_parse():
-    here = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(here.glob("*.json"))
-    assert len(paths) == len(EXPECTED_KINDS)
+    assert len(SHIPPED) == len(EXPECTED_KINDS)
     kinds = set()
-    for path in paths:
+    for path in SHIPPED:
         cfg = parse_config(json.loads(path.read_text()))
         assert isinstance(cfg, ExperimentConfig)
         kinds.add(cfg.kind)
     assert kinds == EXPECTED_KINDS
+
+
+_TOKEN_EXP = {"order": 2, "entries": [{"alpha": [2], "coeff": {"token": "exp"}}]}
+
+# (id, kind, config change, exit code of `run`).  Each config once ended in a
+# traceback, a wrong result (NaN, a silently ignored or misread key), or a
+# `validate` that disagreed with `run`.  Grids are 64 points unless changed.
+PROBES = [
+    ("seed-str", "besov-norm", {"seed": "abc"}, 2),
+    ("r-str", "resolvent-solve", {"parameters": {"r": "fast"}}, 2),
+    ("p-below-1", "besov-norm", {"parameters": {"p": 0.5}}, 2),
+    ("p-list-str", "mollify-convergence", {"parameters": {"p": "x"}}, 2),
+    ("case-no-fixture", "mollify-convergence", {"parameters": {"cases": [{"operator": "identity"}]}}, 2),
+    ("count-str", "patch-equivalence", {"parameters": {"count": "x"}}, 2),
+    ("pq-str", "apriori-sweep", {"parameters": {"pq": [[2, "x"]]}}, 2),
+    ("hardy-p-1", "example-a", {"parameters": {"hardy_p": [1.0]}}, 2),
+    ("n-ref-odd", "example-a", {"parameters": {"n_ref": 1001}}, 2),
+    ("grid-list", "besov-norm", {"grid": [64]}, 2),
+    ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
+    ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),
+    ("alpha-str", "besov-norm", {"parameters": {"alpha": "1"}}, 2),
+    ("theta0-str-nan", "resolvent-solve", {"parameters": {"theta0": "nan"}}, 2),
+    ("theta0-nan", "resolvent-solve", {"parameters": {"theta0": math.nan}}, 2),
+    ("r-inf", "resolvent-solve", {"parameters": {"r": math.inf}}, 2),  # JSON 1e400
+    ("typo", "besov-norm", {"parameters": {"alhpa": [1.0]}}, 2),
+    ("eps-count-0", "mollify-convergence", {"parameters": {"eps_count": 0}}, 2),
+    ("points-float", "besov-norm", {"grid": {"points_per_axis": 64.9}}, 2),
+    ("grid-key", "besov-norm", {"grid": {"points_per_axis": 64, "spacing": 1.0}}, 2),
+    ("grid-huge", "besov-norm", {"grid": {"dim": 3, "points_per_axis": 256}}, 2),
+    ("token-exp", "resolvent-solve", {"parameters": {"operator": _TOKEN_EXP}}, 2),
+    ("count-0", "patch-equivalence", {"parameters": {"count": 0}}, 2),
+    ("method-str", "resolvent-solve", {"parameters": {"method": "x"}}, 2),
+    ("x0-index-short", "resolvent-solve", {"grid": {"dim": 2, "points_per_axis": 64},
+                                           "parameters": {"x0_index": [3]}}, 2),
+    ("output-dir-int", "besov-norm", {"output_dir": 5}, 2),
+    ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 3),
+    ("alpha-nan-result", "besov-norm", {"parameters": {"alpha": [400.0]}}, 3),
+    ("r-overflow", "resolvent-solve", {"parameters": {"r": 1e200}}, 3),
+]
+
+
+@pytest.mark.parametrize("kind, change, code", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_bad_configs_exit_with_one_line_and_write_nothing(tmp_path, capsys, kind, change, code):
+    obj = {"kind": kind, "grid": {"points_per_axis": 64}, "output_dir": "out", **change}
+    path = _write_config(tmp_path, obj)
+    # `validate` agrees with `run` on every configuration error
+    assert main(["validate", path]) == (2 if code == 2 else 0)
+    capsys.readouterr()
+    argv = ["run", path, "--output-root", str(tmp_path)]
+    _assert_one_line_failure(capsys, code, argv, "config error" if code == 2 else "experiment error")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.sampled_from([1001, 10**20, -(2**63), "inf", "x", "kink", "random", "frozen", "identity"])
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["operator", "fixture", "order", "entries", "alpha", "coeff", "token"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SHIPPED), st.data())
+def test_mutated_shipped_configs_parse_or_raise_config_error(path, data):
+    # parse only: a valid mutation may be far too large to run
+    obj = json.loads(path.read_text())
+    obj["grid"]["points_per_axis"] = 64  # so that a valid grid mutation stays small
+    names = {
+        None: sorted(cli._CONFIG_KEYS) + ["bogus"],
+        "grid": ["dim", "points_per_axis", "half_period", "bogus"],
+        "parameters": sorted(parse_config(obj).parameters) + ["bogus"],
+    }
+    for _ in range(data.draw(st.integers(1, 3))):
+        section = data.draw(st.sampled_from([None, "grid", "parameters"]))
+        target = obj if section is None else obj.get(section)
+        if not isinstance(target, dict):
+            continue
+        key = data.draw(st.sampled_from(names[section]))
+        if data.draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = data.draw(_JSON)
+    try:
+        assert isinstance(parse_config(obj), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+def test_handlers_read_no_parameters_by_hand():
+    # each handler's keyword parameters are its kind's schema: no ad-hoc reads
+    source = pathlib.Path(cli.__file__).read_text()
+    assert not re.search(r"parameters\.get\(", source)
+    assert "default" not in {key for entry in CATALOG.values() for key in entry}
