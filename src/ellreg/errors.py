@@ -21,6 +21,10 @@ class SingularSymbol(EllregError):
         super().__init__(f"symbol matrix singular at xi={self.xi}")
 
 
+class VariableCoefficients(EllregError, ValueError):
+    """An exactly inverted operator part has non-constant coefficients."""
+
+
 class EpsilonOutOfRange(EllregError):
     """Mollification radius is unresolvable or too large for the torus."""
 

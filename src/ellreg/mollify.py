@@ -34,7 +34,7 @@ def mollify(f: Field, eps: float) -> Field:
 
 
 def admissible_eps_sequence(grid: GridSpec, count: int = 5, ratio: float = 0.5) -> list:
-    """Geometric sweep from L/8 down, truncated at the 2*spacing floor."""
+    """Geometric sweep from L/8 down, truncated at the 2*spacing floor; never empty."""
     eps = grid.half_period / 8.0
     out = []
     floor = 2.0 * grid.spacing
@@ -43,6 +43,8 @@ def admissible_eps_sequence(grid: GridSpec, count: int = 5, ratio: float = 0.5) 
             break
         out.append(eps)
         eps *= ratio
+    if not out:
+        raise EpsilonOutOfRange(f"no eps: L/8 is below the 2*spacing floor {floor:.4g}")
     return out
 
 

@@ -1,10 +1,10 @@
 """Constructive solvers for the parameter-elliptic system r^n e^{i theta0} u - Q u = g.
 
-Three routes, mirroring the constructive half of the existence proof:
-an exact constant-coefficient multiplier solve, a Neumann fixed-point
-iteration absorbing lower-order terms, and a frozen-coefficient iteration for
-data supported in a small cube.  A-priori-estimate ratios are measured, not
-assumed.
+One route, mirroring the constructive half of the existence proof: split
+Q = A + D, invert the constant-coefficient part A exactly and absorb D by a
+contraction.  The exact solve takes A = Q, the Neumann iteration the principal
+part of Q, and the localized iteration Q frozen at a point, with D cut off to
+the cube around it.  A-priori-estimate ratios are measured, not assumed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, besov_norm
-from .errors import NotContracting, SingularSymbol, SupportViolation, ZeroRHS
+from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
 from .grid import Field, apply_multiplier, lp_norm, monomial
 from .pdo import PDOperator, _min_singular_values, apply, mi_order
 from .profiles import box_mask, box_window
@@ -59,34 +59,29 @@ def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None
     return lp_norm(res, math.inf, mask=mask)
 
 
-def _lattice_symbol(Q: PDOperator) -> np.ndarray:
-    """Constant-coefficient symbol on the lattice."""
-    grid = Q.grid
+def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
+    """(r^n e^{i theta0} - symbol of A)^{-1} on the lattice; raises on singularity.
+
+    A must have constant coefficients.  A frequency is singular when the
+    block's smallest singular value is below 1e-14 (|lambda| + |symbol|_F)
+    there, a test free of scale and channel count.
+    """
+    if not A.is_constant_coefficient(tol=1e-10):
+        raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
+    grid = A.grid
     origin = (0,) * grid.dim
     xi = grid.freqs()
-    ell = Q.in_channels
-    out = np.zeros(grid.shape + (ell, ell), dtype=np.complex128)
-    for alpha, arr in Q.coeffs.items():
-        out += monomial(xi, alpha)[..., None, None] * arr[origin]
-    return out
-
-
-def _resolvent_multiplier(Q: PDOperator, r: float, theta0: float):
-    """(r^n e^{i theta0} - symbol)^{-1} on the lattice; raises on singularity.
-
-    A frequency is singular when the block's smallest singular value is below
-    1e-14 (|lambda| + |symbol|_F) there, a test free of scale and channel count.
-    """
-    grid = Q.grid
-    sym = _lattice_symbol(Q)
-    ell = Q.in_channels
-    lam = r**Q.order * np.exp(1j * theta0)
+    ell = A.in_channels
+    sym = np.zeros(grid.shape + (ell, ell), dtype=np.complex128)
+    for alpha, arr in A.coeffs.items():
+        sym += monomial(xi, alpha)[..., None, None] * arr[origin]
+    lam = r**A.order * np.exp(1j * theta0)
     mats = lam * np.eye(ell) - sym
     scale = abs(lam) + np.linalg.norm(sym, axis=(-2, -1))
     bad = _min_singular_values(mats) <= 1e-14 * scale
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), grid.shape)
-        raise SingularSymbol(grid.freqs()[idx])
+        raise SingularSymbol(xi[idx])
     return 1.0 / mats if ell == 1 else np.linalg.inv(mats)
 
 
@@ -114,87 +109,68 @@ def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
     raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction)
 
 
-def solve_constant(problem: ResolventProblem) -> SolveReport:
-    """Exact multiplier solve; all coefficients must be constant."""
+def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: float, what: str):
+    """Solve with the split Q = A + D: A inverted exactly, D absorbed by a contraction.
+
+    Iterates h <- g + cutoff D A^{-1} h from h = g and returns u = A^{-1} h,
+    with its residual on `mask`.  With D = 0 this is the exact solve u = A^{-1} g.
+    """
     Q = problem.Q
-    if not Q.is_constant_coefficient(tol=1e-10):
-        raise ValueError("solve_constant needs constant coefficients")
-    minv = _resolvent_multiplier(Q, problem.r, problem.theta0)
-    u = apply_multiplier(problem.g, minv)
-    return SolveReport(u, residual(problem, u), None, 0, None)
+    minv = _resolvent_multiplier(A, problem.r, problem.theta0)
+    D = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels,
+                   {a: d for a, C in Q.coeffs.items() if np.any(d := C - A.coefficient(a))})
+    if D.coeffs:
+
+        def step(h):
+            correction = apply(D, apply_multiplier(h, minv))
+            return Field(Q.grid, problem.g.samples + cutoff * correction.samples)
+
+        h, iterations, contraction = _fixed_point(step, problem.g, tol, 200, what)
+    else:
+        h, iterations, contraction = problem.g, 0, None
+    u = apply_multiplier(h, minv)
+    return SolveReport(u, residual(problem, u, mask), None, iterations, contraction)
 
 
-def solve_neumann_lower_order(
-    problem: ResolventProblem, max_iter: int = 200, tol: float = 1e-12
-) -> SolveReport:
+def solve_constant(problem: ResolventProblem) -> SolveReport:
+    """Exact multiplier solve, A = Q; all coefficients must be constant."""
+    return _split_solve(problem, problem.Q, 1.0, None, 0.0, "constant solve")
+
+
+def solve_neumann_lower_order(problem: ResolventProblem) -> SolveReport:
     """Neumann iteration absorbing the lower-order part of Q.
 
-    Iterates h <- g + (Q - Q_n) A^{-1} h with A the constant-coefficient
-    principal resolvent; u = A^{-1} h.  Raises NotContracting when the
-    measured per-step contraction shows the spectral parameter is below the
-    convergence threshold.
+    A is the principal part, which must have constant coefficients.  Raises
+    NotContracting when the measured per-step contraction shows the spectral
+    parameter is below the convergence threshold.
     """
     Q = problem.Q
-    grid = Q.grid
     principal = {a: arr for a, arr in Q.coeffs.items() if mi_order(a) == Q.order}
-    lower = {a: arr for a, arr in Q.coeffs.items() if mi_order(a) < Q.order}
-    Qn = PDOperator(grid, Q.order, Q.in_channels, Q.out_channels, principal)
-    if not Qn.is_constant_coefficient(tol=1e-10):
-        raise ValueError("principal part must be constant-coefficient")
-    low_order = max([mi_order(a) for a in lower], default=0)
-    Qlow = PDOperator(grid, low_order, Q.in_channels, Q.out_channels, lower)
-    minv = _resolvent_multiplier(Qn, problem.r, problem.theta0)
-
-    def step(h):
-        return problem.g + apply(Qlow, apply_multiplier(h, minv)) if lower else problem.g
-
-    h, iterations, contraction = _fixed_point(
-        step, problem.g, tol, max_iter, f"Neumann solve at r={problem.r}"
-    )
-    u = apply_multiplier(h, minv)
-    return SolveReport(u, residual(problem, u), None, iterations, contraction)
+    A = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels, principal)
+    return _split_solve(problem, A, 1.0, None, 1e-12, f"Neumann solve at r={problem.r}")
 
 
-def solve_frozen_localized(
-    problem: ResolventProblem,
-    x0_index,
-    delta: float,
-    max_iter: int = 200,
-    tol: float = 1e-11,
-) -> SolveReport:
+def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) -> SolveReport:
     """Frozen-coefficient iteration for data supported in a small cube.
 
-    Iterates u <- A0^{-1}(g + phi (Q - Q(x0)) u) with A0 the resolvent of the
-    operator frozen at x0 and phi a cutoff equal to one on the support cube.
+    A is Q frozen at x0 and the cutoff equals one on the support cube, where
+    the residual is measured.
     """
-    Q = problem.Q
-    grid = Q.grid
+    grid = problem.Q.grid
     x0_index = tuple(int(i) for i in x0_index)
     x0 = grid.coords().real[x0_index]
 
-    mask_out = ~box_mask(grid, x0, delta)
-    g_out = float(np.max(np.abs(problem.g.samples[mask_out]), initial=0.0))
+    cube = box_mask(grid, x0, delta)
+    g_out = float(np.max(np.abs(problem.g.samples[~cube]), initial=0.0))
     g_max = float(np.max(np.abs(problem.g.samples)))
     if g_max > 0 and g_out > 1e-10 * g_max:
         raise SupportViolation(
             f"g leaks outside the delta={delta} cube (leak {g_out:.3e})"
         )
 
-    Q0 = Q.frozen_at(x0_index)
-    minv = _resolvent_multiplier(Q0, problem.r, problem.theta0)
     phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
-    phi_vals = phi.samples[..., 0].real[..., None]
-
-    def step(u):
-        correction = apply(Q, u) - apply(Q0, u)
-        return apply_multiplier(Field(grid, problem.g.samples + phi_vals * correction.samples), minv)
-
-    u, iterations, contraction = _fixed_point(
-        step, apply_multiplier(problem.g, minv), tol, max_iter, f"frozen solve at r={problem.r}"
-    )
-
-    res_in = residual(problem, u, box_mask(grid, x0, delta))
-    return SolveReport(u, res_in, None, iterations, contraction)
+    return _split_solve(problem, problem.Q.frozen_at(x0_index), phi.samples.real, cube, 1e-11,
+                        f"frozen solve at r={problem.r}")
 
 
 def apriori_ratio(

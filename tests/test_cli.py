@@ -264,6 +264,8 @@ def test_shipped_configs_parse():
 
 
 _TOKEN_EXP = {"order": 2, "entries": [{"alpha": [2], "coeff": {"token": "exp"}}]}
+_VARIABLE_OP = {"order": 2, "entries": [{"alpha": [2], "coeff": {"token": "x", "scale": 0.1}},
+                                        {"alpha": [0], "coeff": [[1.0]]}]}
 
 # (id, kind, config change, exit code of `run`).  Each config once ended in a
 # traceback, a wrong result (NaN, a silently ignored or misread key), or a
@@ -299,6 +301,11 @@ PROBES = [
     ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 3),
     ("alpha-nan-result", "besov-norm", {"parameters": {"alpha": [400.0]}}, 3),
     ("r-overflow", "resolvent-solve", {"parameters": {"r": 1e200}}, 3),
+    ("constant-variable-op", "resolvent-solve", {"parameters": {"operator": _VARIABLE_OP}}, 3),
+    ("neumann-variable-op", "resolvent-solve",
+     {"parameters": {"operator": _VARIABLE_OP, "method": "neumann"}}, 3),
+    ("mollify-16-points", "mollify-convergence", {"grid": {"points_per_axis": 16}}, 3),
+    ("uniform-16-points", "uniform-convergence", {"grid": {"points_per_axis": 16}}, 3),
 ]
 
 

@@ -95,6 +95,24 @@ def test_neumann_matches_full_symbol_solve(grid1d, rng):
     assert iterated.residual_linf < 1e-8 * (1.0 + lp_norm(g, math.inf))
 
 
+def test_neumann_without_lower_order_part_is_the_exact_solve(grid1d, rng):
+    problem = neg_laplacian_problem(grid1d, 8.0, rng)
+    direct = solve_constant(problem)
+    iterated = solve_neumann_lower_order(problem)
+    assert iterated.iterations == 0 and iterated.contraction_estimate is None
+    assert np.array_equal(iterated.u.samples, direct.u.samples)
+
+
+def test_frozen_solve_of_a_constant_operator_is_the_exact_solve():
+    grid = GridSpec(1, 256, math.pi)
+    delta = math.pi / 8.0
+    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta).samples)
+    problem = ResolventProblem(laplacian(grid, sign=-1.0), math.pi, 8.0, g)
+    frozen = solve_frozen_localized(problem, (grid.points_per_axis // 2,), delta)
+    assert frozen.iterations == 0 and frozen.contraction_estimate is None
+    assert np.array_equal(frozen.u.samples, solve_constant(problem).u.samples)
+
+
 def test_neumann_contraction_scales_inverse_linearly_for_drift(rng):
     # first-order lower term: per-step contraction decays like 1/r; the
     # lattice must resolve frequencies near r, where the ratio peaks
