@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field,
-    apply_multiplier,
-    apply_multipliers,
-    lp_norm,
-    spectral_derivative,
-    spectral_derivatives,
-)
+from .grid import (Field, apply_multiplier, apply_multipliers, dft, lp_norm, monomial,
+                   spectral_derivatives)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -44,23 +38,24 @@ class BesovParams:
                 raise ValueError(f"{name} must lie in [1, inf]")
 
 
+def _bessel(grid, gamma: float) -> np.ndarray:
+    return (1.0 + np.sum(grid.freqs() ** 2, axis=-1)) ** (-gamma / 2.0)
+
+
 def bessel_lift(gamma: float, f: Field) -> Field:
     """Convolution with the Bessel potential: multiplier (1+|xi|^2)^(-gamma/2)."""
-    xi = f.grid.freqs()
-    mult = (1.0 + np.sum(xi**2, axis=-1)) ** (-gamma / 2.0)
-    return apply_multiplier(f, mult.astype(np.complex128))
+    return apply_multiplier(f, _bessel(f.grid, gamma))
+
+
+def _lp_norms(stacks, grid, p: float) -> list:
+    """The L^p norm of every field of every sample stack, in order."""
+    return [v for stack in stacks for v in lp_norm(stack, p, grid=grid)]
 
 
 def sobolev_norm(f: Field, k: int, p: float) -> float:
     """W^{k,p} norm: sum of L^p norms of all derivatives up to order k."""
-    total = 0.0
-    for df in spectral_derivatives(f, multi_indices(f.grid.dim, k)):
-        total += lp_norm(df, p)
-    return total
-
-
-def _sphere_area(m: int) -> float:
-    return 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    alphas = [alpha for alpha in multi_indices(f.grid.dim, k) if any(alpha)]
+    return float(sum(_lp_norms(spectral_derivatives(f, alphas), f.grid, p), lp_norm(f, p)))
 
 
 def displacement_shells(grid) -> list:
@@ -79,55 +74,66 @@ def displacement_shells(grid) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _difference_table(grid, directions: int):
-    """Dyadic radii, the directions up to sign, and each direction's representative.
+    """Dyadic radii, each direction's representative up to sign, and the multiplier rows.
 
     The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
-    antipodal directions share one displacement.
+    antipodal directions share one displacement.  A row (h, c) is the multiplier
+    c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0) shell by shell.
     """
     dirs = unit_directions(grid.dim, directions)
     rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
            for i, w in enumerate(dirs)]
     kept = sorted(set(rep))
-    omegas = dirs[kept]
-    omegas.flags.writeable = False
-    return displacement_shells(grid), omegas, tuple(kept.index(j) for j in rep)
+    radii = displacement_shells(grid)
+    rows = np.zeros((1 + len(radii) * len(kept), grid.dim + 1))
+    rows[0, -1] = 1.0
+    rows[1:, :-1] = (np.array(radii)[:, None, None] * dirs[kept]).reshape(-1, grid.dim)
+    rows.flags.writeable = False
+    return radii, tuple(kept.index(j) for j in rep), rows
 
 
-def second_difference_seminorm(
-    f: Field, alpha: float, p: float, q: float, directions: int = 8
-) -> float:
+def _seminorm(f, alpha: float, p: float, q: float, directions=8, factor=None):
+    """||g||_p and the functional below, g = idft(factor * dft(f)), f a Field or its spectrum."""
+    radii, rep, rows = _difference_table(f.grid, directions)
+    xi = f.grid.freqs()
+    # 2 (cos t - 1) = -4 sin^2(t/2), free of cancellation at small t
+    build = lambda r: r[:, -1] - 4.0 * np.sin(0.5 * (xi @ r[:, :-1].T)) ** 2
+    stacks = apply_multipliers(f, build, rows, factor)
+    del factor  # the stacks hold it only until it has multiplied dft(f)
+    norm, *diffs = _lp_norms(stacks, f.grid, p)
+    arr = np.reshape(diffs, (len(radii), -1))[:, rep] / np.array(radii)[:, None] ** alpha
+    if np.isinf(q):
+        return norm, float(np.max(arr))
+    # per-shell midpoint rule in log-radius against the measure dx / |x|^m
+    m = f.grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
+    area = 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    integral = np.sum(np.mean(arr**q, axis=1)) * area * math.log(2.0)
+    return norm, float(integral ** (1.0 / q))
+
+
+def second_difference_seminorm(f: Field, alpha: float, p: float, q: float, directions=8) -> float:
     """The |x|^(-alpha)-weighted second-difference functional, 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("second-difference seminorm needs alpha in (0, 1]")
-    radii, omegas, rep = _difference_table(f.grid, directions)
-    xi = f.grid.freqs()
-    # 2 (cos t - 1) = -4 sin^2(t/2), free of cancellation at small t
-    mults = (-4.0 * np.sin(0.5 * (xi @ (rho * w))) ** 2 for rho in radii for w in omegas)
-    vals = [lp_norm(diff, p) for diff in apply_multipliers(f, mults)]
-    arr = np.reshape(vals, (len(radii), len(omegas)))[:, rep] / np.array(radii)[:, None] ** alpha
-    if np.isinf(q):
-        return float(np.max(arr))
-    # per-shell midpoint rule in log-radius against the measure dx / |x|^m
-    area = _sphere_area(f.grid.dim)
-    integral = np.sum(np.mean(arr**q, axis=1)) * area * math.log(2.0)
-    return float(integral ** (1.0 / q))
+    return _seminorm(f, alpha, p, q, directions)[1]
 
 
 def besov_norm(f: Field, params: BesovParams) -> float:
+    """The B^alpha_{p,q} norm of f, from one forward transform of f."""
     alpha, p, q = params.alpha, params.p, params.q
+    F = dft(f)
     if alpha <= 0.0:
         # lift 1 - alpha orders up the scale, then measure at order one
-        lifted = bessel_lift(1.0 - alpha, f)
-        return besov_norm(lifted, BesovParams(1.0, p, q))
+        return float(sum(_seminorm(F, 1.0, p, q, factor=_bessel(f.grid, 1.0 - alpha))))
     if alpha <= 1.0:
-        return lp_norm(f, p) + second_difference_seminorm(f, alpha, p, q)
+        return float(sum(_seminorm(F, alpha, p, q)))
     k = math.ceil(alpha) - 1  # strictly-less-than bracket: [alpha] < alpha
     frac = alpha - k  # in (0, 1]; equals 1 at integer alpha (Zygmund case)
-    total = sobolev_norm(f, k, p)
+    lower = [beta for beta in multi_indices(f.grid.dim, k - 1) if any(beta)]
+    total = sum(_lp_norms(spectral_derivatives(F, lower), f.grid, p), lp_norm(f, p))
+    xi = f.grid.freqs()
     for beta in multi_indices(f.grid.dim, k):
         if mi_order(beta) == k:
-            # one derivative at a time: a suspended stack would hold dft(f) too
-            df = spectral_derivative(f, beta)
-            total += second_difference_seminorm(df, frac, p, q)
-    return total
-
+            # the top derivative's L^p norm rides with its second differences
+            total += sum(_seminorm(F, frac, p, q, factor=monomial(xi, beta)))
+    return float(total)

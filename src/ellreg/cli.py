@@ -166,6 +166,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _, *args = inspect.signature(CATALOG[kind]["handler"]).parameters.values()
     schema = {a.name: a.default(grid) if callable(a.default) else a.default for a in args}
     params = _fields("parameters", obj.get("parameters", {}), schema, grid)
+    if params.get("method") == "frozen" and params.get("rhs") == "random":
+        raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
     seed = _coerce("seed", obj.get("seed", 0), 0, grid)
     output_dir = _coerce("output_dir", obj.get("output_dir", kind), kind, grid)
     return ExperimentConfig(kind, grid, params, seed, output_dir)
@@ -274,8 +276,6 @@ def _run_resolvent(
     x0_index=lambda grid: (grid.points_per_axis // 2,) * grid.dim,
     delta=lambda grid: grid.half_period / 2.0,  # the fixtures are windowed out to radius L/2
 ):
-    if method == "frozen" and rhs == "random":
-        raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
     if rhs == "random":
         g = random_band_limited_field(cfg.grid, 1, _rng(cfg.seed))
     else:

@@ -17,7 +17,6 @@ so a constant field has a single coefficient at xi = 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,9 +121,6 @@ class Field:
     def channels(self) -> int:
         return self.samples.shape[-1]
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.samples.copy())
-
     def __add__(self, other):
         _check_same(self, other)
         return Field(self.grid, self.samples + other.samples)
@@ -150,10 +146,6 @@ class SpectralField:
         self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
         if self.coefficients.shape[:-1] != self.grid.shape:
             raise ValueError("coefficient shape does not match grid")
-
-    @property
-    def channels(self) -> int:
-        return self.coefficients.shape[-1]
 
 
 def _check_same(a, b):
@@ -185,22 +177,23 @@ def idft(F: SpectralField) -> Field:
     return Field(F.grid, samples)
 
 
-def pointwise_norm(f: Field) -> np.ndarray:
-    """Euclidean norm over channels at every grid point."""
-    return np.sqrt(np.sum(np.abs(f.samples) ** 2, axis=-1))
+def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None = None):
+    """Quadrature L^p norm; uniform-weight Riemann sum, sample max for p = inf.
 
-
-def lp_norm(f: Field, p: float, mask: np.ndarray | None = None) -> float:
-    """Quadrature L^p norm; uniform-weight Riemann sum, sample max for p = inf."""
-    mag = pointwise_norm(f)
+    `f` is a Field, or a sample stack (*grid.shape, n, l) with its `grid`: n norms in one
+    reduction.  The magnitude is |f| for one channel, the channel 2-norm otherwise.
+    """
+    if isinstance(f, Field):
+        grid, f = f.grid, f.samples
+    mag = np.abs(f[..., 0]) if f.shape[-1] == 1 else np.sqrt(np.sum(np.abs(f) ** 2, axis=-1))
+    mag = mag.reshape((grid.num_points,) + mag.shape[grid.dim:])  # grid axes flattened
     if mask is not None:
-        mag = mag[mask]
-    if mag.size == 0:
-        return 0.0
+        mag = mag[np.reshape(mask, -1)]
     if np.isinf(p):
-        return float(np.max(mag))
-    w = f.grid.spacing ** f.grid.dim
-    return float((w * np.sum(mag ** p)) ** (1.0 / p))
+        norms = np.max(mag, axis=0, initial=0.0)
+    else:
+        norms = (grid.spacing ** grid.dim * np.sum(mag ** p, axis=0)) ** (1.0 / p)
+    return norms if norms.ndim else float(norms)
 
 
 # Complex points one stacked inverse transform may hold (1 MB of complex128):
@@ -208,58 +201,55 @@ def lp_norm(f: Field, p: float, mask: np.ndarray | None = None) -> float:
 _STACK_POINTS = 1 << 16
 
 
-def apply_multipliers(f: Field, multipliers):
-    """Yield idft(m * dft(f)) for each lattice multiplier m, in order.
+def apply_multipliers(f, build, params, factor: np.ndarray | None = None):
+    """Yield the samples of idft(m * factor * dft(f)) for the multipliers m = build(params).
 
-    One forward transform serves the whole stack.  Each m is scalar (*shape,)
-    or a matrix (*shape, l1, l0); the products ride along the channel axis and
-    go back through stacked inverse transforms of at most _STACK_POINTS
-    complex points.  `multipliers` may be lazy: one chunk is built at a time.
+    `f` is a Field or its SpectralField, so that stacks can share one forward transform;
+    `factor` (*shape,) multiplies it once.  `build(rows)` gives the multipliers of
+    consecutive `params` rows as one array, scalar (*shape, n) or matrix (*shape, n, l1, l0).
+    Each chunk of at most _STACK_POINTS complex points goes back through one stacked
+    inverse transform and is yielded as one sample stack (*shape, n, l).
     """
-    F = dft(f).coefficients
+    F = f.coefficients if isinstance(f, SpectralField) else dft(f).coefficients
+    if factor is not None:
+        F = F * factor[..., None]
+        del factor  # only the product is needed by the chunks
     per = max(1, _STACK_POINTS // F.size)
-    stack = iter(multipliers)
-    while (out := _inverse_chunk(F, f.grid, stack, per)) is not None:
-        for j in range(out.shape[-2]):
-            yield Field(f.grid, out[..., j, :])
+    for start in range(0, len(params), per):
+        yield _inverse_chunk(F, f.grid, build, params[start:start + per])
 
 
-def _inverse_chunk(F: np.ndarray, grid: GridSpec, stack, per: int):
-    """Samples of the next (at most per) products m * F, shape (*shape, count, l)."""
-    chunk = list(itertools.islice(stack, per))
-    if not chunk:
-        return None
-    width = F.shape[-1] if chunk[0].ndim == grid.dim else chunk[0].shape[-2]
-    coeff = np.empty(grid.shape + (len(chunk), width), dtype=np.complex128)
-    for j in range(len(chunk)):
-        if chunk[j].ndim == grid.dim:
-            np.multiply(F, chunk[j][..., None], out=coeff[..., j, :])
-        else:
-            np.einsum("...ij,...j->...i", chunk[j], F, out=coeff[..., j, :])
-    del chunk  # the multipliers are not needed by the inverse transform
+def _inverse_chunk(F: np.ndarray, grid: GridSpec, build, rows) -> np.ndarray:
+    """Samples of the products m * F for the multipliers m = build(rows), shape (*shape, n, l)."""
+    m = build(rows)
+    if m.ndim == grid.dim + 1:
+        coeff = F[..., None, :] * m[..., None]
+    else:
+        coeff = np.einsum("...cij,...j->...ci", m, F)
+    del m  # the multipliers are not needed by the inverse transform
     samples = idft(SpectralField(grid, coeff.reshape(grid.shape + (-1,)))).samples
-    return samples.reshape(grid.shape + (-1, width))
+    return samples.reshape(coeff.shape)
 
 
 def apply_multiplier(f: Field, values: np.ndarray) -> Field:
     """Multiply coefficients by one lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
-    return next(apply_multipliers(f, [values]))
+    (samples,) = apply_multipliers(f, lambda rows: np.expand_dims(rows[0], f.grid.dim), [values])
+    return Field(f.grid, samples[..., 0, :])
 
 
-def spectral_derivatives(f: Field, alphas):
-    """Exact band-limited d^alpha f for each multi-index, from one forward transform."""
+def spectral_derivatives(f, alphas):
+    """Sample stacks (*shape, n, l) of the exact band-limited d^alpha f (f or its spectrum)."""
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) != f.grid.dim for alpha in alphas):
         raise ValueError("multi-index length must equal grid dimension")
     xi = f.grid.freqs()
-    stack = apply_multipliers(f, (monomial(xi, a) for a in alphas if any(a)))
-    for alpha in alphas:
-        yield next(stack) if any(alpha) else f.copy()
+    return apply_multipliers(f, lambda rows: np.stack([monomial(xi, a) for a in rows], -1), alphas)
 
 
 def spectral_derivative(f: Field, alpha) -> Field:
     """Exact band-limited partial derivative of multi-index alpha."""
-    return next(spectral_derivatives(f, [alpha]))
+    (stack,) = spectral_derivatives(f, [alpha])
+    return Field(f.grid, stack[..., 0, :])
 
 
 def translate(f: Field, h) -> Field:

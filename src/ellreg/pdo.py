@@ -122,8 +122,10 @@ def apply(P: PDOperator, f: Field) -> Field:
             f"field has {f.channels} channels, operator expects {P.in_channels}"
         )
     out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
-    for coeff, deriv in zip(P.coeffs.values(), spectral_derivatives(f, P.coeffs)):
-        out += np.einsum("...ij,...j->...i", coeff, deriv.samples)
+    stacks = spectral_derivatives(f, [alpha for alpha in P.coeffs if any(alpha)])
+    derivs = (d for stack in stacks for d in np.moveaxis(stack, -2, 0))
+    for alpha, coeff in P.coeffs.items():
+        out += np.einsum("...ij,...j->...i", coeff, next(derivs) if any(alpha) else f.samples)
     return Field(P.grid, out)
 
 

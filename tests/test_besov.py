@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from ellreg.grid import (
     field_from_function,
     lp_norm,
     random_band_limited_field,
+    spectral_derivative,
     translate,
 )
-from ellreg.pdo import unit_directions
+from ellreg.pdo import mi_order, multi_indices, unit_directions
 from ellreg.profiles import Plateau
 
 INF = math.inf
@@ -207,3 +209,45 @@ def test_batched_second_difference_matches_translates(dim, n, channels):
             got = second_difference_seminorm(f, 0.5, p, q)
             want = shell_integral(arr, q, dim)
             assert abs(got - want) <= 1e-12 * want, (p, q, got, want)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fused_besov_norm_matches_its_parts(dim, n, channels):
+    # besov_norm takes one forward transform; its parts, taken one field at a time, are the oracle
+    grid = GridSpec(dim, n, math.pi)
+    f = random_band_limited_field(grid, channels, np.random.Generator(np.random.PCG64(7 + dim)))
+    lifted = {alpha: bessel_lift(1.0 - alpha, f) for alpha in (-1.0, 0.0)}
+    tops = {k: [spectral_derivative(f, b) for b in multi_indices(dim, k) if mi_order(b) == k]
+            for k in (1, 2)}
+    for p in (1.0, 2.0, INF):
+        for q in (2.0, INF):
+            want = {}
+            for alpha, g in lifted.items():
+                want[alpha] = lp_norm(g, p) + second_difference_seminorm(g, 1.0, p, q)
+            for alpha, k in ((2.0, 1), (2.5, 2)):
+                frac = alpha - k
+                want[alpha] = sobolev_norm(f, k, p) + sum(
+                    second_difference_seminorm(d, frac, p, q) for d in tops[k]
+                )
+            for alpha, w in want.items():
+                got = besov_norm(f, BesovParams(alpha, p, q))
+                assert abs(got - w) <= 1e-12 * w, (alpha, p, q, got, w)
+
+
+@pytest.mark.parametrize("channels,n", [(1, 256), (3, 128)])
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
+def test_besov_norm_peak_memory(channels, n, alpha):
+    # a lattice-sized multiplier or coefficient stack kept alive across a
+    # stacked inverse transform adds about half a field to this peak
+    grid = GridSpec(2, n, math.pi)
+    f = random_band_limited_field(grid, channels, np.random.Generator(np.random.PCG64(0)))
+    params = BesovParams(alpha, 1.0, INF)
+    besov_norm(f, params)  # fills the per-grid lattice and difference-table caches
+    tracemalloc.start()
+    try:
+        besov_norm(f, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.25 * f.samples.nbytes, peak / f.samples.nbytes

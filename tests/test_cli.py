@@ -295,6 +295,7 @@ PROBES = [
     ("token-exp", "resolvent-solve", {"parameters": {"operator": _TOKEN_EXP}}, 2),
     ("count-0", "patch-equivalence", {"parameters": {"count": 0}}, 2),
     ("method-str", "resolvent-solve", {"parameters": {"method": "x"}}, 2),
+    ("frozen-random-rhs", "resolvent-solve", {"parameters": {"method": "frozen", "rhs": "random"}}, 2),
     ("x0-index-short", "resolvent-solve", {"grid": {"dim": 2, "points_per_axis": 64},
                                            "parameters": {"x0_index": [3]}}, 2),
     ("output-dir-int", "besov-norm", {"output_dir": 5}, 2),

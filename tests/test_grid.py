@@ -116,6 +116,24 @@ def test_lp_norm_mask(grid1d):
     assert abs(lp_norm(f, 1.0, mask=mask) - math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_stacked_lp_norm_matches_the_per_field_loop(rng, p, channels):
+    grid = GridSpec(2, 16, 2.0)
+    fields = [random_band_limited_field(grid, channels, rng) for _ in range(5)]
+    stack = np.stack([f.samples for f in fields], axis=-2)
+    mask = grid.coords()[..., 0].real >= 0.5
+    for m in (None, mask):
+        got = lp_norm(stack, p, mask=m, grid=grid)
+        assert got.shape == (len(fields),)
+        for f, norm in zip(fields, got):
+            # the per-field loop, written out: channel 2-norm, then the Riemann sum
+            mag = np.linalg.norm(f.samples, axis=-1)[m if m is not None else ...]
+            want = np.max(mag) if math.isinf(p) else (grid.spacing**2 * np.sum(mag**p)) ** (1 / p)
+            assert abs(norm - want) <= 1e-14 * want
+            assert abs(lp_norm(f, p, mask=m) - want) <= 1e-14 * want
+
+
 def test_spectral_derivative_oracle(grid1d):
     f = field_from_function(grid1d, lambda x: np.sin(3.0 * x[..., 0]))
     df = spectral_derivative(f, (1,))
@@ -200,21 +218,25 @@ def test_lattice_is_cached_read_only():
 def test_multiplier_stack_matches_one_at_a_time(rng):
     grid = GridSpec(2, 64, math.pi)
     f = random_band_limited_field(grid, 2, rng)
-    xi = grid.freqs()
-    mults = [np.exp(-t * np.sum(xi**2, axis=-1)) for t in np.linspace(0.0, 0.2, 40)]
+    r2 = np.sum(grid.freqs() ** 2, axis=-1)
+    ts = np.linspace(0.0, 0.2, 40)
+    stacks = list(apply_multipliers(f, lambda rows: np.exp(-rows * r2[..., None]), ts))
     # 40 two-channel fields on 64^2 need several stacked inverse transforms
-    assert len(mults) * f.samples.size > 2 * _STACK_POINTS
-    for m, got in zip(mults, apply_multipliers(f, iter(mults))):
-        want = apply_multiplier(f, m).samples
-        assert np.max(np.abs(got.samples - want)) <= 1e-14 * np.max(np.abs(want))
+    assert len(ts) * f.samples.size > 2 * _STACK_POINTS and len(stacks) > 2
+    got = np.concatenate(stacks, axis=-2)
+    assert got.shape == grid.shape + (len(ts), 2)
+    for j, t in enumerate(ts):
+        want = apply_multiplier(f, np.exp(-t * r2)).samples
+        assert np.max(np.abs(got[..., j, :] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
     f = random_band_limited_field(grid2d, 1, rng)
     alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
-    for alpha, got in zip(alphas, spectral_derivatives(f, alphas)):
+    (stack,) = spectral_derivatives(f, alphas)
+    for j, alpha in enumerate(alphas):
         want = spectral_derivative(f, alpha).samples
-        assert np.max(np.abs(got.samples - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(stack[..., j, :] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize(
