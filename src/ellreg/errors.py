@@ -32,8 +32,9 @@ class EpsilonOutOfRange(EllregError):
 class NotContracting(EllregError):
     """A fixed-point iteration failed to contract (spectral parameter too small)."""
 
-    def __init__(self, message, contraction=None):
+    def __init__(self, message, contraction=None, increments=()):
         self.contraction = contraction
+        self.increments = list(increments)  # the L^2 increment history up to the refusal
         super().__init__(message)
 
 

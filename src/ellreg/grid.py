@@ -163,18 +163,19 @@ def field_from_function(grid: GridSpec, func, channels: int | None = None) -> Fi
     return Field(grid, vals)
 
 
+# Per-axis transforms in fftn's order: bit-identical to fftn, without its per-call set-up.
 def dft(f: Field) -> SpectralField:
-    axes = tuple(range(f.grid.dim))
-    raw = np.fft.fftn(f.samples, axes=axes)
-    coeff = raw * (f.grid._phase()[..., None] / f.grid.num_points)
-    return SpectralField(f.grid, coeff)
+    raw = f.samples
+    for axis in reversed(range(f.grid.dim)):
+        raw = np.fft.fft(raw, axis=axis)
+    return SpectralField(f.grid, raw * (f.grid._phase()[..., None] / f.grid.num_points))
 
 
 def idft(F: SpectralField) -> Field:
-    axes = tuple(range(F.grid.dim))
-    pre = F.coefficients * F.grid._phase()[..., None]
-    samples = np.fft.ifftn(pre, axes=axes) * F.grid.num_points
-    return Field(F.grid, samples)
+    samples = F.coefficients * F.grid._phase()[..., None]
+    for axis in reversed(range(F.grid.dim)):
+        samples = np.fft.ifft(samples, axis=axis)
+    return Field(F.grid, samples * F.grid.num_points)
 
 
 def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None = None):
@@ -205,14 +206,15 @@ def apply_multipliers(f, build, params, factor: np.ndarray | None = None):
     """Yield the samples of idft(m * factor * dft(f)) for the multipliers m = build(params).
 
     `f` is a Field or its SpectralField, so that stacks can share one forward transform;
-    `factor` (*shape,) multiplies it once.  `build(rows)` gives the multipliers of
-    consecutive `params` rows as one array, scalar (*shape, n) or matrix (*shape, n, l1, l0).
-    Each chunk of at most _STACK_POINTS complex points goes back through one stacked
-    inverse transform and is yielded as one sample stack (*shape, n, l).
+    `factor`, scalar (*shape,) or matrix (*shape, l, l), multiplies it once.  `build(rows)`
+    gives the multipliers of consecutive `params` rows as one array, scalar (*shape, n) or
+    matrix (*shape, n, l1, l0).  Each chunk of at most _STACK_POINTS complex points goes
+    back through one stacked inverse transform and is yielded as one sample stack.
     """
     F = f.coefficients if isinstance(f, SpectralField) else dft(f).coefficients
     if factor is not None:
-        F = F * factor[..., None]
+        scalar = factor.ndim == f.grid.dim
+        F = F * factor[..., None] if scalar else np.einsum("...ij,...j->...i", factor, F)
         del factor  # only the product is needed by the chunks
     per = max(1, _STACK_POINTS // F.size)
     for start in range(0, len(params), per):
@@ -237,13 +239,14 @@ def apply_multiplier(f: Field, values: np.ndarray) -> Field:
     return Field(f.grid, samples[..., 0, :])
 
 
-def spectral_derivatives(f, alphas):
-    """Sample stacks (*shape, n, l) of the exact band-limited d^alpha f (f or its spectrum)."""
+def spectral_derivatives(f, alphas, factor: np.ndarray | None = None):
+    """Stacks (*shape, n, l) of the band-limited d^alpha f; f, factor as in apply_multipliers."""
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) != f.grid.dim for alpha in alphas):
         raise ValueError("multi-index length must equal grid dimension")
     xi = f.grid.freqs()
-    return apply_multipliers(f, lambda rows: np.stack([monomial(xi, a) for a in rows], -1), alphas)
+    return apply_multipliers(f, lambda rows: np.stack([monomial(xi, a) for a in rows], -1),
+                             alphas, factor)
 
 
 def spectral_derivative(f: Field, alpha) -> Field:

@@ -114,18 +114,21 @@ def laplacian(grid: GridSpec, channels: int = 1, sign: float = 1.0) -> PDOperato
     return operator_from_constant(grid, coeffs, order=2)
 
 
-def apply(P: PDOperator, f: Field) -> Field:
+def apply(P: PDOperator, f, factor: np.ndarray | None = None) -> Field:
+    """P f for a Field f, or for a SpectralField f whose coefficients `factor` multiplies first."""
     if f.grid != P.grid:
         raise GridMismatch("operator and field grids differ")
-    if f.channels != P.in_channels:
-        raise ChannelMismatch(
-            f"field has {f.channels} channels, operator expects {P.in_channels}"
-        )
+    channels = (f.samples if isinstance(f, Field) else f.coefficients).shape[-1]
+    if channels != P.in_channels:
+        raise ChannelMismatch(f"field has {channels} channels, operator expects {P.in_channels}")
+    # only a plain Field's zero-order term reads samples; a spectrum's is stacked as alpha = 0
+    samples = f.samples if isinstance(f, Field) and factor is None else None
     out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
-    stacks = spectral_derivatives(f, [alpha for alpha in P.coeffs if any(alpha)])
+    stacks = spectral_derivatives(f, [a for a in P.coeffs if samples is None or any(a)], factor)
     derivs = (d for stack in stacks for d in np.moveaxis(stack, -2, 0))
     for alpha, coeff in P.coeffs.items():
-        out += np.einsum("...ij,...j->...i", coeff, next(derivs) if any(alpha) else f.samples)
+        term = next(derivs) if samples is None or any(alpha) else samples
+        out += np.einsum("...ij,...j->...i", coeff, term)
     return Field(P.grid, out)
 
 

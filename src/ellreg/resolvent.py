@@ -16,7 +16,7 @@ import numpy as np
 
 from .besov import BesovParams, besov_norm
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
-from .grid import Field, apply_multiplier, lp_norm, monomial
+from .grid import Field, apply_multiplier, dft, lp_norm, monomial
 from .pdo import PDOperator, _min_singular_values, apply, mi_order
 from .profiles import box_mask, box_window
 
@@ -42,6 +42,7 @@ class SolveReport:
     apriori_ratio: float | None
     iterations: int
     contraction_estimate: float | None
+    increments: list  # L^2 increments of the fixed-point iterates; not part of as_dict
 
     def as_dict(self):
         return {
@@ -88,25 +89,25 @@ def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
 def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
     """Iterate x <- step(x) from x0 until the L^2 increment is <= tol (1 + ||x||_2).
 
-    Returns (x, iterations, contraction) with contraction the last ratio of
-    successive increments.  Raises NotContracting when that ratio reaches
-    1 - 1e-3 from the third step on, or when max_iter steps do not converge.
+    Returns (x, contraction, increments): the last ratio of successive increments and
+    the list of all of them.  Raises NotContracting, with that list, when the ratio
+    reaches 1 - 1e-3 from the third step on, or when max_iter steps do not converge.
     """
-    x, prev_inc, contraction = x0, None, None
+    x, increments, contraction = x0, [], None
     for iterations in range(1, max_iter + 1):
         x_next = step(x)
-        inc = lp_norm(x_next - x, 2.0)
-        if prev_inc is not None and prev_inc > 0:
-            contraction = inc / prev_inc
+        increments.append(inc := lp_norm(x_next - x, 2.0))
+        if iterations > 1 and increments[-2] > 0:
+            contraction = inc / increments[-2]
             if iterations >= 3 and contraction >= 1.0 - 1e-3:
                 raise NotContracting(
-                    f"{what}: not contracting (ratio {contraction:.4f})", contraction
+                    f"{what}: not contracting (ratio {contraction:.4f})", contraction, increments
                 )
         x = x_next
         if inc <= tol * (1.0 + lp_norm(x, 2.0)):
-            return x, iterations, contraction
-        prev_inc = inc
-    raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction)
+            return x, contraction, increments
+    raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction,
+                         increments)
 
 
 def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: float, what: str):
@@ -122,14 +123,15 @@ def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: fl
     if D.coeffs:
 
         def step(h):
-            correction = apply(D, apply_multiplier(h, minv))
+            correction = apply(D, dft(h), minv)
             return Field(Q.grid, problem.g.samples + cutoff * correction.samples)
 
-        h, iterations, contraction = _fixed_point(step, problem.g, tol, 200, what)
+        h, contraction, increments = _fixed_point(step, problem.g, tol, 200, what)
     else:
-        h, iterations, contraction = problem.g, 0, None
+        h, contraction, increments = problem.g, None, []
     u = apply_multiplier(h, minv)
-    return SolveReport(u, residual(problem, u, mask), None, iterations, contraction)
+    return SolveReport(u, residual(problem, u, mask), None, len(increments), contraction,
+                       increments)
 
 
 def solve_constant(problem: ResolventProblem) -> SolveReport:

@@ -25,3 +25,17 @@ def grid2d():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Grows by one per np.fft.fft or np.fft.ifft call: one transform of a 1-D grid field."""
+    calls = []
+    for name in ("fft", "ifft"):
+
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_transform.__name__)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

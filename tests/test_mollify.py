@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellreg.cli import _fixture_field, _window_mask
 from ellreg.errors import EpsilonOutOfRange
 from ellreg.grid import (
     Field,
     GridSpec,
+    dft,
     field_from_function,
     lp_norm,
     random_band_limited_field,
@@ -22,7 +24,7 @@ from ellreg.mollify import (
     mollify,
     uniform_convergence_experiment,
 )
-from ellreg.pdo import operator_from_constant
+from ellreg.pdo import laplacian, operator_from_constant
 from ellreg.profiles import radial_window
 
 
@@ -118,3 +120,55 @@ def test_uniform_experiment_matches_sup_norm():
         direct = lp_norm(mollify(f, row["eps"]) - f, math.inf)
         assert abs(row["error"] - direct) < 1e-12
 
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sweep_costs_one_transform_of_f_and_two_per_eps(order, transform_calls):
+    grid = GridSpec(1, 256, math.pi)
+    f = field_from_function(grid, lambda x: np.exp(-(x[..., 0] ** 2)))
+    P = operator_from_constant(grid, {(order,): 1.0}, order=order)
+    eps = admissible_eps_sequence(grid, count=4)
+    mask = np.ones(grid.shape, dtype=bool)
+    transform_calls.clear()
+    mollifier_convergence_experiment(P, f, 2.0, eps, mask)
+    assert len(eps) < len(transform_calls) <= 2 * len(eps) + 1
+
+
+PI_LONG = 4.0 * np.arctan(np.longdouble(1.0))
+
+
+def _long_double_sweep(F, symbol, grid, eps_seq, mask):
+    """L^1(mask) norms of idft(symbol (K_eps - 1) F) with every sum taken in long double.
+
+    K_eps is the explicit DFT sum of the kernel samples; the spectrum F is given.
+    """
+    n = grid.points_per_axis
+    j = np.arange(n)
+    angle = (2.0 * PI_LONG / n) * (np.outer(j, j) % n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    phase = (-1.0) ** (grid.axis_wavenumbers() % 2)  # the grid starts at x = -L
+    f_re, f_im = F.real.astype(np.longdouble), F.imag.astype(np.longdouble)
+    norms = []
+    for eps in eps_seq:
+        h = kernel_field(grid, eps).samples[:, 0].real.astype(np.longdouble)
+        k_re = grid.spacing * phase * (cos @ h) - 1.0
+        k_im = -grid.spacing * phase * (sin @ h)
+        c_re = phase * symbol * (k_re * f_re - k_im * f_im)
+        c_im = phase * symbol * (k_re * f_im + k_im * f_re)
+        e_re, e_im = cos @ c_re - sin @ c_im, sin @ c_re + cos @ c_im
+        norms.append(float(grid.spacing * np.sum(np.hypot(e_re, e_im)[mask])))
+    return norms
+
+
+def test_sweep_errors_match_a_long_double_reference():
+    # at small eps P f_eps - P f is far smaller than P f: formed as P (K_eps - 1) dft(f), not
+    # as a difference of two applied fields, it carries only rounding of its own size.  The
+    # reference shares dft(f) and takes every sum after it in long double.
+    grid = GridSpec(1, 512, math.pi)
+    f = _fixture_field(grid, "cubic-kink")
+    mask = _window_mask(grid)
+    eps = admissible_eps_sequence(grid, count=6)  # the CLI's sweep: five eps at N = 512
+    table = mollifier_convergence_experiment(laplacian(grid, sign=-1.0), f, 1.0, eps, mask)
+    xi = grid.axis_wavenumbers() * (PI_LONG / np.longdouble(grid.half_period))
+    expected = _long_double_sweep(dft(f).coefficients[:, 0], xi**2, grid, eps, mask)
+    for got, want in zip(table.errors(), expected):
+        assert abs(got - want) <= 1e-13 * want

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ellreg.errors import ChannelMismatch
 from ellreg.grid import (
     GridSpec,
+    apply_multiplier,
+    dft,
     field_from_function,
     random_band_limited_field,
 )
@@ -86,6 +88,28 @@ def test_apply_variable_coefficient(grid1d):
     )
     out = apply(P, f).samples[..., 0]
     assert np.max(np.abs(out - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("matrix", [False, True], ids=["scalar-m", "3x3-m"])
+def test_apply_to_a_spectrum_matches_apply_to_its_samples(dim, matrix, rng):
+    # P (m f^) taken in coefficient space equals P applied to the samples of m f^;
+    # P has variable 3x3 coefficients at every order up to 2, the zero-order term included
+    grid = GridSpec(dim, 32, math.pi)
+    x = grid.coords().real[..., 0]
+    profile = (np.cos(x) + 0.5j * np.sin(2.0 * x))[..., None, None]
+    coeffs = {alpha: profile * rng.standard_normal((3, 3)) + rng.standard_normal((3, 3))
+              for alpha in multi_indices(dim, 2)}
+    P = PDOperator(grid, 2, 3, 3, coeffs)
+    f = random_band_limited_field(grid, 3, rng)
+    xi2 = np.sum(grid.freqs() ** 2, axis=-1)
+    if matrix:
+        m = rng.standard_normal(grid.shape + (3, 3)) + 1j * rng.standard_normal(grid.shape + (3, 3))
+    else:
+        m = 1.0 / (1j + 4.0 + xi2)
+    expected = apply(P, apply_multiplier(f, m)).samples
+    got = apply(P, dft(f), m).samples
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_principal_symbol_homogeneity(grid1d):

@@ -95,6 +95,20 @@ def test_neumann_matches_full_symbol_solve(grid1d, rng):
     assert iterated.residual_linf < 1e-8 * (1.0 + lp_norm(g, math.inf))
 
 
+def test_three_channel_neumann_matches_the_exact_solve(grid1d, rng):
+    # constant B d + C lower-order matrices: the iteration applies the 3x3 A^{-1} to dft(h)
+    A = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    B, C = 0.3 * rng.standard_normal((3, 3)), 0.3 * rng.standard_normal((3, 3))
+    Q = operator_from_constant(grid1d, {(2,): -(A + A.T) / 2.0, (1,): B, (0,): C}, order=2)
+    g = random_band_limited_field(grid1d, 3, rng)
+    problem = ResolventProblem(Q, math.pi, 8.0, g)
+    direct = solve_constant(problem)
+    iterated = solve_neumann_lower_order(problem)
+    assert iterated.iterations > 3
+    scale = np.max(np.abs(direct.u.samples))
+    assert np.max(np.abs(iterated.u.samples - direct.u.samples)) <= 1e-12 * scale
+
+
 def test_neumann_without_lower_order_part_is_the_exact_solve(grid1d, rng):
     problem = neg_laplacian_problem(grid1d, 8.0, rng)
     direct = solve_constant(problem)
@@ -127,11 +141,23 @@ def test_neumann_contraction_scales_inverse_linearly_for_drift(rng):
     assert all(abs(p / mean - 1.0) < 0.30 for p in products)
 
 
+def test_neumann_step_costs_two_transforms(rng, transform_calls):
+    # one forward transform of h and one inverse of the stacked D A^{-1} h^ per step
+    grid = GridSpec(1, 256, math.pi)
+    Q = operator_from_constant(grid, {(2,): -1.0, (1,): 2.0}, order=2)
+    g = random_band_limited_field(grid, 1, rng)
+    transform_calls.clear()
+    report = solve_neumann_lower_order(ResolventProblem(Q, math.pi, 10.0, g))
+    assert 2 * report.iterations <= len(transform_calls) <= 2 * report.iterations + 6
+
+
 def test_neumann_not_contracting_at_small_r(grid1d, rng):
     Q = operator_from_constant(grid1d, {(2,): -1.0, (0,): 1.0}, order=2)
     g = random_band_limited_field(grid1d, 1, rng)
-    with pytest.raises(NotContracting):
+    with pytest.raises(NotContracting) as info:
         solve_neumann_lower_order(ResolventProblem(Q, math.pi, 1.0, g))
+    history = info.value.increments
+    assert len(history) >= 3 and history[-1] / history[-2] >= 1.0 - 1e-3
 
 
 def variable_problem(grid, delta, r=8.0):
@@ -150,6 +176,15 @@ def test_frozen_localized_solve():
     report = solve_frozen_localized(problem, x0, delta)
     assert report.residual_linf < 1e-8
     assert report.contraction_estimate < 0.5
+
+
+def test_frozen_step_costs_two_transforms(transform_calls):
+    grid = GridSpec(1, 256, math.pi)
+    delta = math.pi / 8.0
+    problem = variable_problem(grid, delta)
+    transform_calls.clear()
+    report = solve_frozen_localized(problem, (grid.points_per_axis // 2,), delta)
+    assert 2 * report.iterations <= len(transform_calls) <= 2 * report.iterations + 6
 
 
 def test_frozen_localized_rejects_leaking_data():
@@ -180,8 +215,10 @@ def test_fixed_point_converges_at_the_step_contraction(grid1d):
     # exact in binary, so every increment ratio is exactly 1/2
     g = Field(grid1d, np.ones(grid1d.shape + (1,)))
     zero = Field(grid1d, np.zeros(grid1d.shape + (1,)))
-    x, iterations, contraction = _fixed_point(lambda x: 0.5 * x + g, zero, 1e-10, 200, "halving")
+    x, contraction, increments = _fixed_point(lambda x: 0.5 * x + g, zero, 1e-10, 200, "halving")
+    iterations = len(increments)
     assert contraction == 0.5
+    assert all(b == a / 2.0 for a, b in zip(increments, increments[1:]))
     assert np.max(np.abs(x.samples - 2.0)) <= 1e-9
     # stops at the first increment 2^-(k-1) ||g|| below 1e-10 (1 + ||x||)
     norm_g = lp_norm(g, 2.0)
