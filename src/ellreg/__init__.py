@@ -10,7 +10,7 @@ from .besov import BesovParams, besov_norm, bessel_lift, sobolev_norm
 from .errors import EllregError
 from .grid import Field, GridSpec, SpectralField, dft, idft, lp_norm
 from .mollify import mollify
-from .pdo import PDOperator, apply, compose, formal_adjoint, laplacian
+from .pdo import PDOperator, apply, laplacian
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,7 @@ __all__ = [
     "apply",
     "besov_norm",
     "bessel_lift",
-    "compose",
     "dft",
-    "formal_adjoint",
     "idft",
     "laplacian",
     "lp_norm",

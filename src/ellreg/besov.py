@@ -73,14 +73,14 @@ def displacement_shells(grid) -> list:
 
 
 @functools.lru_cache(maxsize=16)
-def _difference_table(grid, directions: int):
-    """Dyadic radii, each direction's representative up to sign, and the multiplier rows.
+def _difference_table(grid):
+    """Dyadic radii, each of 8 directions' representative up to sign, and the multiplier rows.
 
     The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
     antipodal directions share one displacement.  A row (h, c) is the multiplier
     c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0) shell by shell.
     """
-    dirs = unit_directions(grid.dim, directions)
+    dirs = unit_directions(grid.dim, 8)
     rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
            for i, w in enumerate(dirs)]
     kept = sorted(set(rep))
@@ -92,9 +92,9 @@ def _difference_table(grid, directions: int):
     return radii, tuple(kept.index(j) for j in rep), rows
 
 
-def _seminorm(f, alpha: float, p: float, q: float, directions=8, factor=None):
+def _seminorm(f, alpha: float, p: float, q: float, factor=None):
     """||g||_p and the functional below, g = idft(factor * dft(f)), f a Field or its spectrum."""
-    radii, rep, rows = _difference_table(f.grid, directions)
+    radii, rep, rows = _difference_table(f.grid)
     xi = f.grid.freqs()
     # 2 (cos t - 1) = -4 sin^2(t/2), free of cancellation at small t
     build = lambda r: r[:, -1] - 4.0 * np.sin(0.5 * (xi @ r[:, :-1].T)) ** 2
@@ -111,11 +111,11 @@ def _seminorm(f, alpha: float, p: float, q: float, directions=8, factor=None):
     return norm, float(integral ** (1.0 / q))
 
 
-def second_difference_seminorm(f: Field, alpha: float, p: float, q: float, directions=8) -> float:
+def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> float:
     """The |x|^(-alpha)-weighted second-difference functional, 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("second-difference seminorm needs alpha in (0, 1]")
-    return _seminorm(f, alpha, p, q, directions)[1]
+    return _seminorm(f, alpha, p, q)[1]
 
 
 def besov_norm(f: Field, params: BesovParams) -> float:

@@ -17,34 +17,7 @@ import numpy as np
 from .besov import BesovParams, besov_norm, sobolev_norm
 from .grid import Field, GridSpec, lp_norm, spectral_derivative
 from .mollify import mollify
-from .pdo import PDOperator
 from .profiles import Plateau, bump, radial_window
-
-
-# ---------------------------------------------------------------------------
-# Example operator A = -x d^3 + (x - 1) d^2 on a 1-D torus grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExampleAOperator:
-    grid: GridSpec
-    A: PDOperator
-    phi: Field  # window with phi(x) = x near the origin
-
-
-def build_example_a(grid: GridSpec, inner: float = 0.5, outer: float = 1.0) -> ExampleAOperator:
-    if grid.dim != 1:
-        raise ValueError("the example operator lives in one dimension")
-    x = grid.coords().real[..., 0]
-    coeffs = {
-        (3,): (-x)[..., None, None].astype(np.complex128),
-        (2,): (x - 1.0)[..., None, None].astype(np.complex128),
-    }
-    A = PDOperator(grid, 3, 1, 1, coeffs)
-    prof = Plateau(inner, outer)
-    phi = Field(grid, (x * prof(x))[..., None])
-    return ExampleAOperator(grid, A, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +142,22 @@ def _trace_constant(line: LineGrid, p: float) -> float:
     return best
 
 
-def nondensity_witness(
-    p: float,
-    eps_seq,
-    n_ref: int = 8192,
-    half_period: float = math.pi,
-    inner: float = 0.5,
-    outer: float = 1.0,
-) -> dict:
+def nondensity_witness(p: float, eps_seq, n_ref: int = 8192) -> dict:
     """Smooth candidates u_eps get L^p-close to u while the graph distance stays up.
 
     For u = phi ln|x|, v = x d2 u equals 1 at the origin but x d2 u_eps
     vanishes there for every smooth u_eps, so the W^{1,p} distance of
-    v_eps to v is bounded below via the 1-D trace inequality.
+    v_eps to v is bounded below via the 1-D trace inequality.  The torus is
+    [-pi, pi) and phi = x on [-1/2, 1/2], 0 outside [-1, 1].
     """
-    line = LineGrid(n_ref, half_period)
-    elem = SingularElement(Plateau(inner, outer))
+    line = LineGrid(n_ref, math.pi)
+    elem = SingularElement(Plateau(0.5, 1.0))
     x = line.points()
     u = elem.u(x)
     v = elem.v(x)
     # the staggered samples are a half-cell translate of the periodic grid, so
     # the grid's convolution (kernel at integer offsets) applies unchanged
-    u_field = Field(GridSpec(1, n_ref, half_period), u[:, None])
+    u_field = Field(GridSpec(1, n_ref, math.pi), u[:, None])
 
     rows = []
     for eps in eps_seq:
@@ -227,27 +194,20 @@ def nondensity_witness(
 # ---------------------------------------------------------------------------
 
 
-def w1p_inclusion_check(
-    p: float,
-    resolutions=(2048, 4096, 8192),
-    half_period: float = math.pi,
-    window: float | None = None,
-    inner: float = 0.5,
-    outer: float = 1.0,
-) -> dict:
+def w1p_inclusion_check(p: float) -> dict:
     """Reconstruct du from g = x d2u and track L^p_loc norms under refinement.
 
     Since d2u = g(0)/x + h with h the averaged derivative (g(x) - g(0))/x,
     du is rebuilt as g(0) ln|x| + antiderivative of h + fitted Heaviside and
     constant terms; its windowed L^p norm must be refinement-stable while the
-    windowed L^p norm of d2u (a principal-value 1/x) must grow.
+    windowed L^p norm of d2u (a principal-value 1/x) must grow.  The element is
+    the witness's, the window |x| <= pi/4 and N = 2048, 4096, 8192 on [-pi, pi).
     """
-    if window is None:
-        window = half_period / 4.0
-    elem = SingularElement(Plateau(inner, outer))
+    resolutions, window = (2048, 4096, 8192), math.pi / 4.0
+    elem = SingularElement(Plateau(0.5, 1.0))
     w1_norms, w2_norms, fits, recon_err = [], [], [], []
     for n in resolutions:
-        line = LineGrid(n, half_period)
+        line = LineGrid(n, math.pi)
         x = line.points()
         g = elem.v(x)  # g = x d2u
         g0 = line.value_at_zero(g)
@@ -255,7 +215,7 @@ def w1p_inclusion_check(
         anti = line.antiderivative_from_zero(h)
         base = g0 * np.log(np.abs(x)) + anti
         du_true = elem.du(x)
-        fit_mask = np.abs(x) > half_period / 4.0
+        fit_mask = np.abs(x) > window
         design = np.stack([(x > 0).astype(float), np.ones_like(x)], axis=-1)
         coef, *_ = np.linalg.lstsq(design[fit_mask], (du_true - base)[fit_mask], rcond=None)
         a0, const = float(coef[0]), float(coef[1])
@@ -284,31 +244,27 @@ def w1p_inclusion_check(
 # ---------------------------------------------------------------------------
 
 
-def log_singular_field(grid: GridSpec, inner: float = 1.0, outer: float = 2.0) -> Field:
-    """Windowed |x|^2 log|x| in m = 2: second derivatives are log-singular."""
+def log_singular_field(grid: GridSpec) -> Field:
+    """|x|^2 log|x| in m = 2, windowed to |x| < 2: second derivatives are log-singular."""
     coords = grid.coords().real
     r2 = np.sum(coords**2, axis=-1)
     vals = np.zeros(grid.shape)
     nz = r2 > 0
     vals[nz] = r2[nz] * 0.5 * np.log(r2[nz])
-    win = radial_window(grid, inner, outer).samples[..., 0].real
+    win = radial_window(grid, 1.0, 2.0).samples[..., 0].real
     return Field(grid, (vals * win)[..., None])
 
 
-def regularity_gap_experiment(
-    grid_sizes=(64, 128, 256),
-    half_period: float = math.pi,
-    order: int = 2,
-    stability_tol: float = 0.05,
-) -> dict:
+def regularity_gap_experiment(grid_sizes=(64, 128, 256), half_period: float = math.pi) -> dict:
     """Refinement trajectories of the windowed singular field's norms.
 
     The L^1-scale claim: the windowed field stays in W^{k-1,1} and in the
-    Besov endpoint B^k_{1,inf}; for p = 2 the full W^{k,2} norm is stable.
-    The W^{k,1} divergence seen in external counterexamples is deliberately
-    not certified here.
+    Besov endpoint B^k_{1,inf}, k = 2; for p = 2 the full W^{k,2} norm is
+    stable.  A trajectory is stable when its last relative change is at most
+    5%.  The W^{k,1} divergence seen in external counterexamples is
+    deliberately not certified here.
     """
-    k = order
+    k = 2
     trajectories = {"w_k_2": [], "w_km1_1": [], "besov_k_1_inf": []}
     for n in grid_sizes:
         grid = GridSpec(2, n, half_period)
@@ -327,7 +283,7 @@ def regularity_gap_experiment(
         changes = rel_changes(vals)
         verdicts[name] = {
             "rel_changes": changes,
-            "stable": bool(changes and max(changes[-1:]) <= stability_tol),
+            "stable": bool(changes and max(changes[-1:]) <= 0.05),
         }
     return {
         "grid_sizes": list(grid_sizes),

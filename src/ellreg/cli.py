@@ -21,11 +21,7 @@ import numpy as np
 
 from . import casework
 from .besov import BesovParams, besov_norm
-from .mollify import (
-    admissible_eps_sequence,
-    mollifier_convergence_experiment,
-    uniform_convergence_experiment,
-)
+from .mollify import admissible_eps_sequence, mollifier_convergence_experiment
 from .errors import ConfigError, EllregError, ExperimentError
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
 from .localize import build_partition, patch_norm
@@ -83,7 +79,10 @@ _RANGES = {
     **dict.fromkeys(("p", "q", "pq"), _EXPONENT),
     **dict.fromkeys(("count", "eps_count"), (lambda v, g: v >= 1, ">= 1")),
     **dict.fromkeys(("r", "delta", "eps"), (lambda v, g: v > 0.0, "> 0")),
-    **dict.fromkeys(("n_ref", "grid_sizes"), (lambda v, g: v >= 4 and v % 2 == 0, "even and >= 4")),
+    # the reference grids take the main grid's 2^22-point cap; regularity-gap's are 2-D
+    "n_ref": (lambda v, g: 4 <= v <= 1 << 22 and v % 2 == 0, "even, >= 4 and <= 2^22"),
+    "grid_sizes": (lambda v, g: 4 <= v and v * v <= 1 << 22 and v % 2 == 0,
+                   "even, >= 4 and <= 2^11 (2-D grids of at most 2^22 points)"),
     "seed": (lambda v, g: v >= 0, ">= 0"),
     "hardy_p": (lambda v, g: v > 1.0, "> 1"),
     "x0_index": (lambda v, g: 0 <= v < g.points_per_axis, "a grid index"),
@@ -253,7 +252,8 @@ def _run_mollify(
 def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacian", eps_count=6):
     f = _fixture_field(cfg.grid, fixture)
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
-    table = uniform_convergence_experiment(operator.op, f, eps_seq, _window_mask(cfg.grid))
+    table = mollifier_convergence_experiment(operator.op, f, math.inf, eps_seq,
+                                             _window_mask(cfg.grid))
     rates = table.rates()
     results = {
         "operator": operator,

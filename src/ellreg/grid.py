@@ -155,7 +155,7 @@ def _check_same(a, b):
         raise ChannelMismatch("channel counts differ")
 
 
-def field_from_function(grid: GridSpec, func, channels: int | None = None) -> Field:
+def field_from_function(grid: GridSpec, func) -> Field:
     """Sample func(coords) -> (*shape,) or (*shape, channels) onto a Field."""
     vals = np.asarray(func(grid.coords()), dtype=np.complex128)
     if vals.shape == grid.shape:

@@ -36,8 +36,8 @@ def mollify(f: Field, eps: float) -> Field:
     return apply_multiplier(f, mollifier_symbol(f.grid, eps))
 
 
-def admissible_eps_sequence(grid: GridSpec, count: int = 5, ratio: float = 0.5) -> list:
-    """Geometric sweep from L/8 down, truncated at the 2*spacing floor; never empty."""
+def admissible_eps_sequence(grid: GridSpec, count: int = 5) -> list:
+    """Halving sweep from L/8 down, truncated at the 2*spacing floor; never empty."""
     eps = grid.half_period / 8.0
     out = []
     floor = 2.0 * grid.spacing
@@ -45,7 +45,7 @@ def admissible_eps_sequence(grid: GridSpec, count: int = 5, ratio: float = 0.5) 
         if eps < floor:
             break
         out.append(eps)
-        eps *= ratio
+        eps *= 0.5
     if not out:
         raise EpsilonOutOfRange(f"no eps: L/8 is below the 2*spacing floor {floor:.4g}")
     return out
@@ -100,8 +100,3 @@ def mollifier_convergence_experiment(
         err = lp_norm(apply(P, F, mollifier_symbol(f.grid, eps) - 1.0), p, mask=window_mask)
         table.rows.append({"eps": float(eps), "error": float(err)})
     return table
-
-
-def uniform_convergence_experiment(P: PDOperator, f: Field, eps_seq, window_mask) -> ErrorTable:
-    """Sup-norm version for C^k data (uniform convergence on the window)."""
-    return mollifier_convergence_experiment(P, f, np.inf, eps_seq, window_mask)

@@ -3,19 +3,18 @@
 An operator is a finite map from multi-indices to matrix coefficient arrays
 of shape (*grid.shape, out_channels, in_channels).  Derivatives of fields are
 spectral (exact on band-limited data); coefficient multiplication is
-pointwise.  Symbol calculus, adjoints and compositions live here.
+pointwise.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ChannelMismatch, GridMismatch
-from .grid import Field, GridSpec, monomial, spectral_derivative, spectral_derivatives
+from .grid import Field, GridSpec, monomial, spectral_derivatives
 
 
 def multi_indices(dim: int, max_order: int):
@@ -30,16 +29,6 @@ def multi_indices(dim: int, max_order: int):
 
 def mi_order(alpha) -> int:
     return sum(alpha)
-
-
-def mi_binom(alpha, gamma) -> int:
-    """Product of per-axis binomials C(alpha_i, gamma_i)."""
-    return math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-
-
-def sub_indices(alpha):
-    """All gamma <= alpha componentwise."""
-    return itertools.product(*[range(a + 1) for a in alpha])
 
 
 @dataclass(eq=False)
@@ -58,6 +47,8 @@ class PDOperator:
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.grid.dim:
                 raise ValueError("multi-index length must equal grid dimension")
+            if min(alpha) < 0:
+                raise ValueError(f"multi-index {alpha} has a negative entry")
             if mi_order(alpha) > self.order:
                 raise ValueError(f"|{alpha}| exceeds declared order {self.order}")
             arr = np.asarray(arr, dtype=np.complex128)
@@ -77,10 +68,11 @@ class PDOperator:
     def principal_indices(self):
         return [a for a in self.coeffs if mi_order(a) == self.order]
 
-    def is_constant_coefficient(self, tol: float = 1e-12) -> bool:
+    def is_constant_coefficient(self) -> bool:
+        """Every coefficient equal to its first sample, to 1e-10 relative."""
         for arr in self.coeffs.values():
             flat = arr.reshape(-1, self.out_channels, self.in_channels)
-            if np.max(np.abs(flat - flat[0])) > tol * (1.0 + np.max(np.abs(flat))):
+            if np.max(np.abs(flat - flat[0])) > 1e-10 * (1.0 + np.max(np.abs(flat))):
                 return False
         return True
 
@@ -159,25 +151,12 @@ def _min_singular_values(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., -1]
 
 
-def ellipticity_margin(P: PDOperator, sphere_samples: int = 64) -> float:
-    """Min over x and unit xi of the smallest singular value of the symbol."""
-    if P.in_channels != P.out_channels:
-        raise ChannelMismatch("ellipticity requires square channel counts")
-    margin = np.inf
-    for xi in unit_directions(P.grid.dim, sphere_samples):
-        sv = _min_singular_values(symbol_field(P, xi))
-        margin = min(margin, float(np.min(sv)))
-    return max(margin, 0.0)
-
-
-def parameter_ellipticity_constant(
-    Q: PDOperator, theta0: float, sphere_samples: int = 64, arc_samples: int = 17
-):
+def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: int = 17):
     """Least C with |(r^n e^{i theta0} - sigma(i xi))^-1| <= C (r+|xi|)^-n, sampled.
 
     Samples (xi, r) on the quarter-sphere r^2 + |xi|^2 = 1 (enough by joint
-    homogeneity) and x over the grid; returns (C, ok) with ok False if any
-    sampled matrix is singular.
+    homogeneity), at `arc_samples` arc points and 64 directions, and x over
+    the grid; returns (C, ok) with ok False if any sampled matrix is singular.
     """
     if Q.in_channels != Q.out_channels:
         raise ChannelMismatch("parameter-ellipticity requires square channels")
@@ -187,7 +166,7 @@ def parameter_ellipticity_constant(
     worst = 0.0
     ok = True
     s_vals = np.linspace(0.0, np.pi / 2.0, arc_samples)
-    dirs = unit_directions(Q.grid.dim, sphere_samples)
+    dirs = unit_directions(Q.grid.dim, 64)
     for s in s_vals:
         r = float(np.sin(s))
         rho = float(np.cos(s))
@@ -206,57 +185,6 @@ def parameter_ellipticity_constant(
             if rho == 0.0:
                 break  # r = 1, xi = 0: direction-independent
     return worst, ok
-
-
-def _coeff_derivative(arr: np.ndarray, grid: GridSpec, alpha) -> np.ndarray:
-    """Spectral d^alpha of a matrix coefficient array, entrywise."""
-    l1, l0 = arr.shape[-2:]
-    flat = Field(grid, arr.reshape(grid.shape + (l1 * l0,)))
-    d = spectral_derivative(flat, alpha)
-    return d.samples.reshape(grid.shape + (l1, l0))
-
-
-def formal_adjoint(P: PDOperator) -> PDOperator:
-    """P-dagger: phi -> sum_alpha (-1)^{|alpha|} d^alpha (C_alpha^H phi)."""
-    out: dict = {}
-    shape = P.grid.shape + (P.in_channels, P.out_channels)
-    for alpha, arr in P.coeffs.items():
-        sign = (-1.0) ** mi_order(alpha)
-        herm = np.conj(np.swapaxes(arr, -1, -2))
-        for gamma in sub_indices(alpha):
-            diff = tuple(a - g for a, g in zip(alpha, gamma))
-            term = sign * mi_binom(alpha, gamma) * _coeff_derivative(herm, P.grid, diff)
-            if gamma in out:
-                out[gamma] = out[gamma] + term
-            else:
-                out[gamma] = term
-    out = {g: a for g, a in out.items() if np.max(np.abs(a)) > 0.0}
-    if not out:
-        out = {(0,) * P.grid.dim: np.zeros(shape, dtype=np.complex128)}
-    return PDOperator(P.grid, P.order, P.out_channels, P.in_channels, out)
-
-
-def compose(P2: PDOperator, P1: PDOperator) -> PDOperator:
-    """Symbolic composition P2 o P1 via the Leibniz rule."""
-    if P2.grid != P1.grid:
-        raise GridMismatch("operators live on different grids")
-    if P2.in_channels != P1.out_channels:
-        raise ChannelMismatch("channel counts do not chain")
-    out: dict = {}
-    for beta, b_arr in P2.coeffs.items():
-        for alpha, a_arr in P1.coeffs.items():
-            for gamma in sub_indices(beta):
-                diff = tuple(b - g for b, g in zip(beta, gamma))
-                da = _coeff_derivative(a_arr, P1.grid, diff)
-                term = mi_binom(beta, gamma) * np.einsum("...ij,...jk->...ik", b_arr, da)
-                key = tuple(g + a for g, a in zip(gamma, alpha))
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
-    order = P1.order + P2.order
-    out = {k: v for k, v in out.items() if np.max(np.abs(v)) > 1e-14}
-    return PDOperator(P1.grid, order, P1.in_channels, P2.out_channels, out)
 
 
 # ---------------------------------------------------------------------------

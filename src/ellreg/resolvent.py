@@ -67,7 +67,7 @@ def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     block's smallest singular value is below 1e-14 (|lambda| + |symbol|_F)
     there, a test free of scale and channel count.
     """
-    if not A.is_constant_coefficient(tol=1e-10):
+    if not A.is_constant_coefficient():
         raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
     grid = A.grid
     origin = (0,) * grid.dim
@@ -175,29 +175,13 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
                         f"frozen solve at r={problem.r}")
 
 
-def apriori_ratio(
-    u: Field,
-    g: Field,
-    Q: PDOperator,
-    r: float,
-    theta0: float,
-    beta: float,
-    p: float,
-    q: float,
-    theta: float | None = None,
-) -> float:
-    """Measured a-priori quotient for a solve pair (u, g).
-
-    Default: (r^n ||u||_{B^beta} + ||u||_{B^{beta+n}}) / ||g||_{B^beta}.
-    With theta given: ||u||_{B^{beta+theta n}} r^{(1-theta) n} / ||g||_{B^beta}.
-    """
+def apriori_ratio(u: Field, g: Field, Q: PDOperator, r: float, theta0: float, beta: float,
+                  p: float, q: float) -> float:
+    """Measured a-priori quotient (r^n ||u||_{B^beta} + ||u||_{B^{beta+n}}) / ||g||_{B^beta}."""
     n = Q.order
     g_norm = besov_norm(g, BesovParams(beta, p, q))
     if g_norm == 0.0:
         raise ZeroRHS("cannot form a-priori ratio against zero data")
-    if theta is not None:
-        u_norm = besov_norm(u, BesovParams(beta + theta * n, p, q))
-        return u_norm * r ** ((1.0 - theta) * n) / g_norm
     low = besov_norm(u, BesovParams(beta, p, q))
     high = besov_norm(u, BesovParams(beta + n, p, q))
     return (r**n * low + high) / g_norm

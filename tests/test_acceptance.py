@@ -28,7 +28,6 @@ from ellreg.localize import build_partition, patch_norm
 from ellreg.mollify import (
     admissible_eps_sequence,
     mollifier_convergence_experiment,
-    uniform_convergence_experiment,
 )
 from ellreg.pdo import laplacian, operator_from_constant
 from ellreg.resolvent import (
@@ -126,7 +125,7 @@ def test_criterion_03_uniform_rate(capsys):
     P = _named_operator(grid, "neg-laplacian")
     f = _fixture_field(grid, "smooth")
     eps_seq = admissible_eps_sequence(grid, count=6)
-    table = uniform_convergence_experiment(P, f, eps_seq, _window_mask(grid))
+    table = mollifier_convergence_experiment(P, f, math.inf, eps_seq, _window_mask(grid))
     final_rates = table.rates()[-2:]
     ok = all(r >= 1.7 for r in final_rates)
     _report(capsys, 3, ok, f"final rates {[round(r, 2) for r in final_rates]} >= 1.7")
@@ -292,7 +291,7 @@ def test_criterion_08_example_suite(capsys):
     )
     w1p_ok, growth = True, {}
     for p in (1.5, 2.0, 4.0):
-        rep = casework.w1p_inclusion_check(p, resolutions=(2048, 4096, 8192))
+        rep = casework.w1p_inclusion_check(p)
         w1p_ok = w1p_ok and all(c <= 0.05 for c in rep["w1p_rel_changes"])
         growth[p] = min(rep["w2p_growth_factors"])
     # the 1.5x growth threshold is attainable only at p = 4 (rate 2^(1-1/p));

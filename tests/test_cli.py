@@ -85,6 +85,16 @@ def test_parse_config_rejects_non_finite_half_period():
         parse_config({"kind": "besov-norm", "grid": json.loads('{"half_period": 1e400}')})
 
 
+def test_reference_grids_are_capped_at_2_22_points():
+    # parse only: the largest accepted reference grids hold exactly 2^22 points
+    assert parse_config({"kind": "example-a", "parameters": {"n_ref": 1 << 22}})
+    assert parse_config({"kind": "regularity-gap", "parameters": {"grid_sizes": [2048]}})
+    for kind, params in [("example-a", {"n_ref": (1 << 22) + 2}),
+                         ("regularity-gap", {"grid_sizes": [64, 2050]})]:
+        with pytest.raises(ConfigError, match="2\\^22"):
+            parse_config({"kind": kind, "parameters": params})
+
+
 def test_parse_config_rejects_non_dict_parameters():
     with pytest.raises(ConfigError):
         parse_config({"kind": "besov-norm", "parameters": [1, 2]})
@@ -280,6 +290,10 @@ PROBES = [
     ("pq-str", "apriori-sweep", {"parameters": {"pq": [[2, "x"]]}}, 2),
     ("hardy-p-1", "example-a", {"parameters": {"hardy_p": [1.0]}}, 2),
     ("n-ref-odd", "example-a", {"parameters": {"n_ref": 1001}}, 2),
+    ("n-ref-huge", "example-a", {"parameters": {"n_ref": 1 << 30}}, 2),  # 16 GiB per field
+    ("grid-sizes-huge", "regularity-gap", {"parameters": {"grid_sizes": [65536]}}, 2),
+    ("alpha-negative", "resolvent-solve",
+     {"parameters": {"operator": {"order": 2, "entries": [{"alpha": [-1], "coeff": [[1]]}]}}}, 2),
     ("grid-list", "besov-norm", {"grid": [64]}, 2),
     ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
     ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),

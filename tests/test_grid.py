@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -247,3 +249,34 @@ def test_fourier_side_work_goes_through_the_multiplier_path(name):
     source = inspect.getsource(importlib.import_module(f"ellreg.{name}"))
     assert "fft" not in source
     assert not re.search(r"1j\s*\*\s*xi", source)
+
+
+# Public names that no code of the package or of perfbench names, each kept for a reason
+_REACHED_ONLY_FROM_TESTS = {
+    "second_difference_seminorm": "perfbench's oracle interface, timed there by its name",
+    "translate": "the translate oracle of the band-limited multiplier path",
+    "bessel_lift": "the oracle of test_fused_besov_norm_matches_its_parts",
+    "w1p_inclusion_check": "criterion 8, to be run by the example-a experiment",
+}
+
+
+def test_every_public_name_is_reached_from_the_program():
+    # a top-level public function or class of src/ellreg counts as reached when a
+    # name or an attribute in src/ellreg (__init__.py aside) or in perfbench spells it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = [f for f in sorted((root / "src" / "ellreg").glob("*.py")) if f.name != "__init__.py"]
+    public, reached = set(), set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path in package:
+            public |= {node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+    unreached, allowed = public - reached, set(_REACHED_ONLY_FROM_TESTS)
+    assert not unreached - allowed, f"reached only from tests: {sorted(unreached - allowed)}"
+    assert not allowed - unreached, f"stale allowlist entries: {sorted(allowed - unreached)}"

@@ -255,16 +255,6 @@ def test_apriori_ratio_zero_rhs(grid1d):
         apriori_ratio(zero, zero, Q, 8.0, math.pi, 0.0, 2.0, 2.0)
 
 
-def test_apriori_ratio_interpolated_variant(grid1d, rng):
-    problem = neg_laplacian_problem(grid1d, 8.0, rng)
-    u = solve_constant(problem).u
-    base = apriori_ratio(u, problem.g, problem.Q, 8.0, math.pi, 0.0, 2.0, 2.0)
-    half = apriori_ratio(u, problem.g, problem.Q, 8.0, math.pi, 0.0, 2.0, 2.0, theta=0.5)
-    assert base > 0.0 and half > 0.0
-    # the interpolated quotient is controlled by the endpoint form
-    assert half < 4.0 * base
-
-
 def test_report_as_dict(grid1d, rng):
     problem = neg_laplacian_problem(grid1d, 8.0, rng)
     d = solve_constant(problem).as_dict()
