@@ -10,7 +10,7 @@ from .besov import BesovParams, besov_norm, bessel_lift, sobolev_norm
 from .errors import EllregError
 from .grid import Field, GridSpec, SpectralField, dft, idft, lp_norm
 from .mollify import mollify
-from .pdo import PDOperator, apply, laplacian
+from .pdo import PDOperator, apply, neg_laplacian
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,9 @@ __all__ = [
     "bessel_lift",
     "dft",
     "idft",
-    "laplacian",
     "lp_norm",
     "mollify",
+    "neg_laplacian",
     "sobolev_norm",
     "__version__",
 ]

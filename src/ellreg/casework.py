@@ -107,7 +107,7 @@ def hardy_average(g: Field, p: float = 2.0) -> HardyReport:
     if g.grid.dim != 1 or g.channels != 1:
         raise ValueError("hardy_average expects a scalar 1-D field")
     grid = g.grid
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     dg = spectral_derivative(g, (1,)).samples[..., 0]
     cum = np.concatenate(
         [[0.0 + 0.0j], np.cumsum((dg[1:] + dg[:-1]) * 0.5 * grid.spacing)]
@@ -246,12 +246,11 @@ def w1p_inclusion_check(p: float) -> dict:
 
 def log_singular_field(grid: GridSpec) -> Field:
     """|x|^2 log|x| in m = 2, windowed to |x| < 2: second derivatives are log-singular."""
-    coords = grid.coords().real
-    r2 = np.sum(coords**2, axis=-1)
+    win = radial_window(grid, 1.0, 2.0)  # before r2: see docs/DECISIONS.md, "One torus geometry"
+    r2 = np.sum(grid.coords() ** 2, axis=-1)
     vals = np.zeros(grid.shape)
     nz = r2 > 0
     vals[nz] = r2[nz] * 0.5 * np.log(r2[nz])
-    win = radial_window(grid, 1.0, 2.0).samples[..., 0].real
     return Field(grid, (vals * win)[..., None])
 
 

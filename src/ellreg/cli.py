@@ -27,12 +27,12 @@ from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_lim
 from .localize import build_partition, patch_norm
 from .pdo import (
     PDOperator,
-    laplacian,
+    neg_laplacian,
     operator_from_constant,
     operator_from_description,
     parameter_ellipticity_constant,
 )
-from .profiles import radial_window
+from .profiles import box_mask, radial_window
 from .resolvent import (
     ResolventProblem,
     apriori_ratio,
@@ -177,14 +177,12 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _window_mask(grid: GridSpec) -> np.ndarray:
-    coords = grid.coords().real
-    return np.max(np.abs(coords), axis=-1) <= grid.half_period / 2.0
+    return box_mask(grid, (0.0,) * grid.dim, grid.half_period / 2.0)
 
 
 def _fixture_field(grid: GridSpec, name: str) -> Field:
-    coords = grid.coords().real
-    win = radial_window(grid, grid.half_period / 4.0, grid.half_period / 2.0)
-    w = win.samples[..., 0].real
+    coords = grid.coords()
+    w = radial_window(grid, grid.half_period / 4.0, grid.half_period / 2.0)
     r = np.sqrt(np.sum(coords**2, axis=-1))
     return Field(grid, (_FIXTURES[name](r, coords) * w)[..., None])
 
@@ -196,9 +194,9 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
         except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
             raise ConfigError(f"bad operator description: {exc}") from exc
     if name == "neg-laplacian":
-        return laplacian(grid, sign=-1.0)
+        return neg_laplacian(grid)
     if name == "neg-laplacian-plus-one":
-        Q = laplacian(grid, sign=-1.0)
+        Q = neg_laplacian(grid)
         Q.coeffs[(0,) * grid.dim] = np.ones(grid.shape + (1, 1), dtype=np.complex128)
         return Q
     if name == "neg-d2-drift":
@@ -317,7 +315,7 @@ def _run_apriori(
             u = solve_constant(ResolventProblem(Q, theta0, radius, g)).u
             for b in beta:
                 for p, q in pq:
-                    ratio = apriori_ratio(u, g, Q, radius, theta0, b, p, q)
+                    ratio = apriori_ratio(u, g, Q, radius, b, p, q)
                     overall = max(overall, ratio)
                     rows.append([idx, radius, b, p, q, ratio])
     results = {"count": count, "r": r, "beta": beta, "max_ratio": overall}
@@ -405,7 +403,7 @@ def _run_calibrate(cfg: ExperimentConfig):
     rows = []
     for dim in (1, 2):
         grid = GridSpec(dim, 32, math.pi)
-        Q = laplacian(grid, sign=-1.0)
+        Q = neg_laplacian(grid)
         c, ok = parameter_ellipticity_constant(Q, math.pi)
         rows.append([f"param_ellipticity_neg_laplacian_m{dim}", c, int(ok)])
     line = casework.LineGrid(4096, math.pi)

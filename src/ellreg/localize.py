@@ -17,26 +17,25 @@ import numpy as np
 from .besov import BesovParams, besov_norm
 from .errors import IncommensurableDelta
 from .grid import Field, GridSpec
-from .profiles import Plateau
+from .profiles import Plateau, min_image
 
 
 @dataclass
 class PartitionSpec:
     grid: GridSpec
     delta: float
-    labels: list  # lattice labels j in Z^m (one per translate)
     psis: np.ndarray  # (n_patches, *grid.shape), real, sums to one
 
     @property
     def num_patches(self) -> int:
-        return len(self.labels)
+        return len(self.psis)
 
     def patch_fields(self, f: Field):
         for idx in range(self.num_patches):
             yield Field(self.grid, self.psis[idx][..., None] * f.samples)
 
-    def max_overlap(self, tol: float = 1e-12) -> int:
-        return int(np.max(np.sum(self.psis > tol, axis=0)))
+    def max_overlap(self) -> int:
+        return int(np.max(np.sum(self.psis > 1e-12, axis=0)))
 
 
 def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
@@ -51,14 +50,10 @@ def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
     prof = Plateau(delta / 2.0, delta)
     axis = grid.axis_points()
     centers = -grid.half_period + (delta / 2.0) * np.arange(count)
-    # 1-D factors chi_0(x - delta j / 2), torus min-image
-    factors = np.empty((count, grid.points_per_axis))
-    for j, c in enumerate(centers):
-        d = (axis - c + grid.half_period) % period - grid.half_period
-        factors[j] = prof(d)
-    labels = list(itertools.product(range(count), repeat=grid.dim))
-    psis = np.empty((len(labels),) + grid.shape)
-    for idx, label in enumerate(labels):
+    # 1-D factors chi_0(x - delta j / 2), torus min-image, one row per center
+    factors = prof(min_image(grid, axis - centers[:, None]))
+    psis = np.empty((count**grid.dim,) + grid.shape)
+    for idx, label in enumerate(itertools.product(range(count), repeat=grid.dim)):
         chi = np.ones(grid.shape)
         for axis_i, j in enumerate(label):
             shape = [1] * grid.dim
@@ -69,7 +64,7 @@ def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
     if np.min(total) < 1.0 - 1e-9:
         raise IncommensurableDelta("plateau translates fail to cover the torus")
     psis /= total
-    return PartitionSpec(grid, delta, labels, psis)
+    return PartitionSpec(grid, delta, psis)
 
 
 def patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> float:

@@ -14,7 +14,7 @@ from .profiles import bump
 
 def kernel_field(grid: GridSpec, eps: float) -> Field:
     """Sample the bump dilate h_eps on the grid, renormalized to exact unit discrete mass."""
-    r = np.sqrt(np.sum(grid.coords().real ** 2, axis=-1)) / eps
+    r = np.sqrt(np.sum(grid.coords() ** 2, axis=-1)) / eps
     vals = bump(r)
     mass = vals.sum() * grid.spacing**grid.dim
     if mass <= 0:

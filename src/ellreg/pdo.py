@@ -83,7 +83,7 @@ class PDOperator:
         return PDOperator(self.grid, self.order, self.in_channels, self.out_channels, coeffs)
 
 
-def operator_from_constant(grid: GridSpec, coeffs: dict, order=None) -> PDOperator:
+def operator_from_constant(grid: GridSpec, coeffs: dict, order: int) -> PDOperator:
     """Build an operator from {alpha: scalar or matrix} constant coefficients."""
     mats = {}
     channels = None
@@ -92,13 +92,12 @@ def operator_from_constant(grid: GridSpec, coeffs: dict, order=None) -> PDOperat
         mats[tuple(alpha)] = mat
         channels = mat.shape
     l1, l0 = channels
-    if order is None:
-        order = max(mi_order(a) for a in mats)
     return PDOperator(grid, order, l0, l1, mats)
 
 
-def laplacian(grid: GridSpec, channels: int = 1, sign: float = 1.0) -> PDOperator:
-    eye = sign * np.eye(channels)
+def neg_laplacian(grid: GridSpec, channels: int = 1) -> PDOperator:
+    """-Delta acting on each of `channels` channels."""
+    eye = -np.eye(channels)
     coeffs = {}
     for axis in range(grid.dim):
         alpha = tuple(2 if a == axis else 0 for a in range(grid.dim))
@@ -145,10 +144,18 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
 
 
-def _min_singular_values(mats: np.ndarray) -> np.ndarray:
+def _resolvent_blocks(lam: complex, sym: np.ndarray):
+    """lam - sym per point, its smallest singular values, and where it is singular.
+
+    A block is singular when its smallest singular value is at most
+    1e-14 (|lam| + |sym|_F) there, a test free of scale and channel count.
+    """
+    mats = lam * np.eye(sym.shape[-1]) - sym
     if mats.shape[-1] == 1:
-        return np.abs(mats[..., 0, 0])
-    return np.linalg.svd(mats, compute_uv=False)[..., -1]
+        smin = np.abs(mats[..., 0, 0])
+    else:
+        smin = np.linalg.svd(mats, compute_uv=False)[..., -1]
+    return mats, smin, smin <= 1e-14 * (abs(lam) + np.linalg.norm(sym, axis=(-2, -1)))
 
 
 def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: int = 17):
@@ -156,34 +163,25 @@ def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: in
 
     Samples (xi, r) on the quarter-sphere r^2 + |xi|^2 = 1 (enough by joint
     homogeneity), at `arc_samples` arc points and 64 directions, and x over
-    the grid; returns (C, ok) with ok False if any sampled matrix is singular.
+    the grid; returns (C, ok) with ok False if any sampled matrix is singular
+    by the scale-free test of `_resolvent_blocks`.
     """
     if Q.in_channels != Q.out_channels:
         raise ChannelMismatch("parameter-ellipticity requires square channels")
     n = Q.order
-    ell = Q.in_channels
-    eye = np.eye(ell)
     worst = 0.0
     ok = True
-    s_vals = np.linspace(0.0, np.pi / 2.0, arc_samples)
     dirs = unit_directions(Q.grid.dim, 64)
-    for s in s_vals:
+    for s in np.linspace(0.0, np.pi / 2.0, arc_samples):
         r = float(np.sin(s))
         rho = float(np.cos(s))
         for omega in dirs:
             xi = rho * omega
-            if r == 0.0 and rho == 0.0:
-                continue
-            sym = symbol_field(Q, xi)
-            mats = (r**n) * np.exp(1j * theta0) * eye - sym
-            sv = _min_singular_values(mats)
-            smin = float(np.min(sv))
-            if smin <= 1e-12:
+            _, smin, singular = _resolvent_blocks((r**n) * np.exp(1j * theta0), symbol_field(Q, xi))
+            if np.any(singular):
                 ok = False
                 continue
-            worst = max(worst, (r + float(np.linalg.norm(xi))) ** n / smin)
-            if rho == 0.0:
-                break  # r = 1, xi = 0: direction-independent
+            worst = max(worst, (r + float(np.linalg.norm(xi))) ** n / float(np.min(smin)))
     return worst, ok
 
 
@@ -198,7 +196,7 @@ def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:
     token = spec["token"]
     axis = int(spec.get("axis", 0))
     scale = complex(spec.get("scale", 1.0))
-    x = grid.coords().real[..., axis]
+    x = grid.coords()[..., axis]
     if token == "x":
         vals = x
     elif token == "x-1":

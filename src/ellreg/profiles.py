@@ -3,24 +3,15 @@
 Everything here is built from exp(-1/t): the standard bump exp(-1/(1 - r^2))
 and the ramp e(t) / (e(t) + e(1-t)) with e(t) = exp(-1/t).  The ramp's first
 and second derivatives are available in closed form, which the singular
-casework relies on.
+casework relies on.  Windows and masks are real (*shape,) lattice arrays, and
+every torus displacement is wrapped by the one rule `min_image`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec
-
-
-def bump(r):
-    """exp(-1/(1-r^2)) for |r| < 1, else 0.  Vectorized."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    ri = r[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ri * ri))
-    return out
+from .grid import GridSpec
 
 
 def _exp_side(t):
@@ -31,6 +22,12 @@ def _exp_side(t):
     with np.errstate(under="ignore"):
         out[pos] = np.exp(-1.0 / t[pos])
     return out
+
+
+def bump(r):
+    """exp(-1/(1-r^2)) for |r| < 1, else 0.  Vectorized."""
+    r = np.asarray(r, dtype=float)
+    return _exp_side(1.0 - r * r)
 
 
 def ramp(t):
@@ -49,9 +46,7 @@ def _ramp_pieces(t):
     t = np.asarray(t, dtype=float)
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    return mid, tm, a, b
+    return mid, tm, _exp_side(tm), _exp_side(1.0 - tm)
 
 
 def ramp_d1(t):
@@ -103,35 +98,24 @@ class Plateau:
         return ramp_d2(self._t(x)) / self._w**2
 
 
-def radial_window(grid: GridSpec, inner: float, outer: float) -> Field:
-    """Scalar field: smooth plateau in |x| around the origin."""
-    prof = Plateau(inner, outer)
-    r = np.sqrt(np.sum(grid.coords().real ** 2, axis=-1))
-    return Field(grid, prof(r)[..., None])
+def min_image(grid: GridSpec, d):
+    """Torus displacements d wrapped into [-L, L): each one's nearest image."""
+    return (d + grid.half_period) % (2.0 * grid.half_period) - grid.half_period
 
 
-def box_window(grid: GridSpec, center, inner: float, outer: float) -> Field:
-    """Tensor-product plateau around an arbitrary center, torus min-image."""
-    prof = Plateau(inner, outer)
-    center = np.asarray(center, dtype=float)
-    coords = grid.coords().real
-    vals = np.ones(grid.shape)
-    period = 2.0 * grid.half_period
-    for axis in range(grid.dim):
-        d = coords[..., axis] - center[axis]
-        d = (d + grid.half_period) % period - grid.half_period
-        vals = vals * prof(d)
-    return Field(grid, vals[..., None])
+def radial_window(grid: GridSpec, inner: float, outer: float) -> np.ndarray:
+    """(*shape,) lattice array: smooth plateau in |x| around the origin."""
+    r = np.sqrt(np.sum(grid.coords() ** 2, axis=-1))
+    return Plateau(inner, outer)(r)
+
+
+def box_window(grid: GridSpec, center, inner: float, outer: float) -> np.ndarray:
+    """(*shape,) lattice array: tensor-product plateau around center, torus min-image."""
+    d = min_image(grid, grid.coords() - np.asarray(center, dtype=float))
+    return np.prod(Plateau(inner, outer)(d), axis=-1)
 
 
 def box_mask(grid: GridSpec, center, halfwidth: float) -> np.ndarray:
-    """Boolean mask of the cube of given halfwidth around center (min-image)."""
-    center = np.asarray(center, dtype=float)
-    coords = grid.coords().real
-    period = 2.0 * grid.half_period
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        d = coords[..., axis] - center[axis]
-        d = (d + grid.half_period) % period - grid.half_period
-        mask &= np.abs(d) <= halfwidth
-    return mask
+    """(*shape,) boolean mask of the cube of given halfwidth around center (min-image)."""
+    d = min_image(grid, grid.coords() - np.asarray(center, dtype=float))
+    return np.all(np.abs(d) <= halfwidth, axis=-1)

@@ -17,7 +17,7 @@ import numpy as np
 from .besov import BesovParams, besov_norm
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
 from .grid import Field, apply_multiplier, dft, lp_norm, monomial
-from .pdo import PDOperator, _min_singular_values, apply, mi_order
+from .pdo import PDOperator, _resolvent_blocks, apply, mi_order
 from .profiles import box_mask, box_window
 
 
@@ -63,9 +63,8 @@ def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None
 def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     """(r^n e^{i theta0} - symbol of A)^{-1} on the lattice; raises on singularity.
 
-    A must have constant coefficients.  A frequency is singular when the
-    block's smallest singular value is below 1e-14 (|lambda| + |symbol|_F)
-    there, a test free of scale and channel count.
+    A must have constant coefficients.  Singular frequencies are found by the
+    scale-free test of `pdo._resolvent_blocks`.
     """
     if not A.is_constant_coefficient():
         raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
@@ -76,10 +75,7 @@ def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     sym = np.zeros(grid.shape + (ell, ell), dtype=np.complex128)
     for alpha, arr in A.coeffs.items():
         sym += monomial(xi, alpha)[..., None, None] * arr[origin]
-    lam = r**A.order * np.exp(1j * theta0)
-    mats = lam * np.eye(ell) - sym
-    scale = abs(lam) + np.linalg.norm(sym, axis=(-2, -1))
-    bad = _min_singular_values(mats) <= 1e-14 * scale
+    mats, _, bad = _resolvent_blocks(r**A.order * np.exp(1j * theta0), sym)
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), grid.shape)
         raise SingularSymbol(xi[idx])
@@ -160,7 +156,7 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
     """
     grid = problem.Q.grid
     x0_index = tuple(int(i) for i in x0_index)
-    x0 = grid.coords().real[x0_index]
+    x0 = grid.coords()[x0_index]
 
     cube = box_mask(grid, x0, delta)
     g_out = float(np.max(np.abs(problem.g.samples[~cube]), initial=0.0))
@@ -171,12 +167,12 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
         )
 
     phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
-    return _split_solve(problem, problem.Q.frozen_at(x0_index), phi.samples.real, cube, 1e-11,
+    return _split_solve(problem, problem.Q.frozen_at(x0_index), phi[..., None], cube, 1e-11,
                         f"frozen solve at r={problem.r}")
 
 
-def apriori_ratio(u: Field, g: Field, Q: PDOperator, r: float, theta0: float, beta: float,
-                  p: float, q: float) -> float:
+def apriori_ratio(u: Field, g: Field, Q: PDOperator, r: float, beta: float, p: float,
+                  q: float) -> float:
     """Measured a-priori quotient (r^n ||u||_{B^beta} + ||u||_{B^{beta+n}}) / ||g||_{B^beta}."""
     n = Q.order
     g_norm = besov_norm(g, BesovParams(beta, p, q))

@@ -29,7 +29,7 @@ from ellreg.mollify import (
     admissible_eps_sequence,
     mollifier_convergence_experiment,
 )
-from ellreg.pdo import laplacian, operator_from_constant
+from ellreg.pdo import neg_laplacian, operator_from_constant
 from ellreg.resolvent import (
     ResolventProblem,
     apriori_ratio,
@@ -133,7 +133,7 @@ def test_criterion_03_uniform_rate(capsys):
 
 def test_criterion_04_resolvent_residuals(capsys):
     grid = GridSpec(1, 128, math.pi)
-    Q = laplacian(grid, sign=-1.0)
+    Q = neg_laplacian(grid)
     rng = np.random.Generator(np.random.PCG64(404))
     r_values = (4.0, 8.0, 16.0, 32.0)
     worst_res, worst_mode = 0.0, 0.0
@@ -156,7 +156,7 @@ def test_criterion_04_resolvent_residuals(capsys):
 
 def _apriori_constant(n, num_fields=10):
     grid = GridSpec(1, n, math.pi)
-    Q = laplacian(grid, sign=-1.0)
+    Q = neg_laplacian(grid)
     rng = np.random.Generator(np.random.PCG64(505))
     c0 = 0.0
     for _ in range(num_fields):
@@ -166,14 +166,14 @@ def _apriori_constant(n, num_fields=10):
             u = solve_constant(ResolventProblem(Q, math.pi, r, g)).u
             for beta in (-2.0, 0.0, 1.0):
                 for p, q in ((2.0, 2.0), (1.0, INF), (INF, INF)):
-                    c0 = max(c0, apriori_ratio(u, g, Q, r, math.pi, beta, p, q))
+                    c0 = max(c0, apriori_ratio(u, g, Q, r, beta, p, q))
     return c0
 
 
 def test_criterion_05_apriori_constant_stable(capsys):
     # a broad corpus pins the constant, then refinement must not move it much
     grid = GridSpec(1, 128, math.pi)
-    Q = laplacian(grid, sign=-1.0)
+    Q = neg_laplacian(grid)
     rng = np.random.Generator(np.random.PCG64(515))
     logged = 0.0
     for _ in range(50):
@@ -181,7 +181,7 @@ def test_criterion_05_apriori_constant_stable(capsys):
         u = solve_constant(ResolventProblem(Q, math.pi, 8.0, g)).u
         for beta in (-2.0, 0.0, 1.0):
             for p, q in ((2.0, 2.0), (1.0, INF), (INF, INF)):
-                logged = max(logged, apriori_ratio(u, g, Q, 8.0, math.pi, beta, p, q))
+                logged = max(logged, apriori_ratio(u, g, Q, 8.0, beta, p, q))
     coarse = _apriori_constant(128)
     fine = _apriori_constant(256)
     change = abs(fine / coarse - 1.0)
@@ -303,7 +303,7 @@ def test_criterion_08_example_suite(capsys):
     from ellreg.grid import Field
     from ellreg.profiles import radial_window
 
-    win = radial_window(grid, 1.5, 2.8).samples
+    win = radial_window(grid, 1.5, 2.8)[..., None]
     for p in (1.5, 2.0, 4.0):
         for _ in range(5):
             f = random_band_limited_field(grid, 1, rng, band_fraction=0.1)

@@ -33,7 +33,7 @@ def mode(grid, k):
 
 
 def kink_field(grid):
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     return Field(grid, (np.abs(x) * Plateau(0.5, 3.0)(x))[..., None])
 
 
@@ -135,7 +135,7 @@ def test_zygmund_separation():
 def trig_corpus(grid, count, kmax=5, seed=5):
     """Random trig polynomials with a resolution-independent frequency band."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     out = []
     for _ in range(count):
         c = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)

@@ -16,8 +16,8 @@ def test_factorization_identity():
         {"alpha": [3], "coeff": {"token": "x", "scale": -1.0}},
         {"alpha": [2], "coeff": {"token": "x-1"}},
     ]})
-    x = grid.coords().real[..., 0]
-    w = radial_window(grid, 0.5, 2.5).samples[..., 0].real
+    x = grid.coords()[..., 0]
+    w = radial_window(grid, 0.5, 2.5)
     f = Field(grid, (np.sin(2.0 * x) * w)[..., None])
     lhs = apply(A, f)
     d2f = spectral_derivative(f, (2,))
@@ -60,8 +60,8 @@ def test_singular_element_closed_forms():
 def test_hardy_average_linear():
     # g(x) = x near the origin: the average of dg is exactly one there
     grid = GridSpec(1, 512, math.pi)
-    x = grid.coords().real[..., 0]
-    w = radial_window(grid, 1.0, 2.5).samples[..., 0].real
+    x = grid.coords()[..., 0]
+    w = radial_window(grid, 1.0, 2.5)
     g = Field(grid, (x * w)[..., None])
     rep = casework.hardy_average(g, 2.0)
     mask = np.abs(x) < 0.5
@@ -71,8 +71,8 @@ def test_hardy_average_linear():
 def test_hardy_average_quadratic():
     # g(x) = x^2 near the origin: h(x) = x there
     grid = GridSpec(1, 512, math.pi)
-    x = grid.coords().real[..., 0]
-    w = radial_window(grid, 1.0, 2.5).samples[..., 0].real
+    x = grid.coords()[..., 0]
+    w = radial_window(grid, 1.0, 2.5)
     g = Field(grid, (x**2 * w)[..., None])
     rep = casework.hardy_average(g, 2.0)
     mask = np.abs(x) < 0.5
@@ -83,12 +83,12 @@ def test_hardy_ratio_bounded_on_corpus():
     # oracle first: recompute one ratio by dense trapezoid quadrature at 8x
     grid = GridSpec(1, 256, math.pi)
     fine = GridSpec(1, 2048, math.pi)
-    xf = fine.coords().real[..., 0]
-    w = radial_window(fine, 1.0, 2.5).samples[..., 0].real
+    xf = fine.coords()[..., 0]
+    w = radial_window(fine, 1.0, 2.5)
     gf = Field(fine, (np.sin(3.0 * xf) * w)[..., None])
     rep_fine = casework.hardy_average(gf, 2.0)
-    xc = grid.coords().real[..., 0]
-    wc = radial_window(grid, 1.0, 2.5).samples[..., 0].real
+    xc = grid.coords()[..., 0]
+    wc = radial_window(grid, 1.0, 2.5)
     gc = Field(grid, (np.sin(3.0 * xc) * wc)[..., None])
     rep_coarse = casework.hardy_average(gc, 2.0)
     assert abs(rep_coarse.ratio - rep_fine.ratio) < 0.01 * rep_fine.ratio
@@ -98,7 +98,7 @@ def test_hardy_ratio_bounded_on_corpus():
         rng = np.random.Generator(np.random.PCG64(42))
         for _ in range(10):
             f = random_band_limited_field(grid, 1, rng, band_fraction=0.1)
-            win = radial_window(grid, 1.5, 2.8).samples
+            win = radial_window(grid, 1.5, 2.8)[..., None]
             g = Field(grid, f.samples * win)
             rep = casework.hardy_average(g, p)
             assert rep.ratio <= bound
@@ -178,7 +178,7 @@ def test_regularity_gap_log_singular_field():
     grid = GridSpec(2, 128, math.pi)
     f = casework.log_singular_field(grid)
     lap = spectral_derivative(f, (2, 0)) + spectral_derivative(f, (0, 2))
-    coords = grid.coords().real
+    coords = grid.coords()
     r = np.sqrt(np.sum(coords**2, axis=-1))
     inner = (r > 0.15) & (r < 0.9)
     exact = 4.0 * np.log(r[inner]) + 4.0
@@ -199,7 +199,7 @@ def test_regularity_gap_smooth_data_trivially_stable():
     vals = []
     for n in (64, 128):
         grid = GridSpec(1, n, math.pi)
-        x = grid.coords().real[..., 0]
+        x = grid.coords()[..., 0]
         f = Field(grid, (np.sin(x) * Plateau(1.0, 2.0)(x))[..., None])
         vals.append(sobolev_norm(f, 2, 2.0))
     assert abs(vals[1] / vals[0] - 1.0) < 0.01

@@ -3,6 +3,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from ellreg.cli import (
     CATALOG,
     ExperimentConfig,
     _sanitize,
+    _window_mask,
     main,
     parse_config,
     run_experiment,
@@ -271,6 +273,14 @@ def test_shipped_configs_parse():
         assert isinstance(cfg, ExperimentConfig)
         kinds.add(cfg.kind)
     assert kinds == EXPECTED_KINDS
+
+
+def test_window_mask_is_the_centered_cube_on_every_shipped_grid():
+    # the min-image box mask around the origin equals max_i |x_i| <= L/2
+    for path in SHIPPED:
+        grid = parse_config(json.loads(path.read_text())).grid
+        cube = np.max(np.abs(grid.coords()), axis=-1) <= grid.half_period / 2.0
+        assert np.array_equal(_window_mask(grid), cube), path.name
 
 
 _TOKEN_EXP = {"order": 2, "entries": [{"alpha": [2], "coeff": {"token": "exp"}}]}

@@ -13,8 +13,9 @@ from ellreg.grid import (
 from ellreg.pdo import (
     PDOperator,
     apply,
-    laplacian,
     multi_indices,
+    neg_laplacian,
+    operator_from_constant,
     operator_from_description,
     parameter_ellipticity_constant,
     symbol_field,
@@ -24,7 +25,7 @@ from ellreg.pdo import (
 
 def variable_operator(grid):
     """-(1 + 0.3 cos x) d^2 + sin(x) d + 2, periodic smooth coefficients."""
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     c2 = -(1.0 + 0.3 * np.cos(x))[..., None, None].astype(np.complex128)
     c1 = np.sin(x)[..., None, None].astype(np.complex128)
     c0 = np.full(grid.shape + (1, 1), 2.0, dtype=np.complex128)
@@ -37,7 +38,7 @@ def test_multi_index_helpers():
 
 def test_apply_single_mode(grid1d):
     f = field_from_function(grid1d, lambda x: np.exp(1j * 4 * x[..., 0]))
-    Q = laplacian(grid1d, sign=-1.0)
+    Q = neg_laplacian(grid1d)
     out = apply(Q, f)
     assert np.max(np.abs(out.samples - 16.0 * f.samples)) < 1e-10
 
@@ -45,7 +46,7 @@ def test_apply_single_mode(grid1d):
 def test_apply_variable_coefficient(grid1d):
     P = variable_operator(grid1d)
     f = field_from_function(grid1d, lambda x: np.sin(2.0 * x[..., 0]))
-    x = grid1d.coords().real[..., 0]
+    x = grid1d.coords()[..., 0]
     exact = (
         (1.0 + 0.3 * np.cos(x)) * 4.0 * np.sin(2.0 * x)
         + np.sin(x) * 2.0 * np.cos(2.0 * x)
@@ -61,7 +62,7 @@ def test_apply_to_a_spectrum_matches_apply_to_its_samples(dim, matrix, rng):
     # P (m f^) taken in coefficient space equals P applied to the samples of m f^;
     # P has variable 3x3 coefficients at every order up to 2, the zero-order term included
     grid = GridSpec(dim, 32, math.pi)
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     profile = (np.cos(x) + 0.5j * np.sin(2.0 * x))[..., None, None]
     coeffs = {alpha: profile * rng.standard_normal((3, 3)) + rng.standard_normal((3, 3))
               for alpha in multi_indices(dim, 2)}
@@ -101,7 +102,7 @@ def dense_parameter_constant_oracle():
 def test_parameter_ellipticity_constant_oracle(grid1d):
     oracle = dense_parameter_constant_oracle()
     assert abs(oracle - 2.0) < 1e-5  # analytic value for the negative Laplacian
-    Q = laplacian(grid1d, sign=-1.0)
+    Q = neg_laplacian(grid1d)
     C, ok = parameter_ellipticity_constant(Q, math.pi, arc_samples=2001)
     assert ok
     assert abs(C - oracle) < 1e-6
@@ -109,9 +110,22 @@ def test_parameter_ellipticity_constant_oracle(grid1d):
 
 def test_parameter_ellipticity_detects_singularity(grid1d):
     # theta0 = 0 puts the ray on the symbol's range: xi^2 = r^2 is hit
-    Q = laplacian(grid1d, sign=-1.0)
+    Q = neg_laplacian(grid1d)
     _, ok = parameter_ellipticity_constant(Q, 0.0, arc_samples=3)
     assert not ok
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-6, 1.0, 1e13])
+def test_parameter_ellipticity_singularity_test_is_scale_free(grid1d, s):
+    # -s d^2 is parameter-elliptic at theta0 = pi for every s > 0: the sampled
+    # block -(r^2 + s rho^2) gives C = max (r + rho)^2 / (r^2 + s rho^2)
+    Q = operator_from_constant(grid1d, {(2,): -s}, order=2)
+    C, ok = parameter_ellipticity_constant(Q, math.pi)
+    arc = np.linspace(0.0, math.pi / 2.0, 17)
+    r, rho = np.sin(arc), np.cos(arc)
+    closed = float(np.max((r + rho) ** 2 / (r**2 + s * rho**2)))
+    assert ok
+    assert abs(C - closed) <= 1e-12 * closed
 
 
 def test_frozen_at(grid1d):
@@ -141,7 +155,7 @@ def test_operator_from_description(grid1d, rng):
         ],
     }
     A = operator_from_description(grid1d, desc)
-    x = grid1d.coords().real[..., 0]
+    x = grid1d.coords()[..., 0]
     assert np.max(np.abs(A.coefficient((3,))[..., 0, 0] + x)) < 1e-14
     assert np.max(np.abs(A.coefficient((2,))[..., 0, 0] - (x - 1.0))) < 1e-14
 
@@ -156,7 +170,7 @@ def test_operator_from_description_product_token(grid1d):
     factors = [{"token": "x"}, {"token": "x-1"}]
     desc = {"order": 1, "entries": [{"alpha": [1], "coeff": {"token": "product", "factors": factors}}]}
     A = operator_from_description(grid1d, desc)
-    x = grid1d.coords().real[..., 0]
+    x = grid1d.coords()[..., 0]
     assert np.max(np.abs(A.coefficient((1,))[..., 0, 0] - x * (x - 1.0))) < 1e-14
 
 

@@ -11,7 +11,7 @@ from ellreg.grid import (
     lp_norm,
     random_band_limited_field,
 )
-from ellreg.pdo import PDOperator, laplacian, operator_from_constant
+from ellreg.pdo import PDOperator, neg_laplacian, operator_from_constant
 from ellreg.profiles import box_window
 from ellreg.resolvent import (
     ResolventProblem,
@@ -25,7 +25,7 @@ from ellreg.resolvent import (
 
 
 def neg_laplacian_problem(grid, r, rng):
-    Q = laplacian(grid, sign=-1.0)
+    Q = neg_laplacian(grid)
     g = random_band_limited_field(grid, 1, rng)
     return ResolventProblem(Q, math.pi, r, g)
 
@@ -55,7 +55,7 @@ def test_residual_detects_wrong_solution(grid1d, rng):
 
 
 def test_constant_solve_rejects_variable_coefficients(grid1d, rng):
-    x = grid1d.coords().real[..., 0]
+    x = grid1d.coords()[..., 0]
     coeff = -(1.0 + 0.3 * np.cos(x))[..., None, None].astype(np.complex128)
     Q = PDOperator(grid1d, 2, 1, 1, {(2,): coeff})
     g = random_band_limited_field(grid1d, 1, rng)
@@ -65,7 +65,7 @@ def test_constant_solve_rejects_variable_coefficients(grid1d, rng):
 
 def test_singular_symbol_raises(grid1d, rng):
     # theta0 = 0 puts r^2 on the symbol's range: r = |xi| = 4 is a lattice hit
-    Q = laplacian(grid1d, sign=-1.0)
+    Q = neg_laplacian(grid1d)
     g = random_band_limited_field(grid1d, 1, rng)
     with pytest.raises(SingularSymbol):
         solve_constant(ResolventProblem(Q, 0.0, 4.0, g))
@@ -77,8 +77,8 @@ def test_singularity_guard_does_not_depend_on_channel_count(rng):
     r = math.sqrt(1e-5)
     g = random_band_limited_field(grid, 1, rng)
     g3 = Field(grid, g.samples * np.array([1.0, -2.0, 0.5]))
-    one = solve_constant(ResolventProblem(laplacian(grid, sign=-1.0), math.pi, r, g))
-    three = solve_constant(ResolventProblem(laplacian(grid, channels=3, sign=-1.0), math.pi, r, g3))
+    one = solve_constant(ResolventProblem(neg_laplacian(grid), math.pi, r, g))
+    three = solve_constant(ResolventProblem(neg_laplacian(grid, channels=3), math.pi, r, g3))
     expected = one.u.samples * np.array([1.0, -2.0, 0.5])
     assert np.max(np.abs(three.u.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert three.residual_linf < 1e-6
@@ -120,8 +120,8 @@ def test_neumann_without_lower_order_part_is_the_exact_solve(grid1d, rng):
 def test_frozen_solve_of_a_constant_operator_is_the_exact_solve():
     grid = GridSpec(1, 256, math.pi)
     delta = math.pi / 8.0
-    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta).samples)
-    problem = ResolventProblem(laplacian(grid, sign=-1.0), math.pi, 8.0, g)
+    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta)[..., None])
+    problem = ResolventProblem(neg_laplacian(grid), math.pi, 8.0, g)
     frozen = solve_frozen_localized(problem, (grid.points_per_axis // 2,), delta)
     assert frozen.iterations == 0 and frozen.contraction_estimate is None
     assert np.array_equal(frozen.u.samples, solve_constant(problem).u.samples)
@@ -161,10 +161,10 @@ def test_neumann_not_contracting_at_small_r(grid1d, rng):
 
 
 def variable_problem(grid, delta, r=8.0):
-    x = grid.coords().real[..., 0]
+    x = grid.coords()[..., 0]
     coeff = -(1.0 + 0.3 * np.cos(x))[..., None, None].astype(np.complex128)
     Q = PDOperator(grid, 2, 1, 1, {(2,): coeff})
-    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta).samples)
+    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta)[..., None])
     return ResolventProblem(Q, math.pi, r, g)
 
 
@@ -191,7 +191,7 @@ def test_frozen_localized_rejects_leaking_data():
     grid = GridSpec(1, 256, math.pi)
     delta = math.pi / 8.0
     problem = variable_problem(grid, delta)
-    wide = Field(grid, box_window(grid, [0.0], delta, 2.5 * delta).samples)
+    wide = Field(grid, box_window(grid, [0.0], delta, 2.5 * delta)[..., None])
     bad = ResolventProblem(problem.Q, math.pi, 8.0, wide)
     with pytest.raises(SupportViolation):
         solve_frozen_localized(bad, (grid.points_per_axis // 2,), delta)
@@ -202,9 +202,9 @@ def test_frozen_localized_refuses_a_poor_frozen_model():
     # the cutoff's support, so the frozen correction outweighs the frozen operator
     grid = GridSpec(1, 64, math.pi)
     delta = math.pi / 2.0
-    coeff = -(1.1 - np.cos(grid.coords().real[..., 0]))[..., None, None]
+    coeff = -(1.1 - np.cos(grid.coords()[..., 0]))[..., None, None]
     Q = PDOperator(grid, 2, 1, 1, {(2,): coeff})
-    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta).samples)
+    g = Field(grid, box_window(grid, [0.0], 0.4 * delta, 0.9 * delta)[..., None])
     with pytest.raises(NotContracting) as info:
         solve_frozen_localized(ResolventProblem(Q, math.pi, 2.0, g), (32,), delta)
     assert info.value.contraction > 1.0
@@ -249,10 +249,10 @@ def test_fixed_point_refuses_when_max_iter_runs_out(grid1d):
 
 
 def test_apriori_ratio_zero_rhs(grid1d):
-    Q = laplacian(grid1d, sign=-1.0)
+    Q = neg_laplacian(grid1d)
     zero = Field(grid1d, np.zeros(grid1d.shape + (1,)))
     with pytest.raises(ZeroRHS):
-        apriori_ratio(zero, zero, Q, 8.0, math.pi, 0.0, 2.0, 2.0)
+        apriori_ratio(zero, zero, Q, 8.0, 0.0, 2.0, 2.0)
 
 
 def test_report_as_dict(grid1d, rng):
