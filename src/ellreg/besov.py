@@ -74,11 +74,12 @@ def displacement_shells(grid) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _difference_table(grid):
-    """Dyadic radii, each of 8 directions' representative up to sign, and the multiplier rows.
+    """Dyadic radii, each of 8 directions' representative up to sign, the rows, and k.
 
     The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
     antipodal directions share one displacement.  A row (h, c) is the multiplier
     c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0) shell by shell.
+    k holds the frequencies (pi/L) k of one lattice axis.
     """
     dirs = unit_directions(grid.dim, 8)
     rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
@@ -88,17 +89,37 @@ def _difference_table(grid):
     rows = np.zeros((1 + len(radii) * len(kept), grid.dim + 1))
     rows[0, -1] = 1.0
     rows[1:, :-1] = (np.array(radii)[:, None, None] * dirs[kept]).reshape(-1, grid.dim)
+    k = grid.freqs()[(slice(None),) + (0,) * grid.dim]  # axis 0's, shared by every axis
     rows.flags.writeable = False
-    return radii, tuple(kept.index(j) for j in rep), rows
+    return radii, tuple(kept.index(j) for j in rep), rows, k
+
+
+def _difference_multipliers(k, rows) -> np.ndarray:
+    """c - 4 sin^2(xi.h / 2) for the rows (h, c) on the lattice of axis frequencies k.
+
+    xi.h / 2 is a sum of per-axis angles a_d, so sin and cos of it fold in one
+    axis at a time (s <- s cos a_d + c sin a_d, c <- c cos a_d - s sin a_d): the
+    trigonometry runs on N points per axis, and one lattice buffer (*shape, n)
+    takes the cancellation-free finish c - 4 s^2 in place.
+    """
+    dim, n = rows.shape[1] - 1, len(rows)
+    angles = [(0.5 * (k[:, None] * rows[:, d])).reshape((len(k),) + (1,) * (dim - 1 - d) + (n,))
+              for d in range(dim)]
+    s, c = np.sin(angles[0]), (np.cos(angles[0]) if dim > 1 else None)
+    for d in range(1, dim):
+        sin_a, cos_a = np.sin(angles[d]), np.cos(angles[d])
+        # the last axis needs no cos of the sum
+        s, c = s * cos_a + c * sin_a, (c * cos_a - s * sin_a if d < dim - 1 else None)
+    s *= s
+    s *= -4.0
+    s += rows[:, -1]
+    return s
 
 
 def _seminorm(f, alpha: float, p: float, q: float, factor=None):
     """||g||_p and the functional below, g = idft(factor * dft(f)), f a Field or its spectrum."""
-    radii, rep, rows = _difference_table(f.grid)
-    xi = f.grid.freqs()
-    # 2 (cos t - 1) = -4 sin^2(t/2), free of cancellation at small t
-    build = lambda r: r[:, -1] - 4.0 * np.sin(0.5 * (xi @ r[:, :-1].T)) ** 2
-    stacks = apply_multipliers(f, build, rows, factor)
+    radii, rep, rows, k = _difference_table(f.grid)
+    stacks = apply_multipliers(f, functools.partial(_difference_multipliers, k), rows, factor)
     del factor  # the stacks hold it only until it has multiplied dft(f)
     norm, *diffs = _lp_norms(stacks, f.grid, p)
     arr = np.reshape(diffs, (len(radii), -1))[:, rep] / np.array(radii)[:, None] ** alpha

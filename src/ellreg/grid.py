@@ -164,18 +164,21 @@ def field_from_function(grid: GridSpec, func) -> Field:
 
 
 # Per-axis transforms in fftn's order: bit-identical to fftn, without its per-call set-up.
+# The first step makes one fresh array; every later axis and the scaling work in it.
 def dft(f: Field) -> SpectralField:
-    raw = f.samples
-    for axis in reversed(range(f.grid.dim)):
-        raw = np.fft.fft(raw, axis=axis)
-    return SpectralField(f.grid, raw * (f.grid._phase()[..., None] / f.grid.num_points))
+    raw = np.fft.fft(f.samples, axis=f.grid.dim - 1)
+    for axis in reversed(range(f.grid.dim - 1)):
+        np.fft.fft(raw, axis=axis, out=raw)
+    raw *= f.grid._phase()[..., None] / f.grid.num_points
+    return SpectralField(f.grid, raw)
 
 
 def idft(F: SpectralField) -> Field:
     samples = F.coefficients * F.grid._phase()[..., None]
     for axis in reversed(range(F.grid.dim)):
-        samples = np.fft.ifft(samples, axis=axis)
-    return Field(F.grid, samples * F.grid.num_points)
+        np.fft.ifft(samples, axis=axis, out=samples)
+    samples *= F.grid.num_points
+    return Field(F.grid, samples)
 
 
 def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None = None):

@@ -164,14 +164,18 @@ def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: in
     Samples (xi, r) on the quarter-sphere r^2 + |xi|^2 = 1 (enough by joint
     homogeneity), at `arc_samples` arc points and 64 directions, and x over
     the grid; returns (C, ok) with ok False if any sampled matrix is singular
-    by the scale-free test of `_resolvent_blocks`.
+    by the scale-free test of `_resolvent_blocks`, or if at a sampled unit
+    direction w an eigenvalue mu of sigma(w) lies on the ray {t e^{i theta0} :
+    t >= 0}: by homogeneity the block is singular at (r, rho w) with
+    (r / rho)^n = |mu|, wherever the arc samples fall.
     """
     if Q.in_channels != Q.out_channels:
         raise ChannelMismatch("parameter-ellipticity requires square channels")
     n = Q.order
     worst = 0.0
-    ok = True
     dirs = unit_directions(Q.grid.dim, 64)
+    mu = np.linalg.eigvals(np.stack([symbol_field(Q, omega) for omega in dirs]))
+    ok = not np.any(np.abs(mu - np.abs(mu) * np.exp(1j * theta0)) <= 1e-12 * np.abs(mu))
     for s in np.linspace(0.0, np.pi / 2.0, arc_samples):
         r = float(np.sin(s))
         rho = float(np.cos(s))

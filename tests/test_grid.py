@@ -56,6 +56,26 @@ def test_dft_matches_direct_sum_2d():
     assert np.max(np.abs(dft(f).coefficients - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_transforms_leave_their_input_and_match_fftn(dim, n, contiguous):
+    # dft and idft transform in place after their first step; the input stays as it was
+    grid = GridSpec(dim, n, 2.0)
+    rng = np.random.Generator(np.random.PCG64(dim))
+    raw = rng.standard_normal(grid.shape + (6,)) + 1j * rng.standard_normal(grid.shape + (6,))
+    values = np.ascontiguousarray(raw[..., :3]) if contiguous else raw[..., ::2]
+    assert values.flags.c_contiguous == contiguous
+    kept = values.copy()
+    axes = tuple(range(dim))
+    phase = grid._phase()[..., None]
+    F = dft(Field(grid, values))
+    assert np.array_equal(values, kept)
+    assert np.array_equal(F.coefficients, np.fft.fftn(kept, axes=axes) * (phase / grid.num_points))
+    f = idft(SpectralField(grid, values))
+    assert np.array_equal(values, kept)
+    assert np.array_equal(f.samples, np.fft.ifftn(kept * phase, axes=axes) * grid.num_points)
+
+
 def test_single_mode_has_single_coefficient(grid1d):
     f = field_from_function(grid1d, lambda x: np.exp(1j * 5 * x[..., 0]))
     coeff = dft(f).coefficients[..., 0]

@@ -128,6 +128,18 @@ def test_parameter_ellipticity_singularity_test_is_scale_free(grid1d, s):
     assert abs(C - closed) <= 1e-12 * closed
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [1e-13, 0.5, 1.0, 2.0, 1e13])
+def test_parameter_ellipticity_detects_the_singular_ray_at_every_scale(dim, s):
+    # at theta0 = 0 the block r^2 - s rho^2 of -s Laplacian is singular on the
+    # ray r = sqrt(s) rho, which the 17 arc samples hit only at s = 1
+    grid = GridSpec(dim, 32, math.pi)
+    coeffs = {tuple(2 * (j == axis) for j in range(dim)): -s for axis in range(dim)}
+    Q = operator_from_constant(grid, coeffs, order=2)
+    assert not parameter_ellipticity_constant(Q, 0.0)[1]
+    assert parameter_ellipticity_constant(Q, math.pi)[1]
+
+
 def test_frozen_at(grid1d):
     P = variable_operator(grid1d)
     idx = (grid1d.points_per_axis // 4,)
