@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, apply_multiplier, apply_multipliers, dft, lp_norm, monomial,
-                   spectral_derivatives)
+from .grid import (Field, Hermitian, SpectralField, apply_multiplier, apply_multipliers, dft,
+                   lp_norm, monomial, spectral_derivatives)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -38,13 +38,14 @@ class BesovParams:
                 raise ValueError(f"{name} must lie in [1, inf]")
 
 
-def _bessel(grid, gamma: float) -> np.ndarray:
-    return (1.0 + np.sum(grid.freqs() ** 2, axis=-1)) ** (-gamma / 2.0)
+@Hermitian
+def _bessel(gamma: float, xi) -> np.ndarray:
+    return (1.0 + np.sum(xi**2, axis=-1)) ** (-gamma / 2.0)
 
 
 def bessel_lift(gamma: float, f: Field) -> Field:
     """Convolution with the Bessel potential: multiplier (1+|xi|^2)^(-gamma/2)."""
-    return apply_multiplier(f, _bessel(f.grid, gamma))
+    return apply_multiplier(f, _bessel(gamma, f.grid.freqs()))
 
 
 def _lp_norms(stacks, grid, p: float) -> list:
@@ -52,10 +53,22 @@ def _lp_norms(stacks, grid, p: float) -> list:
     return [v for stack in stacks for v in lp_norm(stack, p, grid=grid)]
 
 
-def sobolev_norm(f: Field, k: int, p: float) -> float:
-    """W^{k,p} norm: sum of L^p norms of all derivatives up to order k."""
-    alphas = [alpha for alpha in multi_indices(f.grid.dim, k) if any(alpha)]
-    return float(sum(_lp_norms(spectral_derivatives(f, alphas), f.grid, p), lp_norm(f, p)))
+def sobolev_norm(f, k: int, p: float) -> float:
+    """W^{k,p} norm: sum of L^p norms of all derivatives up to order k; f a Field or its spectrum."""
+    F = f if isinstance(f, SpectralField) else dft(f)
+    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), p)))
+
+
+def _lower_norms(F: SpectralField, alphas, p: float) -> list:
+    """The L^p norms of the d^alpha f with spectrum F, for `alphas`, which start with zero.
+
+    The order-zero term is read from the samples dft transformed; a spectrum made without
+    them carries it in the derivative stack.
+    """
+    if F.source is None:
+        return _lp_norms(spectral_derivatives(F, alphas), F.grid, p)
+    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, p)
+    return [lp_norm(Field(F.grid, F.source), p)] + derivatives
 
 
 def displacement_shells(grid) -> list:
@@ -74,12 +87,11 @@ def displacement_shells(grid) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _difference_table(grid):
-    """Dyadic radii, each of 8 directions' representative up to sign, the rows, and k.
+    """Dyadic radii, each of 8 directions' representative up to sign, and the rows.
 
     The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
     antipodal directions share one displacement.  A row (h, c) is the multiplier
     c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0) shell by shell.
-    k holds the frequencies (pi/L) k of one lattice axis.
     """
     dirs = unit_directions(grid.dim, 8)
     rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
@@ -89,22 +101,23 @@ def _difference_table(grid):
     rows = np.zeros((1 + len(radii) * len(kept), grid.dim + 1))
     rows[0, -1] = 1.0
     rows[1:, :-1] = (np.array(radii)[:, None, None] * dirs[kept]).reshape(-1, grid.dim)
-    k = grid.freqs()[(slice(None),) + (0,) * grid.dim]  # axis 0's, shared by every axis
     rows.flags.writeable = False
-    return radii, tuple(kept.index(j) for j in rep), rows, k
+    return radii, tuple(kept.index(j) for j in rep), rows
 
 
-def _difference_multipliers(k, rows) -> np.ndarray:
-    """c - 4 sin^2(xi.h / 2) for the rows (h, c) on the lattice of axis frequencies k.
+@Hermitian
+def _difference_multipliers(rows, xi) -> np.ndarray:
+    """c - 4 sin^2(xi.h / 2) for the rows (h, c) at the frequencies xi of a product lattice.
 
     xi.h / 2 is a sum of per-axis angles a_d, so sin and cos of it fold in one
     axis at a time (s <- s cos a_d + c sin a_d, c <- c cos a_d - s sin a_d): the
-    trigonometry runs on N points per axis, and one lattice buffer (*shape, n)
-    takes the cancellation-free finish c - 4 s^2 in place.
+    trigonometry runs on the points of each axis, and one lattice buffer
+    (*lattice, n) takes the cancellation-free finish c - 4 s^2 in place.
     """
     dim, n = rows.shape[1] - 1, len(rows)
+    axes = [xi[(0,) * d + (slice(None),) + (0,) * (dim - 1 - d) + (d,)] for d in range(dim)]
     angles = [(0.5 * (k[:, None] * rows[:, d])).reshape((len(k),) + (1,) * (dim - 1 - d) + (n,))
-              for d in range(dim)]
+              for d, k in enumerate(axes)]
     s, c = np.sin(angles[0]), (np.cos(angles[0]) if dim > 1 else None)
     for d in range(1, dim):
         sin_a, cos_a = np.sin(angles[d]), np.cos(angles[d])
@@ -118,8 +131,8 @@ def _difference_multipliers(k, rows) -> np.ndarray:
 
 def _seminorm(f, alpha: float, p: float, q: float, factor=None):
     """||g||_p and the functional below, g = idft(factor * dft(f)), f a Field or its spectrum."""
-    radii, rep, rows, k = _difference_table(f.grid)
-    stacks = apply_multipliers(f, functools.partial(_difference_multipliers, k), rows, factor)
+    radii, rep, rows = _difference_table(f.grid)
+    stacks = apply_multipliers(f, _difference_multipliers, rows, factor)
     del factor  # the stacks hold it only until it has multiplied dft(f)
     norm, *diffs = _lp_norms(stacks, f.grid, p)
     arr = np.reshape(diffs, (len(radii), -1))[:, rep] / np.array(radii)[:, None] ** alpha
@@ -139,22 +152,34 @@ def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> fl
     return _seminorm(f, alpha, p, q)[1]
 
 
-def besov_norm(f: Field, params: BesovParams) -> float:
-    """The B^alpha_{p,q} norm of f, from one forward transform of f."""
+def besov_norm(f, params: BesovParams) -> float:
+    """The B^alpha_{p,q} norm of f, a Field (transformed once) or its SpectralField."""
+    return float(sum(besov_parts(f, params)))
+
+
+def besov_parts(f, params: BesovParams) -> tuple:
+    """The B^alpha_{p,q} norm of f as (its Sobolev part, its second-difference part).
+
+    For alpha > 1 the Sobolev part is the W^{k,p} norm of f, k = ceil(alpha) - 1, and the
+    second-difference part sums the functionals of the order-k derivatives; otherwise
+    they are the L^p norm and the functional of f, or of its Bessel lift for alpha <= 0.
+    f is a Field or its SpectralField, as in sobolev_norm.
+    """
     alpha, p, q = params.alpha, params.p, params.q
-    F = dft(f)
-    if alpha <= 0.0:
-        # lift 1 - alpha orders up the scale, then measure at order one
-        return float(sum(_seminorm(F, 1.0, p, q, factor=_bessel(f.grid, 1.0 - alpha))))
+    F = f if isinstance(f, SpectralField) else dft(f)
     if alpha <= 1.0:
-        return float(sum(_seminorm(F, alpha, p, q)))
+        # at or below zero, lift 1 - alpha orders up the scale and measure at order one
+        order, lift = (1.0, Hermitian(_bessel, 1.0 - alpha)) if alpha <= 0.0 else (alpha, None)
+        norm, seminorm = _seminorm(F, order, p, q, factor=lift)
+        return float(norm), seminorm
     k = math.ceil(alpha) - 1  # strictly-less-than bracket: [alpha] < alpha
     frac = alpha - k  # in (0, 1]; equals 1 at integer alpha (Zygmund case)
-    lower = [beta for beta in multi_indices(f.grid.dim, k - 1) if any(beta)]
-    total = sum(_lp_norms(spectral_derivatives(F, lower), f.grid, p), lp_norm(f, p))
-    xi = f.grid.freqs()
+    sobolev = _lower_norms(F, multi_indices(f.grid.dim, k - 1), p)
+    semis = []
     for beta in multi_indices(f.grid.dim, k):
         if mi_order(beta) == k:
             # the top derivative's L^p norm rides with its second differences
-            total += sum(_seminorm(F, frac, p, q, factor=monomial(xi, beta)))
-    return float(total)
+            norm, semi = _seminorm(F, frac, p, q, factor=Hermitian(monomial, alpha=beta))
+            sobolev.append(norm)
+            semis.append(semi)
+    return float(sum(sobolev)), float(sum(semis))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,15 +137,24 @@ class Field:
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients on the frequency lattice, FFT ordering."""
+    """Fourier coefficients on the frequency lattice, FFT ordering.
+
+    `source` holds the samples dft transformed, when dft made the spectrum.  `real` says
+    they are real; apply_multipliers asks only when its symbols could take the real route.
+    """
 
     grid: GridSpec
     coefficients: np.ndarray
+    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
         if self.coefficients.shape[:-1] != self.grid.shape:
             raise ValueError("coefficient shape does not match grid")
+
+    @property
+    def real(self) -> bool:
+        return self.source is not None and not np.count_nonzero(self.source.imag)
 
 
 def _check_same(a, b):
@@ -170,10 +179,13 @@ def dft(f: Field) -> SpectralField:
     for axis in reversed(range(f.grid.dim - 1)):
         np.fft.fft(raw, axis=axis, out=raw)
     raw *= f.grid._phase()[..., None] / f.grid.num_points
-    return SpectralField(f.grid, raw)
+    return SpectralField(f.grid, raw, f.samples)
 
 
-def idft(F: SpectralField) -> Field:
+def idft(F) -> Field:
+    """Samples of a SpectralField, or of a _HalfSpectrum (the real route of apply_multipliers)."""
+    if isinstance(F, _HalfSpectrum):
+        return Field(F.grid, _half_inverse(F))
     samples = F.coefficients * F.grid._phase()[..., None]
     for axis in reversed(range(F.grid.dim)):
         np.fft.ifft(samples, axis=axis, out=samples)
@@ -205,35 +217,150 @@ def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None =
 _STACK_POINTS = 1 << 16
 
 
-def apply_multipliers(f, build, params, factor: np.ndarray | None = None):
-    """Yield the samples of idft(m * factor * dft(f)) for the multipliers m = build(params).
+class Hermitian(functools.partial):
+    """A symbol family, bound like functools.partial, with m(-xi) = conj(m(xi)) at every real xi.
 
-    `f` is a Field or its SpectralField, so that stacks can share one forward transform;
-    `factor`, scalar (*shape,) or matrix (*shape, l, l), multiplies it once.  `build(rows)`
-    gives the multipliers of consecutive `params` rows as one array, scalar (*shape, n) or
-    matrix (*shape, n, l1, l0).  Each chunk of at most _STACK_POINTS complex points goes
-    back through one stacked inverse transform and is yielded as one sample stack.
+    `Hermitian(func, *args)(*rows, xi)` is `func(*args, *rows, xi)`: the family's values at
+    the frequencies xi (*lattice, dim) that apply_multipliers asks for, which are the whole
+    lattice or, for a real field, its half lattice and its Nyquist hyperplanes.  A family is
+    declared where it is defined, with `@Hermitian`; binding it, `Hermitian(family, *args)`,
+    keeps it Hermitian.
     """
-    F = f.coefficients if isinstance(f, SpectralField) else dft(f).coefficients
+
+
+def apply_multipliers(f, build, params, factor=None):
+    """Yield the samples of idft(m * factor * dft(f)) for the multipliers m of `params`.
+
+    `f` is a Field or its SpectralField, so that stacks can share one forward transform.
+    The multipliers of consecutive `params` rows come as one array, scalar (*shape, n) or
+    matrix (*shape, n, l1, l0): `build(rows)` on the whole lattice, or `build(rows, xi)` for
+    a Hermitian build.  `factor` multiplies dft(f) once: a lattice array, scalar (*shape,)
+    or matrix (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at
+    most _STACK_POINTS complex points of the whole lattice goes back through one stacked
+    inverse transform and is yielded as one sample stack (*shape, n, l).
+
+    The spectrum of a real field times Hermitian symbols is Hermitian off the Nyquist
+    hyperplanes, so when f is real and build and factor are Hermitian, the products are
+    built on the half lattice and the leading axes' Nyquist hyperplanes only, and idft
+    inverts them with irfft (_half_inverse).  Everything else takes the whole lattice.
+    """
+    F = f if isinstance(f, SpectralField) else dft(f)
+    grid, dim, per = F.grid, F.grid.dim, max(1, _STACK_POINTS // F.coefficients.size)
+    hermitian = isinstance(build, Hermitian)
+    if hermitian and isinstance(factor, (Hermitian, type(None))) and F.real:
+        yield from _half_stacks(F, build, params, factor, per)
+        return
+    xi = grid.freqs() if hermitian or isinstance(factor, Hermitian) else None
+    coeff = F.coefficients
     if factor is not None:
-        scalar = factor.ndim == f.grid.dim
-        F = F * factor[..., None] if scalar else np.einsum("...ij,...j->...i", factor, F)
+        coeff = _times(factor(xi) if isinstance(factor, Hermitian) else factor, coeff, dim)
         del factor  # only the product is needed by the chunks
-    per = max(1, _STACK_POINTS // F.size)
     for start in range(0, len(params), per):
-        yield _inverse_chunk(F, f.grid, build, params[start:start + per])
+        rows = params[start:start + per]
+        product = _times(build(rows, xi) if hermitian else build(rows), coeff, dim)
+        samples = idft(SpectralField(grid, product.reshape(grid.shape + (-1,)))).samples
+        yield samples.reshape(product.shape)
 
 
-def _inverse_chunk(F: np.ndarray, grid: GridSpec, build, rows) -> np.ndarray:
-    """Samples of the products m * F for the multipliers m = build(rows), shape (*shape, n, l)."""
-    m = build(rows)
-    if m.ndim == grid.dim + 1:
-        coeff = F[..., None, :] * m[..., None]
-    else:
-        coeff = np.einsum("...cij,...j->...ci", m, F)
-    del m  # the multipliers are not needed by the inverse transform
-    samples = idft(SpectralField(grid, coeff.reshape(grid.shape + (-1,)))).samples
-    return samples.reshape(coeff.shape)
+def _half_stacks(F: SpectralField, build, params, factor, per: int):
+    """apply_multipliers on the pieces of _half_pieces, for a real field's spectrum F."""
+    grid, dim, xi = F.grid, F.grid.dim, F.grid.freqs()
+    pieces = _half_pieces(grid)
+    # the origin phase once here, not once per chunk in idft
+    coeffs = [F.coefficients[s] * grid._phase()[s][..., None] for s in pieces]
+    if factor is not None:
+        coeffs = [_times(factor(xi[s]), c, dim) for s, c in zip(pieces, coeffs)]
+        del factor  # only the products are needed by the chunks
+    for start in range(0, len(params), per):
+        rows = params[start:start + per]
+        products = [_times(build(rows, xi[s]), c, dim) for s, c in zip(pieces, coeffs)]
+        stack = products[0].shape[dim:]
+        half, *planes = [p.reshape(p.shape[:dim] + (-1,)) for p in products]
+        samples = idft(_HalfSpectrum(grid, half, tuple(planes))).samples
+        yield samples.reshape(grid.shape + stack)
+
+
+def _times(m: np.ndarray, F: np.ndarray, dim: int) -> np.ndarray:
+    """m * F for coefficients F (*lattice, l) and one lattice multiplier or a stack of them.
+
+    m is scalar (*lattice,) or matrix (*lattice, l, l), giving (*lattice, l), or a stack,
+    scalar (*lattice, n) or matrix (*lattice, n, l1, l0), giving (*lattice, n, l).
+    """
+    if m.ndim == dim:
+        return F * m[..., None]
+    if m.ndim == dim + 1:
+        return F[..., None, :] * m[..., None]
+    return np.einsum("...ij,...j->...i" if m.ndim == dim + 2 else "...cij,...j->...ci", m, F)
+
+
+def _half_pieces(grid: GridSpec) -> tuple:
+    """Index tuples into the lattice: the half lattice (last axis k = 0..N/2), then each
+    leading axis d's whole Nyquist hyperplane k_d = -N/2, kept as a length-1 axis."""
+    h, lead = grid.points_per_axis // 2, (slice(None),) * (grid.dim - 1)
+    planes = tuple(lead[:d] + (slice(h, h + 1),) for d in range(grid.dim - 1))
+    return (lead + (slice(h + 1),),) + planes
+
+
+@dataclass
+class _HalfSpectrum:
+    """Products of a real field's spectrum with Hermitian symbols on the pieces of _half_pieces,
+    already times the origin phase exp(i pi k): `coefficients` on the half lattice, `planes[d]`
+    on leading axis d's Nyquist hyperplane.  idft transforms `coefficients` in place."""
+
+    grid: GridSpec
+    coefficients: np.ndarray
+    planes: tuple
+
+
+def _half_inverse(F: _HalfSpectrum) -> np.ndarray:
+    """Samples of the lattice product that F holds, every Nyquist bin carried exactly.
+
+    Off the Nyquist hyperplanes k_d = -N/2 the product is Hermitian.  On them the lattice
+    evaluates m at -N/2 from both sides, so the product G need not be: a real field's odd
+    derivatives and 2-D second differences have an imaginary part there, which irfft
+    alone would drop.  So G is split on each hyperplane into its Hermitian part, whose
+    samples are real, and its anti-Hermitian part (G(k) - conj G(-k)) / 2, whose samples
+    are imaginary.  The Hermitian part goes with the rest through ifft on the leading
+    axes and irfft on the last, which symmetrizes the last axis's k = 0 and k = -N/2
+    columns itself; a leading hyperplane's other bins are set to it here.  Each
+    hyperplane's anti-Hermitian part, less the lower axes' ones (a bin counts once),
+    gives the imaginary part by its (m-1)-dimensional transform times (-1)^{j_d}.
+    """
+    grid = F.grid
+    dim, n = grid.dim, grid.points_per_axis
+    h, lead = n // 2, (slice(None),) * (dim - 1)
+    half, planes = F.coefficients, list(F.planes) + [F.coefficients[lead + (slice(h, h + 1),)]]
+    negative = -np.arange(n) % n  # the index of -k
+    antis = []
+    for d, plane in enumerate(planes):
+        mirror = plane.conj()  # conj G(-k), -k taken mod N on every axis but d
+        for axis in range(dim):
+            if axis != d:
+                mirror = mirror.take(negative, axis)
+        if d < dim - 1:
+            half[lead[:d] + (slice(h, h + 1),) + lead[d + 1:] + (slice(1, h),)] = (
+                0.5 * (plane[..., 1:h, :] + mirror[..., 1:h, :]))
+        anti = 0.5 * (plane - mirror)
+        for e in range(d):
+            anti[lead[:e] + (h,)] = 0.0
+        antis.append(anti)
+    # plain sums (norm="forward" leaves the inverse unscaled), as idft's N^m ifftn
+    for axis in reversed(range(dim - 1)):
+        np.fft.ifft(half, axis=axis, out=half, norm="forward")
+    out = np.empty(grid.shape + half.shape[dim:], dtype=np.complex128)
+    np.fft.irfft(half, n, axis=dim - 1, out=out.real, norm="forward")
+    imag = out.imag
+    for d, anti in enumerate(antis):
+        for axis in reversed(range(dim)):
+            if axis != d:
+                np.fft.ifft(anti, axis=axis, out=anti, norm="forward")
+        even, odd = lead[:d] + (slice(0, None, 2),), lead[:d] + (slice(1, None, 2),)
+        if d == 0:  # the first hyperplane writes every sample's imaginary part
+            imag[even], imag[odd] = anti.imag, -anti.imag
+        else:
+            imag[even] += anti.imag
+            imag[odd] -= anti.imag
+    return out
 
 
 def apply_multiplier(f: Field, values: np.ndarray) -> Field:
@@ -242,14 +369,17 @@ def apply_multiplier(f: Field, values: np.ndarray) -> Field:
     return Field(f.grid, samples[..., 0, :])
 
 
-def spectral_derivatives(f, alphas, factor: np.ndarray | None = None):
+def spectral_derivatives(f, alphas, factor=None):
     """Stacks (*shape, n, l) of the band-limited d^alpha f; f, factor as in apply_multipliers."""
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) != f.grid.dim for alpha in alphas):
         raise ValueError("multi-index length must equal grid dimension")
-    xi = f.grid.freqs()
-    return apply_multipliers(f, lambda rows: np.stack([monomial(xi, a) for a in rows], -1),
-                             alphas, factor)
+    return apply_multipliers(f, _monomials, alphas, factor)
+
+
+@Hermitian
+def _monomials(alphas, xi) -> np.ndarray:
+    return np.stack([monomial(xi, a) for a in alphas], -1)
 
 
 def spectral_derivative(f: Field, alpha) -> Field:

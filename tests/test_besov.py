@@ -6,6 +6,7 @@ import pytest
 
 from ellreg.besov import (
     BesovParams,
+    _bessel,
     _difference_multipliers,
     _difference_table,
     bessel_lift,
@@ -16,10 +17,15 @@ from ellreg.besov import (
 )
 from ellreg.grid import (
     _STACK_POINTS,
+    _half_pieces,
     Field,
     GridSpec,
+    Hermitian,
+    apply_multipliers,
+    dft,
     field_from_function,
     lp_norm,
+    monomial,
     random_band_limited_field,
     spectral_derivative,
     translate,
@@ -242,20 +248,29 @@ def test_fused_besov_norm_matches_its_parts(dim, n, channels):
 def test_per_axis_difference_multipliers_match_the_lattice_formula(dim, n, half_period, tol):
     # every row of the table, the 2-D diagonal directions included; 1-D is bit-identical
     grid = GridSpec(dim, n, half_period)
-    _, _, rows, k = _difference_table(grid)
-    got = _difference_multipliers(k, rows)
+    _, _, rows = _difference_table(grid)
+    got = _difference_multipliers(rows, grid.freqs())
     want = rows[:, -1] - 4.0 * np.sin(0.5 * (grid.freqs() @ rows[:, :-1].T)) ** 2
     assert got.shape == want.shape == grid.shape + (len(rows),)
     assert np.max(np.abs(got - want)) <= tol
+    # the real route's half lattice and Nyquist planes are slices of the same product lattice
+    for piece in _half_pieces(grid):
+        assert np.array_equal(_difference_multipliers(rows, grid.freqs()[piece]), got[piece])
 
 
-@pytest.mark.parametrize("channels,n", [(1, 256), (3, 128)])
+@pytest.mark.parametrize("channels,n,real", [(1, 256, False), (3, 128, False), (1, 256, True),
+                                            (3, 128, True)],
+                         ids=["1-256", "3-128", "real-1-256", "real-3-128"])
 @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
-def test_besov_norm_peak_memory(channels, n, alpha):
+def test_besov_norm_peak_memory(channels, n, real, alpha):
     # a lattice-sized multiplier or coefficient stack kept alive across a
-    # stacked inverse transform adds about half a field to this peak
+    # stacked inverse transform adds about half a field to this peak; a real
+    # field takes the half-lattice route, whose samples are built in place
     grid = GridSpec(2, n, math.pi)
     f = random_band_limited_field(grid, channels, np.random.Generator(np.random.PCG64(0)))
+    if real:
+        f = Field(grid, f.samples.real)
+        assert dft(f).real
     params = BesovParams(alpha, 1.0, INF)
     besov_norm(f, params)  # fills the per-grid lattice and difference-table caches
     tracemalloc.start()
@@ -265,3 +280,49 @@ def test_besov_norm_peak_memory(channels, n, alpha):
     finally:
         tracemalloc.stop()
     assert peak <= 6.25 * f.samples.nbytes, peak / f.samples.nbytes
+
+
+def ifftn_of_the_lattice_product(f, m):
+    """Oracle: numpy's ifftn of the whole-lattice product m * dft(f), m of shape (*shape, n)."""
+    grid = f.grid
+    axes, phase = tuple(range(grid.dim)), grid._phase()[..., None]
+    F = np.fft.fftn(f.samples, axes=axes) * (phase / grid.num_points)
+    return np.fft.ifftn(F[..., None, :] * (m * phase)[..., None], axes=axes) * grid.num_points
+
+
+# the families besov_norm stacks at each alpha: the Bessel lift, none, the top derivatives
+def besov_factors(dim, alpha):
+    if alpha <= 0.0:
+        return [Hermitian(_bessel, 1.0 - alpha)]
+    if alpha <= 1.0:
+        return [None]
+    return [Hermitian(monomial, alpha=beta) for beta in multi_indices(dim, 1) if any(beta)]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 96), (2, 32), (2, 48), (3, 16)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0])
+def test_real_route_matches_ifftn_of_the_whole_lattice_product(dim, n, channels, alpha):
+    # white noise: every bin, the Nyquist hyperplanes included, carries weight
+    grid = GridSpec(dim, n, 2.5)
+    f = Field(grid, np.random.Generator(np.random.PCG64(dim * n)).standard_normal(
+        grid.shape + (channels,)))
+    F = dft(f)
+    assert F.real
+    _, _, rows = _difference_table(grid)
+    xi = grid.freqs()
+    for factor in besov_factors(dim, alpha):
+        stacks = apply_multipliers(F, _difference_multipliers, rows, factor)
+        got = np.concatenate(list(stacks), axis=-2)
+        m = _difference_multipliers(rows, xi)
+        want = ifftn_of_the_lattice_product(f, m if factor is None else m * factor(xi)[..., None])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for p in (1.0, 2.0, INF):
+            norms, oracle = lp_norm(got, p, grid=grid), lp_norm(want, p, grid=grid)
+            assert np.max(np.abs(norms - oracle) / oracle) <= 1e-13, p
+    # besov_norm agrees with the complex route of the same field turned by e^{0.3i}
+    turned = Field(grid, f.samples * np.exp(0.3j))
+    assert not dft(turned).real
+    for p in (1.0, 2.0, INF):
+        norm, oracle = (besov_norm(g, BesovParams(alpha, p, INF)) for g in (f, turned))
+        assert abs(norm - oracle) <= 1e-13 * oracle, p

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellreg import resolvent
 from ellreg.errors import ChannelMismatch, GridMismatch
 from ellreg.grid import (
     _STACK_POINTS,
@@ -22,11 +23,14 @@ from ellreg.grid import (
     field_from_function,
     idft,
     lp_norm,
+    monomial,
     random_band_limited_field,
     spectral_derivative,
     spectral_derivatives,
     translate,
 )
+from ellreg.mollify import mollifier_symbol
+from ellreg.pdo import apply, multi_indices, neg_laplacian
 
 
 def naive_dft(f):
@@ -259,6 +263,54 @@ def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
     for j, alpha in enumerate(alphas):
         want = spectral_derivative(f, alpha).samples
         assert np.max(np.abs(stack[..., j, :] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 96), (2, 32), (2, 48), (3, 16)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_real_derivative_stacks_match_ifftn_of_the_whole_lattice_product(dim, n, channels):
+    # white noise carries every Nyquist bin; odd derivatives are imaginary there
+    grid = GridSpec(dim, n, 2.5)
+    axes, phase = tuple(range(dim)), grid._phase()[..., None]
+    noise = np.random.Generator(np.random.PCG64(n)).standard_normal(grid.shape + (channels,))
+    f = Field(grid, noise)
+    alphas = multi_indices(dim, 2)
+    got = np.concatenate(list(spectral_derivatives(f, alphas)), axis=-2)
+    m = np.stack([monomial(grid.freqs(), a) for a in alphas], -1)
+    F = np.fft.fftn(f.samples, axes=axes) * (phase / grid.num_points)
+    want = np.fft.ifftn(F[..., None, :] * (m * phase)[..., None], axes=axes) * grid.num_points
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(want.imag)) > 1e-3 * np.max(np.abs(want))
+
+
+def test_pure_nyquist_mode_keeps_its_imaginary_derivative():
+    # exp(i xi x_0) at xi = -(pi/L) N/2 samples to the real (-1)^j0; the lattice takes
+    # i xi_0 there, so its (1, 0) derivative is the purely imaginary i xi_0 f
+    grid = GridSpec(2, 16, 2.0)
+    sign = (-1.0) ** np.arange(16)
+    f = Field(grid, np.broadcast_to(sign[:, None, None], (16, 16, 1)))
+    assert dft(f).real
+    d = spectral_derivative(f, (1, 0)).samples
+    want = 1j * (-np.pi / grid.half_period * 8) * f.samples
+    assert np.max(np.abs(d - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_real_fields_under_resolvent_and_mollifier_symbols_take_the_complex_route():
+    # those symbols are lattice arrays, not Hermitian families: a spectrum marked real
+    # gives bit for bit what the same coefficients unmarked give
+    grid = GridSpec(2, 32, math.pi)
+    smooth = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(3)))
+    f = Field(grid, smooth.samples.real)
+    F = dft(f)
+    assert F.real
+    unmarked = SpectralField(grid, F.coefficients)
+    Q = neg_laplacian(grid)
+    minv = resolvent._resolvent_multiplier(Q, 2.0, 0.5)
+    for symbol in (minv, mollifier_symbol(grid, 0.5)):
+        # as a factor of a Hermitian derivative stack, and as the multiplier itself
+        assert np.array_equal(apply(Q, F, symbol).samples, apply(Q, unmarked, symbol).samples)
+        build = lambda rows: np.expand_dims(rows[0], grid.dim)
+        (got,), (want,) = (apply_multipliers(g, build, [symbol]) for g in (F, unmarked))
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
