@@ -48,27 +48,35 @@ def bessel_lift(gamma: float, f: Field) -> Field:
     return apply_multiplier(f, _bessel(gamma, f.grid.freqs()))
 
 
-def _lp_norms(stacks, grid, p: float) -> list:
-    """The L^p norm of every field of every sample stack, in order."""
-    return [v for stack in stacks for v in lp_norm(stack, p, grid=grid)]
+def _lp_norms(stacks, grid, ps) -> dict:
+    """The L^p norm of every field of every sample stack, in order, for each p of `ps`.
+
+    Each stack is reduced under every p as it comes, so no two stacks are held at once.
+    """
+    norms = {p: [] for p in ps}
+    for stack in stacks:
+        for p, out in norms.items():
+            out.extend(lp_norm(stack, p, grid=grid))
+    return norms
 
 
 def sobolev_norm(f, k: int, p: float) -> float:
     """W^{k,p} norm: sum of L^p norms of all derivatives up to order k; f a Field or its spectrum."""
     F = f if isinstance(f, SpectralField) else dft(f)
-    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), p)))
+    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), [p])[p]))
 
 
-def _lower_norms(F: SpectralField, alphas, p: float) -> list:
-    """The L^p norms of the d^alpha f with spectrum F, for `alphas`, which start with zero.
+def _lower_norms(F: SpectralField, alphas, ps) -> dict:
+    """The L^p norms of the d^alpha f with spectrum F, for `alphas`, which start with zero,
+    for each p of `ps`.
 
     The order-zero term is read from the samples dft transformed; a spectrum made without
     them carries it in the derivative stack.
     """
     if F.source is None:
-        return _lp_norms(spectral_derivatives(F, alphas), F.grid, p)
-    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, p)
-    return [lp_norm(Field(F.grid, F.source), p)] + derivatives
+        return _lp_norms(spectral_derivatives(F, alphas), F.grid, ps)
+    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, ps)
+    return {p: [lp_norm(F.source, p, grid=F.grid)] + v for p, v in derivatives.items()}
 
 
 def displacement_shells(grid) -> list:
@@ -129,32 +137,35 @@ def _difference_multipliers(rows, xi) -> np.ndarray:
     return s
 
 
-def _seminorm(f, alpha: float, p: float, q: float, factor=None):
-    """||g||_p and the functional below, g = idft(factor * dft(f)), f a Field or its spectrum."""
-    radii, rep, rows = _difference_table(f.grid)
-    stacks = apply_multipliers(f, _difference_multipliers, rows, factor)
-    del factor  # the stacks hold it only until it has multiplied dft(f)
-    norm, *diffs = _lp_norms(stacks, f.grid, p)
-    arr = np.reshape(diffs, (len(radii), -1))[:, rep] / np.array(radii)[:, None] ** alpha
+def _shell_functional(grid, table, diffs, alpha: float, q: float) -> float:
+    """The |x|^(-alpha)-weighted l^q functional of the L^p norms `diffs` of the second
+    differences at the rows of the grid's _difference_table after its identity row."""
+    radii, rep, _ = table
+    arr = np.asarray(diffs).reshape(len(radii), -1)[:, rep] / np.array(radii)[:, None] ** alpha
     if np.isinf(q):
-        return norm, float(np.max(arr))
+        return float(arr.max())
     # per-shell midpoint rule in log-radius against the measure dx / |x|^m
-    m = f.grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
+    m = grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
     area = 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
-    integral = np.sum(np.mean(arr**q, axis=1)) * area * math.log(2.0)
-    return norm, float(integral ** (1.0 / q))
+    integral = (arr**q).mean(axis=1).sum() * area * math.log(2.0)
+    return float(integral ** (1.0 / q))
 
 
 def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> float:
     """The |x|^(-alpha)-weighted second-difference functional, 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("second-difference seminorm needs alpha in (0, 1]")
-    return _seminorm(f, alpha, p, q)[1]
+    return besov_parts(f, BesovParams(alpha, p, q))[1]
 
 
 def besov_norm(f, params: BesovParams) -> float:
     """The B^alpha_{p,q} norm of f, a Field (transformed once) or its SpectralField."""
-    return float(sum(besov_parts(f, params)))
+    return besov_norms(f, [params])[0]
+
+
+def besov_norms(f, points) -> list:
+    """The B^alpha_{p,q} norms of f at each BesovParams of `points`, in order."""
+    return [float(sum(parts)) for parts in _besov_parts(f, points)]
 
 
 def besov_parts(f, params: BesovParams) -> tuple:
@@ -165,21 +176,47 @@ def besov_parts(f, params: BesovParams) -> tuple:
     they are the L^p norm and the functional of f, or of its Bessel lift for alpha <= 0.
     f is a Field or its SpectralField, as in sobolev_norm.
     """
-    alpha, p, q = params.alpha, params.p, params.q
-    F = f if isinstance(f, SpectralField) else dft(f)
-    if alpha <= 1.0:
+    return _besov_parts(f, [params])[0]
+
+
+def _stack_set(alpha: float) -> tuple:
+    """(gamma, k): the stacks behind a B^alpha norm are the second differences of the
+    order-k derivatives of f, or of its Bessel lift by gamma, and, for k >= 1, the
+    lower-order derivatives.  They do not depend on p or q."""
+    if alpha <= 0.0:
         # at or below zero, lift 1 - alpha orders up the scale and measure at order one
-        order, lift = (1.0, Hermitian(_bessel, 1.0 - alpha)) if alpha <= 0.0 else (alpha, None)
-        norm, seminorm = _seminorm(F, order, p, q, factor=lift)
-        return float(norm), seminorm
-    k = math.ceil(alpha) - 1  # strictly-less-than bracket: [alpha] < alpha
-    frac = alpha - k  # in (0, 1]; equals 1 at integer alpha (Zygmund case)
-    sobolev = _lower_norms(F, multi_indices(f.grid.dim, k - 1), p)
-    semis = []
-    for beta in multi_indices(f.grid.dim, k):
-        if mi_order(beta) == k:
-            # the top derivative's L^p norm rides with its second differences
-            norm, semi = _seminorm(F, frac, p, q, factor=Hermitian(monomial, alpha=beta))
-            sobolev.append(norm)
-            semis.append(semi)
-    return float(sum(sobolev)), float(sum(semis))
+        return 1.0 - alpha, 0
+    return None, math.ceil(alpha) - 1  # strictly-less-than bracket: [alpha] < alpha
+
+
+def _besov_parts(f, points) -> list:
+    """besov_parts at each of `points`: one dft of f and one stack set per _stack_set, each
+    stack reduced under every p that the points of its set ask for."""
+    F = f if isinstance(f, SpectralField) else dft(f)
+    grid, dim = F.grid, F.grid.dim
+    table = _difference_table(grid)
+    keys = [_stack_set(P.alpha) for P in points]
+    sets = {}  # stack set -> the p its stacks are reduced under, in first-asked order
+    for key, P in zip(keys, points):
+        sets.setdefault(key, {})[P.p] = None
+    norms = {}  # stack set -> (lower-order norms, top-derivative norms) under each p
+    for (gamma, k), ps in sets.items():
+        if k == 0:
+            lower = dict.fromkeys(ps, [])
+            factors = [None if gamma is None else Hermitian(_bessel, gamma)]
+        else:
+            # each top derivative's L^p norm rides with its second differences
+            lower = _lower_norms(F, multi_indices(dim, k - 1), ps)
+            factors = [Hermitian(monomial, alpha=beta)
+                       for beta in multi_indices(dim, k) if mi_order(beta) == k]
+        tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, table[2], factor), grid, ps)
+                for factor in factors]
+        norms[gamma, k] = lower, tops
+    parts = []
+    for (gamma, k), P in zip(keys, points):
+        lower, tops = norms[gamma, k]
+        order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
+        sobolev = lower[P.p] + [top[P.p][0] for top in tops]
+        semis = [_shell_functional(grid, table, top[P.p][1:], order, P.q) for top in tops]
+        parts.append((float(sum(sobolev)), float(sum(semis))))
+    return parts

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import casework
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, besov_norm, besov_norms
 from .mollify import admissible_eps_sequence, mollifier_convergence_experiment
 from .errors import ConfigError, EllregError, ExperimentError
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
@@ -35,7 +35,7 @@ from .pdo import (
 from .profiles import box_mask, radial_window
 from .resolvent import (
     ResolventProblem,
-    apriori_ratio,
+    apriori_ratios,
     solve_constant,
     solve_frozen_localized,
     solve_neumann_lower_order,
@@ -311,13 +311,12 @@ def _run_apriori(
     overall = 0.0
     for idx in range(count):
         g = random_band_limited_field(cfg.grid, 1, rng)
-        for radius in r:
-            u = solve_constant(ResolventProblem(Q, theta0, radius, g)).u
-            for b in beta:
-                for p, q in pq:
-                    ratio = apriori_ratio(u, g, Q, radius, b, p, q)
-                    overall = max(overall, ratio)
-                    rows.append([idx, radius, b, p, q, ratio])
+        solutions = [(radius, solve_constant(ResolventProblem(Q, theta0, radius, g)).u)
+                     for radius in r]
+        ratios = apriori_ratios(g, Q, solutions, beta, pq)
+        overall = max([overall] + ratios)
+        points = ((radius, b, p, q) for radius in r for b in beta for p, q in pq)
+        rows += [[idx, *point, ratio] for point, ratio in zip(points, ratios)]
     results = {"count": count, "r": r, "beta": beta, "max_ratio": overall}
     header = ["sample", "r", "beta", "p", "q", "ratio"]
     return results, [("apriori_ratios", header, rows)]
@@ -325,7 +324,8 @@ def _run_apriori(
 
 def _run_besov(cfg: ExperimentConfig, alpha=[-1.0, 0.0, 0.5, 1.0, 2.0], p=2.0, q=2.0, wavenumber=3):
     f = field_from_function(cfg.grid, lambda x: np.exp(1j * wavenumber * x[..., 0]))
-    rows = [[a, besov_norm(f, BesovParams(a, p, q))] for a in alpha]
+    norms = besov_norms(f, [BesovParams(a, p, q) for a in alpha])
+    rows = [[a, n] for a, n in zip(alpha, norms)]
     results = {
         "fixture": f"exp(i {wavenumber} x)",
         "p": p,

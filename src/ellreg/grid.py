@@ -42,7 +42,8 @@ class GridSpec:
         if not (math.isfinite(self.half_period) and self.half_period > 0):
             raise ValueError("half_period must be finite and positive")
 
-    @property
+    # cached on the instance: these and the lattice are read on every transform and norm
+    @functools.cached_property
     def spacing(self) -> float:
         return 2.0 * self.half_period / self.points_per_axis
 
@@ -50,11 +51,11 @@ class GridSpec:
     def volume(self) -> float:
         return (2.0 * self.half_period) ** self.dim
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple:
         return (self.points_per_axis,) * self.dim
 
-    @property
+    @functools.cached_property
     def num_points(self) -> int:
         return self.points_per_axis ** self.dim
 
@@ -75,11 +76,16 @@ class GridSpec:
 
     def freqs(self) -> np.ndarray:
         """Frequency lattice xi = (pi/L) k, shape (*shape, dim), FFT ordering; read-only."""
-        return _lattice(self)[0]
+        return self._arrays[0]
 
     def _phase(self) -> np.ndarray:
         # exp(i pi k) per axis: accounts for the grid starting at x = -L.
-        return _lattice(self)[1]
+        return self._arrays[1]
+
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        # equal grids share one _lattice entry; this instance hashes itself for it once
+        return _lattice(self)
 
 
 @functools.lru_cache(maxsize=16)
@@ -140,7 +146,8 @@ class SpectralField:
     """Fourier coefficients on the frequency lattice, FFT ordering.
 
     `source` holds the samples dft transformed, when dft made the spectrum.  `real` says
-    they are real; apply_multipliers asks only when its symbols could take the real route.
+    they are real; apply_multipliers asks only when its symbols could take the real route,
+    and the answer is kept for the spectrum's later stacks.
     """
 
     grid: GridSpec
@@ -152,9 +159,9 @@ class SpectralField:
         if self.coefficients.shape[:-1] != self.grid.shape:
             raise ValueError("coefficient shape does not match grid")
 
-    @property
+    @functools.cached_property
     def real(self) -> bool:
-        return self.source is not None and not np.count_nonzero(self.source.imag)
+        return self.source is not None and not self.source.imag.any()
 
 
 def _check_same(a, b):
@@ -206,9 +213,9 @@ def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None =
     if mask is not None:
         mag = mag[np.reshape(mask, -1)]
     if np.isinf(p):
-        norms = np.max(mag, axis=0, initial=0.0)
+        norms = mag.max(axis=0, initial=0.0)
     else:
-        norms = (grid.spacing ** grid.dim * np.sum(mag ** p, axis=0)) ** (1.0 / p)
+        norms = (grid.spacing ** grid.dim * (mag ** p).sum(axis=0)) ** (1.0 / p)
     return norms if norms.ndim else float(norms)
 
 

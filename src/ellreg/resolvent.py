@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, besov_norms
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
 from .grid import Field, apply_multiplier, dft, lp_norm, monomial
 from .pdo import PDOperator, _resolvent_blocks, apply, mi_order
@@ -171,13 +171,21 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
                         f"frozen solve at r={problem.r}")
 
 
-def apriori_ratio(u: Field, g: Field, Q: PDOperator, r: float, beta: float, p: float,
-                  q: float) -> float:
-    """Measured a-priori quotient (r^n ||u||_{B^beta} + ||u||_{B^{beta+n}}) / ||g||_{B^beta}."""
+def apriori_ratios(g: Field, Q: PDOperator, solutions, beta, pq) -> list:
+    """Measured a-priori quotients (r^n ||u||_{B^b} + ||u||_{B^{b+n}}) / ||g||_{B^b}.
+
+    One per (r, u) of `solutions`, b of `beta` and (p, q) of `pq`, in that nesting order.
+    g is measured once at every (b, p, q), each u once at those points and at b + n.
+    """
     n = Q.order
-    g_norm = besov_norm(g, BesovParams(beta, p, q))
-    if g_norm == 0.0:
+    low = [BesovParams(b, p, q) for b in beta for p, q in pq]
+    high = [BesovParams(b + n, p, q) for b in beta for p, q in pq]
+    data = besov_norms(g, low)
+    if 0.0 in data:
         raise ZeroRHS("cannot form a-priori ratio against zero data")
-    low = besov_norm(u, BesovParams(beta, p, q))
-    high = besov_norm(u, BesovParams(beta + n, p, q))
-    return (r**n * low + high) / g_norm
+    ratios = []
+    for r, u in solutions:
+        norms = besov_norms(u, low + high)
+        ratios += [(r**n * lo + hi) / d
+                   for lo, hi, d in zip(norms[:len(low)], norms[len(low):], data)]
+    return ratios

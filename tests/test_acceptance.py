@@ -32,7 +32,7 @@ from ellreg.mollify import (
 from ellreg.pdo import neg_laplacian, operator_from_constant
 from ellreg.resolvent import (
     ResolventProblem,
-    apriori_ratio,
+    apriori_ratios,
     solve_constant,
     solve_neumann_lower_order,
 )
@@ -154,6 +154,9 @@ def test_criterion_04_resolvent_residuals(capsys):
     )
 
 
+_PQ = ((2.0, 2.0), (1.0, INF), (INF, INF))
+
+
 def _apriori_constant(n, num_fields=10):
     grid = GridSpec(1, n, math.pi)
     Q = neg_laplacian(grid)
@@ -162,11 +165,8 @@ def _apriori_constant(n, num_fields=10):
     for _ in range(num_fields):
         # fix the continuum frequency band so refinement compares like with like
         g = random_band_limited_field(grid, 1, rng, band_fraction=16.0 / n)
-        for r in (4.0, 8.0):
-            u = solve_constant(ResolventProblem(Q, math.pi, r, g)).u
-            for beta in (-2.0, 0.0, 1.0):
-                for p, q in ((2.0, 2.0), (1.0, INF), (INF, INF)):
-                    c0 = max(c0, apriori_ratio(u, g, Q, r, beta, p, q))
+        solutions = [(r, solve_constant(ResolventProblem(Q, math.pi, r, g)).u) for r in (4.0, 8.0)]
+        c0 = max([c0] + apriori_ratios(g, Q, solutions, (-2.0, 0.0, 1.0), _PQ))
     return c0
 
 
@@ -179,9 +179,7 @@ def test_criterion_05_apriori_constant_stable(capsys):
     for _ in range(50):
         g = random_band_limited_field(grid, 1, rng)
         u = solve_constant(ResolventProblem(Q, math.pi, 8.0, g)).u
-        for beta in (-2.0, 0.0, 1.0):
-            for p, q in ((2.0, 2.0), (1.0, INF), (INF, INF)):
-                logged = max(logged, apriori_ratio(u, g, Q, 8.0, beta, p, q))
+        logged = max([logged] + apriori_ratios(g, Q, [(8.0, u)], (-2.0, 0.0, 1.0), _PQ))
     coarse = _apriori_constant(128)
     fine = _apriori_constant(256)
     change = abs(fine / coarse - 1.0)

@@ -11,6 +11,7 @@ from ellreg.besov import (
     _difference_table,
     bessel_lift,
     besov_norm,
+    besov_norms,
     displacement_shells,
     second_difference_seminorm,
     sobolev_norm,
@@ -21,6 +22,7 @@ from ellreg.grid import (
     Field,
     GridSpec,
     Hermitian,
+    SpectralField,
     apply_multipliers,
     dft,
     field_from_function,
@@ -50,6 +52,30 @@ def test_params_validation():
         BesovParams(1.0, 0.5, 2.0)
     with pytest.raises(ValueError):
         BesovParams(1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("spectral", [False, True], ids=["field", "spectrum"])
+def test_many_points_equal_one_point_calls_bit_for_bit(dim, n, real, spectral):
+    # one stack set per alpha, reduced under every p, gives each point's own norm exactly
+    grid = GridSpec(dim, n, math.pi)
+    f = random_band_limited_field(grid, 2, np.random.Generator(np.random.PCG64(dim + 2 * real)))
+    if real:
+        f = Field(grid, f.samples.real)
+    F = dft(f)
+    assert F.real == real
+    pqs = [(1.0, 1.0), (2.0, 2.0), (1.0, INF), (INF, INF)]
+    alphas = [2.5, -1.0, 0.5, 2.0, 0.0, 1.0]  # mixed order, repeats across the p, q
+    points = [BesovParams(a, p, q) for p, q in pqs for a in alphas[::-1 if p == 2.0 else 1]]
+    got = besov_norms(F if spectral else f, points)
+    want = [besov_norm(F if spectral else f, P) for P in points]
+    assert got == want
+    # a spectrum without its samples carries the order-zero norm in the derivative stack
+    bare = SpectralField(grid, F.coefficients)
+    assert besov_norms(bare, points) == [besov_norm(bare, P) for P in points]
+    with pytest.raises(ValueError, match="p must lie"):  # each point validates itself
+        besov_norms(f, points[:3] + [BesovParams(1.0, 0.5, 2.0)])
 
 
 def test_bessel_lift_eigenfunction(grid1d):

@@ -18,8 +18,11 @@ from ellreg.cli import (
     parse_config,
     run_experiment,
 )
+from ellreg.besov import BesovParams, besov_norm
 from ellreg.errors import ConfigError
-from ellreg.grid import GridSpec
+from ellreg.grid import GridSpec, random_band_limited_field
+from ellreg.pdo import neg_laplacian
+from ellreg.resolvent import ResolventProblem, solve_constant
 
 SHIPPED = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -130,6 +133,27 @@ def test_run_writes_artifacts(tmp_path):
     assert manifest["tables"] == ["besov_norms"]
     csv_text = (out / "besov_norms.csv").read_text()
     assert csv_text.splitlines()[0] == "alpha,norm"
+
+
+def test_apriori_sweep_rows_are_one_point_norm_quotients(tmp_path):
+    # repeated r and beta keep their own rows, in config order, though their norms are shared
+    cfg = parse_config({"kind": "apriori-sweep", "grid": {"points_per_axis": 64},
+                        "parameters": {"count": 1, "r": [4.0, 4.0], "beta": [0.0, 0.0]},
+                        "seed": 5, "output_dir": "sweep"})
+    out = run_experiment(cfg, output_root=str(tmp_path))
+    lines = (out / "apriori_ratios.csv").read_text().splitlines()
+    assert lines[0] == "sample,r,beta,p,q,ratio"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    pq = [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)]
+    assert [row[:5] for row in rows] == [[0, r, b, p, q] for r in (4.0, 4.0) for b in (0.0, 0.0)
+                                         for p, q in pq]
+    g = random_band_limited_field(cfg.grid, 1, cli._rng(5))
+    u = solve_constant(ResolventProblem(neg_laplacian(cfg.grid), math.pi, 4.0, g)).u
+    for _, r, b, p, q, ratio in rows:
+        low, high = (besov_norm(u, BesovParams(a, p, q)) for a in (b, b + 2.0))
+        assert ratio == (r**2 * low + high) / besov_norm(g, BesovParams(b, p, q))
+    results = json.loads((out / "results.json").read_text())["results"]
+    assert results["max_ratio"] == max(row[5] for row in rows)
 
 
 def test_run_deterministic_byte_identical(tmp_path):

@@ -16,7 +16,7 @@ from ellreg.profiles import box_window
 from ellreg.resolvent import (
     ResolventProblem,
     _fixed_point,
-    apriori_ratio,
+    apriori_ratios,
     residual,
     solve_constant,
     solve_frozen_localized,
@@ -248,11 +248,27 @@ def test_fixed_point_refuses_when_max_iter_runs_out(grid1d):
     assert abs(info.value.contraction - 0.9) < 1e-12
 
 
+def test_apriori_sample_takes_each_norm_once(transform_calls):
+    # one 128-point sample at the default r, beta and (p, q): 1 transform makes g, each
+    # of the 3 solves takes 4 (with its residual), g's norms 1 + 3 stacks, and each u's
+    # 1 + 6 (5 stack sets and the lower derivative of B^3); one norm per point took 184
+    grid = GridSpec(1, 128, math.pi)
+    Q = neg_laplacian(grid)
+    transform_calls.clear()
+    g = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(9)))
+    solutions = [(r, solve_constant(ResolventProblem(Q, math.pi, r, g)).u)
+                 for r in (4.0, 8.0, 16.0)]
+    ratios = apriori_ratios(g, Q, solutions, [-2.0, 0.0, 1.0],
+                            [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)])
+    assert len(ratios) == 27
+    assert len(transform_calls) <= 38, len(transform_calls)
+
+
 def test_apriori_ratio_zero_rhs(grid1d):
     Q = neg_laplacian(grid1d)
     zero = Field(grid1d, np.zeros(grid1d.shape + (1,)))
     with pytest.raises(ZeroRHS):
-        apriori_ratio(zero, zero, Q, 8.0, 0.0, 2.0, 2.0)
+        apriori_ratios(zero, Q, [(8.0, zero)], [0.0], [(2.0, 2.0)])
 
 
 def test_report_as_dict(grid1d, rng):
