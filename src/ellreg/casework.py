@@ -16,7 +16,7 @@ import numpy as np
 
 from .besov import BesovParams, besov_parts, sobolev_norm
 from .grid import Field, GridSpec, dft, lp_norm, spectral_derivative
-from .mollify import mollify
+from .mollify import mollify, ratios, rel_changes
 from .profiles import Plateau, bump, radial_window
 
 
@@ -225,15 +225,13 @@ def w1p_inclusion_check(p: float) -> dict:
         w2_norms.append(line.lp(elem.d2u(x), p, mask=win))
         fits.append({"a0": a0, "C": const})
         recon_err.append(line.lp(du_rec - du_true, p, mask=fit_mask))
-    w1_changes = [abs(b / a - 1.0) for a, b in zip(w1_norms, w1_norms[1:])]
-    w2_growth = [b / a for a, b in zip(w2_norms, w2_norms[1:])]
     return {
         "p": p,
         "resolutions": list(resolutions),
         "w1p_window_norms": w1_norms,
-        "w1p_rel_changes": w1_changes,
+        "w1p_rel_changes": rel_changes(w1_norms),
         "w2p_window_seminorms": w2_norms,
-        "w2p_growth_factors": w2_growth,
+        "w2p_growth_factors": ratios(w2_norms),
         "fits": fits,
         "reconstruction_error": recon_err,
     }
@@ -274,16 +272,10 @@ def regularity_gap_experiment(grid_sizes=(64, 128, 256), half_period: float = ma
         trajectories["w_km1_1"].append(sobolev)
         trajectories["besov_k_1_inf"].append(sobolev + seminorms)
 
-    def rel_changes(vals):
-        return [abs(b / a - 1.0) for a, b in zip(vals, vals[1:])]
-
     verdicts = {}
     for name, vals in trajectories.items():
         changes = rel_changes(vals)
-        verdicts[name] = {
-            "rel_changes": changes,
-            "stable": bool(changes and max(changes[-1:]) <= 0.05),
-        }
+        verdicts[name] = {"rel_changes": changes, "stable": bool(changes and changes[-1] <= 0.05)}
     return {
         "grid_sizes": list(grid_sizes),
         "trajectories": trajectories,

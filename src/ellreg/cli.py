@@ -218,6 +218,11 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
 # ---------------------------------------------------------------------------
 
 
+def _error_csv(name: str, table) -> tuple:
+    """One mollifier sweep's (eps, error) table."""
+    return name, ["eps", "error"], [[row["eps"], row["error"]] for row in table.rows]
+
+
 def _run_mollify(
     cfg: ExperimentConfig,
     p=[1.0, 2.0],
@@ -240,9 +245,7 @@ def _run_mollify(
         for exponent in p:
             table = mollifier_convergence_experiment(operator.op, f, exponent, eps_seq, mask)
             per_p[str(exponent)] = table.as_dict()
-            rows = [[row["eps"], row["error"]] for row in table.rows]
-            name = f"mollify_{operator.spec}_{fixture}_p{exponent}"
-            tables.append((name, ["eps", "error"], rows))
+            tables.append(_error_csv(f"mollify_{operator.spec}_{fixture}_p{exponent}", table))
         results["cases"].append({"operator": operator, "fixture": fixture, "by_p": per_p})
     return results, tables
 
@@ -252,16 +255,13 @@ def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacia
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
     table = mollifier_convergence_experiment(operator.op, f, math.inf, eps_seq,
                                              _window_mask(cfg.grid))
-    rates = table.rates()
     results = {
         "operator": operator,
         "fixture": fixture,
         "table": table.as_dict(),
-        "final_rates": rates[-2:],
+        "final_rates": table.rates()[-2:],
     }
-    return results, [
-        ("uniform_errors", ["eps", "error"], [[r["eps"], r["error"]] for r in table.rows])
-    ]
+    return results, [_error_csv("uniform_errors", table)]
 
 
 def _run_resolvent(
@@ -511,11 +511,11 @@ def run_experiment(cfg: ExperimentConfig, output_root: str | None = None) -> Pat
 
 def _load_config_file(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(obj)
 

@@ -51,12 +51,27 @@ def admissible_eps_sequence(grid: GridSpec, count: int = 5) -> list:
     return out
 
 
+def ratios(values) -> list:
+    """The trajectory record: consecutive ratios b/a; verdicts on them live with their users."""
+    return [b / a for a, b in zip(values, values[1:])]
+
+
+def rel_changes(values) -> list:
+    """Consecutive relative changes |b/a - 1|."""
+    return [abs(r - 1.0) for r in ratios(values)]
+
+
+def log2_rates(values) -> list:
+    """Consecutive log2(a/b); inf where a value is not positive."""
+    return [float(np.log2(a / b)) if b > 0 and a > 0 else np.inf for a, b in zip(values, values[1:])]
+
+
 @dataclass
 class ErrorTable:
     """Per-epsilon errors plus trend diagnostics."""
 
+    norm_kind: str
     rows: list = field(default_factory=list)  # [{"eps": ..., "error": ...}]
-    norm_kind: str = "lp"
 
     def errors(self):
         return [row["error"] for row in self.rows]
@@ -74,11 +89,7 @@ class ErrorTable:
 
     def rates(self):
         """log2 error ratios between consecutive epsilon halvings."""
-        e = self.errors()
-        out = []
-        for a, b in zip(e, e[1:]):
-            out.append(float(np.log2(a / b)) if b > 0 and a > 0 else np.inf)
-        return out
+        return log2_rates(self.errors())
 
     def as_dict(self):
         return {

@@ -39,7 +39,6 @@ class ResolventProblem:
 class SolveReport:
     u: Field
     residual_linf: float
-    apriori_ratio: float | None
     iterations: int
     contraction_estimate: float | None
     increments: list  # L^2 increments of the fixed-point iterates; not part of as_dict
@@ -47,7 +46,6 @@ class SolveReport:
     def as_dict(self):
         return {
             "residual_linf": self.residual_linf,
-            "apriori_ratio": self.apriori_ratio,
             "iterations": self.iterations,
             "contraction_estimate": self.contraction_estimate,
         }
@@ -126,8 +124,7 @@ def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: fl
     else:
         h, contraction, increments = problem.g, None, []
     u = apply_multiplier(h, minv)
-    return SolveReport(u, residual(problem, u, mask), None, len(increments), contraction,
-                       increments)
+    return SolveReport(u, residual(problem, u, mask), len(increments), contraction, increments)
 
 
 def solve_constant(problem: ResolventProblem) -> SolveReport:

@@ -191,11 +191,40 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
-def test_validate_unreadable_and_malformed(tmp_path):
+def test_validate_unreadable_and_malformed(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["validate", str(garbled)]) == 2
+    # not UTF-8, and nested deeper than the JSON parser recurses
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe")
+    deep = 200_000
+    (tmp_path / "deep.json").write_text(
+        '{"kind": "besov-norm", "parameters": {"alpha": ' + "[" * deep + "]" * deep + "}}"
+    )
+    capsys.readouterr()
+    for name in ("utf16.json", "deep.json"):
+        path = str(tmp_path / name)
+        for argv in (["validate", path], ["run", path, "--output-root", str(tmp_path)]):
+            _assert_one_line_failure(capsys, 2, argv, "config error:")
+
+
+def test_one_point_sweeps_write_empty_trajectories(tmp_path):
+    # one grid size or one eps leaves no consecutive pair: empty changes and rates, no verdict
+    def run(kind, grid, parameters):
+        cfg = {"kind": kind, "grid": grid, "parameters": parameters, "output_dir": kind}
+        assert main(["run", _write_config(tmp_path, cfg), "--output-root", str(tmp_path)]) == 0
+        return json.loads((tmp_path / kind / "results.json").read_text())["results"]
+
+    gap = run("regularity-gap", {"dim": 2, "points_per_axis": 16}, {"grid_sizes": [16]})
+    assert set(gap["verdicts"]) == {"w_k_2", "w_km1_1", "besov_k_1_inf"}
+    assert all(v == {"rel_changes": [], "stable": False} for v in gap["verdicts"].values())
+    uniform = run("uniform-convergence", {"dim": 1, "points_per_axis": 256}, {"eps_count": 1})
+    assert uniform["table"]["converging"] is False
+    assert uniform["table"]["final_over_first"] == 1.0
+    assert uniform["table"]["rates"] == [] and uniform["final_rates"] == []
+    witness = run("example-a", {"dim": 1, "points_per_axis": 256}, {"eps": [0.4], "n_ref": 1024})
+    assert witness["u_lp_decay"] == 1.0
 
 
 def test_experiment_error_exit_code(tmp_path):

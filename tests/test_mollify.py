@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellreg.cli import _fixture_field, _window_mask
+from ellreg.cli import _fixture_field, _sanitize, _window_mask
 from ellreg.errors import EpsilonOutOfRange
 from ellreg.grid import (
     Field,
@@ -20,8 +20,11 @@ from ellreg.mollify import (
     ErrorTable,
     admissible_eps_sequence,
     kernel_field,
+    log2_rates,
     mollifier_convergence_experiment,
     mollify,
+    ratios,
+    rel_changes,
 )
 from ellreg.pdo import neg_laplacian, operator_from_constant
 from ellreg.profiles import radial_window
@@ -88,10 +91,19 @@ def test_admissible_eps_sequence(grid1d):
 
 
 def test_error_table_diagnostics():
-    table = ErrorTable(rows=[{"eps": 0.4, "error": 1.0}, {"eps": 0.2, "error": 0.2}])
+    table = ErrorTable("L2(window)", rows=[{"eps": 0.4, "error": 1.0}, {"eps": 0.2, "error": 0.2}])
     assert table.final_over_first == 0.2
     assert table.converging
     assert abs(table.rates()[0] - math.log2(5.0)) < 1e-12
+    # the trajectory record, by hand
+    assert ratios([2.0, 3.0, 1.5]) == [1.5, 0.5]
+    assert rel_changes([2.0, 3.0, 1.5]) == [0.5, 0.5]
+    assert log2_rates([4.0, 1.0, 2.0]) == [2.0, -1.0]
+    assert ratios([1.0]) == rel_changes([1.0]) == log2_rates([1.0]) == []
+    # a zero error has no rate: inf, which results.json writes as "inf"
+    table.rows.append({"eps": 0.1, "error": 0.0})
+    assert table.rates()[1] == math.inf
+    assert _sanitize(table.as_dict())["rates"][1] == "inf"
 
 
 def test_smooth_data_converges():

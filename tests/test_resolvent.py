@@ -274,4 +274,4 @@ def test_apriori_ratio_zero_rhs(grid1d):
 def test_report_as_dict(grid1d, rng):
     problem = neg_laplacian_problem(grid1d, 8.0, rng)
     d = solve_constant(problem).as_dict()
-    assert set(d) == {"residual_linf", "apriori_ratio", "iterations", "contraction_estimate"}
+    assert set(d) == {"residual_linf", "iterations", "contraction_estimate"}
