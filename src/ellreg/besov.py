@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Field, Hermitian, SpectralField, apply_multiplier, apply_multipliers, dft,
-                   lp_norm, monomial, spectral_derivatives)
+                   lp_norms, monomial, power_means, spectral_derivatives)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -51,13 +51,10 @@ def bessel_lift(gamma: float, f: Field) -> Field:
 def _lp_norms(stacks, grid, ps) -> dict:
     """The L^p norm of every field of every sample stack, in order, for each p of `ps`.
 
-    Each stack is reduced under every p as it comes, so no two stacks are held at once.
+    Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
     """
-    norms = {p: [] for p in ps}
-    for stack in stacks:
-        for p, out in norms.items():
-            out.extend(lp_norm(stack, p, grid=grid))
-    return norms
+    chunks = [lp_norms(stack, ps, grid=grid) for stack in stacks]
+    return {p: [n for chunk in chunks for n in chunk[i]] for i, p in enumerate(ps)}
 
 
 def sobolev_norm(f, k: int, p: float) -> float:
@@ -76,7 +73,7 @@ def _lower_norms(F: SpectralField, alphas, ps) -> dict:
     if F.source is None:
         return _lp_norms(spectral_derivatives(F, alphas), F.grid, ps)
     derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, ps)
-    return {p: [lp_norm(F.source, p, grid=F.grid)] + v for p, v in derivatives.items()}
+    return {p: [n] + derivatives[p] for p, n in zip(ps, lp_norms(F.source, ps, grid=F.grid))}
 
 
 def displacement_shells(grid) -> list:
@@ -142,13 +139,10 @@ def _shell_functional(grid, table, diffs, alpha: float, q: float) -> float:
     differences at the rows of the grid's _difference_table after its identity row."""
     radii, rep, _ = table
     arr = np.asarray(diffs).reshape(len(radii), -1)[:, rep] / np.array(radii)[:, None] ** alpha
-    if np.isinf(q):
-        return float(arr.max())
-    # per-shell midpoint rule in log-radius against the measure dx / |x|^m
+    # per-shell midpoint rule in log-radius against dx / |x|^m, averaged over the directions
     m = grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
     area = 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
-    integral = (arr**q).mean(axis=1).sum() * area * math.log(2.0)
-    return float(integral ** (1.0 / q))
+    return float(power_means(arr.reshape(-1), area * math.log(2.0) / len(rep), [q])[0])
 
 
 def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> float:

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from reprlib import repr as brief  # a bounded repr: config errors echo values in one short line
 
 import numpy as np
 
@@ -104,15 +105,15 @@ def _coerce(name: str, value, default, grid: GridSpec | None):
         return _Operator(value, _named_operator(grid, value))
     if isinstance(default, dict):
         if isinstance(value, dict) and set(value) != set(default):
-            raise ConfigError(f"{name} must have the keys {sorted(default)}, got {value!r}")
+            raise ConfigError(f"{name} must have the keys {sorted(default)}, got {brief(value)}")
         return _fields(name, value, default, grid)
     if isinstance(default, tuple):  # a record: one item per position
         if not isinstance(value, (list, tuple)) or len(value) != len(default):
-            raise ConfigError(f"{name} must be a list of {len(default)}, got {value!r}")
+            raise ConfigError(f"{name} must be a list of {len(default)}, got {brief(value)}")
         return tuple(_coerce(name, v, d, grid) for v, d in zip(value, default))
     if isinstance(default, list):  # a sequence of items like the first
         if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+            raise ConfigError(f"{name} must be a non-empty list, got {brief(value)}")
         return [_coerce(name, v, default[0], grid) for v in value]
     rule = _RANGES.get(name)
     if isinstance(default, str):
@@ -126,9 +127,9 @@ def _coerce(name: str, value, default, grid: GridSpec | None):
         need = 'a finite number or "inf"' if rule is _EXPONENT else "a finite number"
         value = float(value) if ok else value
     if not ok:
-        raise ConfigError(f"{name} must be {need}, got {value!r}")
+        raise ConfigError(f"{name} must be {need}, got {brief(value)}")
     if rule is not None and not rule[0](value, grid):
-        raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+        raise ConfigError(f"{name} must be {rule[1]}, got {brief(value)}")
     return value
 
 
@@ -136,7 +137,7 @@ def _fields(what: str, raw, schema: dict, grid: GridSpec | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be an object")
     if unknown := set(raw) - set(schema):
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {brief(sorted(unknown))}")
     return {name: _coerce(name, raw.get(name, d), d, grid) for name, d in schema.items()}
 
 
@@ -149,12 +150,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     if unknown := set(obj) - _CONFIG_KEYS:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {brief(sorted(unknown))}")
     if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
+        raise ConfigError(f"unsupported schema_version {brief(obj.get('schema_version'))}")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in CATALOG:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+        raise ConfigError(f"unknown experiment kind {brief(kind)}")
     try:
         grid = GridSpec(**_fields("grid", obj.get("grid", {}), _GRID_DEFAULTS, None))
     except ValueError as exc:
@@ -208,7 +209,7 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
         return operator_from_constant(grid, {alpha: 1.0}, order=1)
     if name == "identity":
         return operator_from_constant(grid, {(0,) * grid.dim: 1.0}, order=0)
-    raise ConfigError(f"unknown operator {name!r}")
+    raise ConfigError(f"unknown operator {brief(name)}")
 
 
 # ---------------------------------------------------------------------------

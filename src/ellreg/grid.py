@@ -200,23 +200,41 @@ def idft(F) -> Field:
     return Field(F.grid, samples)
 
 
-def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None = None):
-    """Quadrature L^p norm; uniform-weight Riemann sum, sample max for p = inf.
+def power_means(values: np.ndarray, weight: float, ps) -> list:
+    """(weight * sum over axis 0 of values^p)^(1/p) for each p of `ps`; the maximum at p = inf.
 
-    `f` is a Field, or a sample stack (*grid.shape, n, l) with its `grid`: n norms in one
-    reduction.  The magnitude is |f| for one channel, the channel 2-norm otherwise.
+    The non-negative `values` are overwritten: each column is divided by d, its means multiplied
+    back by d.  d is the power of two of the column maximum for p <= 1022 (an exact division;
+    the largest quotient, at least 1/2, has a normal p-th power), and the maximum itself above.
+    """
+    top = values.max(axis=0, initial=0.0)
+    scaled_top, e = np.frexp(top)  # top = scaled_top * 2^e, scaled_top in [1/2, 1) or 0
+    np.ldexp(values, -e, out=values)  # exact; a factor 2^-e would overflow at subnormal maxima
+
+    def mean(p):
+        d = np.maximum(scaled_top, 0.5) if p > 1022 else 1.0  # 1/2 stands in for a zero column
+        scaled = values / d if p > 1022 else values  # not x * (1/d): the max may land under 1
+        return np.ldexp(d * (weight * (scaled ** p).sum(axis=0)) ** (1.0 / p), e)
+    return [top if math.isinf(p) else mean(p) for p in ps]
+
+
+def lp_norms(f, ps, mask: np.ndarray | None = None, grid: GridSpec | None = None) -> list:
+    """Quadrature L^p norms for each p of `ps`: the power_means of the magnitude of `f`.
+
+    `f` is a Field, or a sample stack (*grid.shape, n, l) with its `grid`: n norms per p.  The
+    magnitude is |f| for one channel, the channel 2-norm otherwise; `mask` is boolean, grid-shaped.
     """
     if isinstance(f, Field):
         grid, f = f.grid, f.samples
-    mag = np.abs(f[..., 0]) if f.shape[-1] == 1 else np.sqrt(np.sum(np.abs(f) ** 2, axis=-1))
-    mag = mag.reshape((grid.num_points,) + mag.shape[grid.dim:])  # grid axes flattened
-    if mask is not None:
-        mag = mag[np.reshape(mask, -1)]
-    if np.isinf(p):
-        norms = mag.max(axis=0, initial=0.0)
-    else:
-        norms = (grid.spacing ** grid.dim * (mag ** p).sum(axis=0)) ** (1.0 / p)
-    return norms if norms.ndim else float(norms)
+    mag = np.abs(f)
+    mag = mag[..., 0] if f.shape[-1] == 1 else power_means(np.moveaxis(mag, -1, 0), 1.0, [2])[0]
+    mag = mag.reshape((grid.num_points,) + mag.shape[grid.dim:]) if mask is None else mag[mask]
+    return [n if n.ndim else float(n) for n in power_means(mag, grid.spacing ** grid.dim, ps)]
+
+
+def lp_norm(f, p: float, mask: np.ndarray | None = None, grid: GridSpec | None = None):
+    """The lp_norms of f at the one exponent p."""
+    return lp_norms(f, [p], mask, grid)[0]
 
 
 # Complex points one stacked inverse transform may hold (1 MB of complex128):

@@ -9,14 +9,13 @@ norms aggregate per-patch Besov norms in l^p.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .besov import BesovParams, besov_norm
 from .errors import IncommensurableDelta
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, power_means
 from .profiles import Plateau, min_image
 
 
@@ -71,7 +70,5 @@ def patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> float:
     """l^p over patches of the per-patch B^beta_{p,p} norms."""
     params = BesovParams(beta, p, p)
     vals = np.array([besov_norm(pf, params) for pf in part.patch_fields(f)])
-    if math.isinf(p):
-        return float(np.max(vals))
-    return float(np.sum(vals**p) ** (1.0 / p))
+    return float(power_means(vals, 1.0, [p])[0])
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from ellreg.besov import (
     second_difference_seminorm,
     sobolev_norm,
 )
+from ellreg.cli import main
 from ellreg.grid import (
     _STACK_POINTS,
     _half_pieces,
@@ -132,6 +134,56 @@ def test_besov_norm_finite_across_scale(grid1d):
         for q in (1.0, 2.0, INF):
             n = besov_norm(f, BesovParams(alpha, 2.0, q))
             assert math.isfinite(n) and n > 0.0
+
+
+def exp_mode_besov(k: int, alpha: float, p: float, q: float, grid) -> float:
+    """The B^alpha_{p,q} norm of exp(ikx) on a 1-D grid, in closed form.
+
+    |exp(ikx)| = 1, and its second difference at displacement rho has modulus
+    |2 - 2 cos k rho| everywhere, so every L^p norm is that factor times (2L)^(1/p).
+    Orders <= 0 carry the Bessel factor (1 + k^2)^(-(1 - alpha)/2) and are measured at
+    order one; orders above one add the Sobolev part.  The q-sum over the shells (the
+    unit sphere of R^1 has area 2) is divided by its largest term, so no q overflows it.
+    """
+    unit = (2.0 * grid.half_period) ** (1.0 / p)
+
+    def seminorm(amp, a):
+        vals = [amp * abs(2.0 - 2.0 * math.cos(k * rho)) * unit / rho**a
+                for rho in displacement_shells(grid)]
+        top = max(vals)
+        return top * (2.0 * math.log(2.0) * sum((v / top) ** q for v in vals)) ** (1.0 / q)
+
+    if alpha <= 0.0:
+        amp = (1.0 + k * k) ** (-(1.0 - alpha) / 2.0)
+        return amp * unit + seminorm(amp, 1.0)
+    if alpha <= 1.0:
+        return unit + seminorm(1.0, alpha)
+    order = math.ceil(alpha) - 1
+    return sum(k**j * unit for j in range(order + 1)) + seminorm(float(k) ** order, alpha - order)
+
+
+@pytest.mark.parametrize("p", [1100.0, 1e6, 1e300])
+def test_besov_norms_match_the_closed_form_at_large_exponents(p):
+    grid = GridSpec(1, 256, math.pi)
+    alphas = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]
+    norms = besov_norms(mode(grid, 3), [BesovParams(a, p, p) for a in alphas])
+    for alpha, norm in zip(alphas, norms):
+        want = exp_mode_besov(3, alpha, p, p, grid)
+        assert abs(norm - want) <= 1e-12 * want, alpha
+
+
+@pytest.mark.parametrize("p", [400.0, 1100.0])
+def test_besov_norm_run_is_finite_and_exact_at_large_exponents(tmp_path, p):
+    config = {"kind": "besov-norm", "grid": {"dim": 1, "points_per_axis": 128},
+              "parameters": {"p": p, "q": p}, "output_dir": "large-p"}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["run", str(tmp_path / "cfg.json"), "--output-root", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "large-p" / "results.json").read_text())["results"]
+    assert results["all_finite"] is True
+    grid = GridSpec(1, 128, math.pi)
+    for alpha, norm in results["norms"].items():
+        want = exp_mode_besov(3, float(alpha), p, p, grid)
+        assert abs(norm - want) <= 1e-12 * want, alpha
 
 
 def test_besov_zero_field(grid1d):

@@ -260,6 +260,30 @@ def test_unknown_coefficient_token_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "token").exists()
 
 
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# a value that the message echoes: an alpha list nested 900 deep once printed a 1.8 kB line
+LONG_VALUES = {
+    "nested-alpha": {"kind": "besov-norm", "parameters": {"alpha": _nested(0.5, 900)}},
+    "long-kind": {"kind": "k" * 5000},
+    "long-key": {"kind": "besov-norm", "parameters": {"a" * 5000: 1.0}},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", sorted(LONG_VALUES))
+def test_config_error_echoes_a_bounded_value(tmp_path, capsys, command, name):
+    cfg_path = _write_config(tmp_path, LONG_VALUES[name])
+    argv = [command, cfg_path] + (["--output-root", str(tmp_path)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) <= 201
+
+
 @pytest.mark.parametrize("kind, count", [("patch-equivalence", 0), ("apriori-sweep", -1)])
 def test_sample_count_below_one_is_a_config_error(tmp_path, capsys, kind, count):
     cfg_path = _write_config(tmp_path, {"kind": kind, "parameters": {"count": count}})

@@ -23,7 +23,9 @@ from ellreg.grid import (
     field_from_function,
     idft,
     lp_norm,
+    lp_norms,
     monomial,
+    power_means,
     random_band_limited_field,
     spectral_derivative,
     spectral_derivatives,
@@ -158,6 +160,45 @@ def test_stacked_lp_norm_matches_the_per_field_loop(rng, p, channels):
             want = np.max(mag) if math.isinf(p) else (grid.spacing**2 * np.sum(mag**p)) ** (1 / p)
             assert abs(norm - want) <= 1e-14 * want
             assert abs(lp_norm(f, p, mask=m) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("p", [2.0, 1e300, math.inf])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("c", [1e-310, 1e-200, 1e200])
+def test_lp_norm_of_a_tiny_or_huge_constant(c, channels, p):
+    # neither the channel 2-norm's squares nor the Riemann sum's p-th powers leave the range;
+    # 1e-310 is subnormal, so its scale 2^-e is above the largest float
+    grid = GridSpec(1, 64, math.pi)
+    f = Field(grid, np.full(grid.shape + (channels,), c))
+    want = c * math.sqrt(channels) * (2.0 * math.pi) ** (1.0 / p)
+    assert abs(lp_norm(f, p) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 1100.0, 1e6, 1e300, math.inf])
+def test_power_means_scale_each_column_by_itself(p):
+    # columns of zeros, of 1e-200, of 1e200 and of 1 times the same profile
+    profile = np.array([1.0, 2.0, 3.0, 0.5, 3.0])
+    scales = np.array([0.0, 1e-200, 1e200, 1.0])
+    (got,) = power_means(profile[:, None] * scales, 0.25, [p])
+    top = profile.max()
+    unit = top if math.isinf(p) else top * (0.25 * np.sum((profile / top) ** p)) ** (1.0 / p)
+    assert np.allclose(got, scales * unit, rtol=1e-14, atol=0.0)
+
+
+def test_power_means_round_as_the_plain_sums_at_p_1_2_inf(rng):
+    # the power-of-two divisor is exact, so stacked norms keep their unscaled rounding
+    values = rng.random((200, 6)) * 10.0 ** rng.uniform(-30.0, 30.0, 6)
+    for p, got in zip((1.0, 2.0, math.inf), power_means(values.copy(), 0.3, (1.0, 2.0, math.inf))):
+        want = values.max(axis=0) if math.isinf(p) else (0.3 * (values**p).sum(axis=0)) ** (1 / p)
+        assert np.array_equal(got, want)
+
+
+def test_lp_norms_reduce_one_magnitude_under_every_exponent(rng):
+    grid = GridSpec(2, 16, 2.0)
+    stack = np.stack([random_band_limited_field(grid, 2, rng).samples for _ in range(3)], axis=-2)
+    ps = [1.0, 2.0, 1.5, math.inf]
+    for p, norms in zip(ps, lp_norms(stack, ps, grid=grid)):
+        assert np.array_equal(norms, lp_norm(stack, p, grid=grid))
 
 
 def test_spectral_derivative_oracle(grid1d):

@@ -65,3 +65,12 @@ def test_patch_norm_two_sided_and_refinement_stable(rng):
     assert abs(ratios[128][1] / ratios[64][1] - 1.0) < 0.20
     assert abs(ratios[128][0] / ratios[64][0] - 1.0) < 0.20
 
+
+
+def test_patch_norm_at_a_huge_exponent_is_the_sup_norm(grid1d, rng):
+    part = build_partition(grid1d, math.pi / 2.0)
+    f = random_band_limited_field(grid1d, 1, rng)
+    sup = patch_norm(f, part, 1.0, math.inf)
+    assert abs(patch_norm(f, part, 1.0, 1e300) - sup) <= 1e-12 * sup
+    # l^1100 over 8 patches of B^1_{1100,1100} norms: within 1% of the sup, not overflowed
+    assert abs(patch_norm(f, part, 1.0, 1100.0) / sup - 1.0) < 0.01
