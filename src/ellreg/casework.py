@@ -157,11 +157,11 @@ def nondensity_witness(p: float, eps_seq, n_ref: int = 8192) -> dict:
     v = elem.v(x)
     # the staggered samples are a half-cell translate of the periodic grid, so
     # the grid's convolution (kernel at integer offsets) applies unchanged
-    u_field = Field(GridSpec(1, n_ref, math.pi), u[:, None])
+    u_hat = dft(Field(GridSpec(1, n_ref, math.pi), u[:, None]))  # one transform for every eps
 
     rows = []
     for eps in eps_seq:
-        u_eps = mollify(u_field, eps).samples[:, 0].real
+        u_eps = mollify(u_hat, eps).samples[:, 0].real
         v_eps = x * line.fd2(u_eps)
         w = v_eps - v
         graph_err = line.lp(w, p) + line.lp(line.fd1(w), p)

@@ -17,12 +17,13 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from reprlib import repr as brief  # a bounded repr: config errors echo values in one short line
+from textwrap import shorten  # a bounded, one-line exception text
 
 import numpy as np
 
 from . import casework
 from .besov import BesovParams, besov_norm, besov_norms
-from .mollify import admissible_eps_sequence, mollifier_convergence_experiment
+from .mollify import admissible_eps_sequence, mollifier_convergence_tables
 from .errors import ConfigError, EllregError, ExperimentError
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
 from .localize import build_partition, patch_norm
@@ -193,7 +194,7 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
         try:
             return operator_from_description(grid, name)
         except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
-            raise ConfigError(f"bad operator description: {exc}") from exc
+            raise ConfigError(f"bad operator description: {shorten(str(exc), 150)}") from exc
     if name == "neg-laplacian":
         return neg_laplacian(grid)
     if name == "neg-laplacian-plus-one":
@@ -242,20 +243,19 @@ def _run_mollify(
     for case in cases:
         operator, fixture = case["operator"], case["fixture"]
         f = _fixture_field(cfg.grid, fixture)
-        per_p = {}
-        for exponent in p:
-            table = mollifier_convergence_experiment(operator.op, f, exponent, eps_seq, mask)
-            per_p[str(exponent)] = table.as_dict()
-            tables.append(_error_csv(f"mollify_{operator.spec}_{fixture}_p{exponent}", table))
-        results["cases"].append({"operator": operator, "fixture": fixture, "by_p": per_p})
+        sweeps = mollifier_convergence_tables([operator.op], f, p, eps_seq, mask)
+        tables += [_error_csv(f"mollify_{operator.spec}_{fixture}_p{exponent}", table)
+                   for exponent, table in zip(p, sweeps)]
+        by_p = {str(exponent): table.as_dict() for exponent, table in zip(p, sweeps)}
+        results["cases"].append({"operator": operator, "fixture": fixture, "by_p": by_p})
     return results, tables
 
 
 def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacian", eps_count=6):
     f = _fixture_field(cfg.grid, fixture)
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
-    table = mollifier_convergence_experiment(operator.op, f, math.inf, eps_seq,
-                                             _window_mask(cfg.grid))
+    (table,) = mollifier_convergence_tables([operator.op], f, [math.inf], eps_seq,
+                                            _window_mask(cfg.grid))
     results = {
         "operator": operator,
         "fixture": fixture,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,9 +207,10 @@ def power_means(values: np.ndarray, weight: float, ps) -> list:
     The non-negative `values` are overwritten: each column is divided by d, its means multiplied
     back by d.  d is the power of two of the column maximum for p <= 1022 (an exact division;
     the largest quotient, at least 1/2, has a normal p-th power), and the maximum itself above.
+    An inf maximum counts as the largest float, so that column's means are inf, never nan.
     """
     top = values.max(axis=0, initial=0.0)
-    scaled_top, e = np.frexp(top)  # top = scaled_top * 2^e, scaled_top in [1/2, 1) or 0
+    scaled_top, e = np.frexp(np.fmin(top, sys.float_info.max))  # scaled_top in [1/2, 1) or 0
     np.ldexp(values, -e, out=values)  # exact; a factor 2^-e would overflow at subnormal maxima
 
     def mean(p):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EpsilonOutOfRange
-from .grid import Field, GridSpec, apply_multiplier, dft, lp_norm
+from .grid import Field, GridSpec, apply_multiplier, dft, lp_norms
 from .pdo import PDOperator, apply
 from .profiles import bump
 
@@ -31,8 +31,8 @@ def mollifier_symbol(grid: GridSpec, eps: float) -> np.ndarray:
     return dft(kernel_field(grid, eps)).coefficients[..., 0] * grid.volume
 
 
-def mollify(f: Field, eps: float) -> Field:
-    """Spectral convolution with the sampled, mass-renormalized dilate h_eps."""
+def mollify(f, eps: float) -> Field:
+    """Convolution with the sampled, unit-mass dilate h_eps; f a Field or its SpectralField."""
     return apply_multiplier(f, mollifier_symbol(f.grid, eps))
 
 
@@ -101,13 +101,18 @@ class ErrorTable:
         }
 
 
-def mollifier_convergence_experiment(
-    P: PDOperator, f: Field, p: float, eps_seq, window_mask
-) -> ErrorTable:
-    """Errors ||P f_eps - P f||_{L^p(window)} along an epsilon sweep."""
-    F = dft(f)  # P f_eps - P f is P (K_eps - 1) F: two transforms per eps, nothing cancels
-    table = ErrorTable(norm_kind=f"L{p}(window)")
+def mollifier_convergence_tables(ops, f: Field, ps, eps_seq, window_mask) -> list:
+    """The mollifier_convergence_experiment of each (P, p) in ops x ps, one symbol per eps."""
+    F = dft(f)  # P f_eps - P f is P (K_eps - 1) F: one transform per (eps, P), nothing cancels
+    tables = [ErrorTable(norm_kind=f"L{p}(window)") for _ in ops for p in ps]
     for eps in eps_seq:
-        err = lp_norm(apply(P, F, mollifier_symbol(f.grid, eps) - 1.0), p, mask=window_mask)
-        table.rows.append({"eps": float(eps), "error": float(err)})
-    return table
+        factor = mollifier_symbol(f.grid, eps) - 1.0
+        errors = [e for P in ops for e in lp_norms(apply(P, F, factor), ps, mask=window_mask)]
+        for table, err in zip(tables, errors):
+            table.rows.append({"eps": float(eps), "error": float(err)})
+    return tables
+
+
+def mollifier_convergence_experiment(P: PDOperator, f, p, eps_seq, window_mask) -> ErrorTable:
+    """Errors ||P f_eps - P f||_{L^p(window)} along an epsilon sweep."""
+    return mollifier_convergence_tables([P], f, [p], eps_seq, window_mask)[0]

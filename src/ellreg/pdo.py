@@ -161,31 +161,27 @@ def _resolvent_blocks(lam: complex, sym: np.ndarray):
 def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: int = 17):
     """Least C with |(r^n e^{i theta0} - sigma(i xi))^-1| <= C (r+|xi|)^-n, sampled.
 
-    Samples (xi, r) on the quarter-sphere r^2 + |xi|^2 = 1 (enough by joint
-    homogeneity), at `arc_samples` arc points and 64 directions, and x over
-    the grid; returns (C, ok) with ok False if any sampled matrix is singular
-    by the scale-free test of `_resolvent_blocks`, or if at a sampled unit
-    direction w an eigenvalue mu of sigma(w) lies on the ray {t e^{i theta0} :
-    t >= 0}: by homogeneity the block is singular at (r, rho w) with
-    (r / rho)^n = |mu|, wherever the arc samples fall.
+    Samples (r, rho w) on the quarter-sphere r^2 + rho^2 = 1 (enough by joint homogeneity) at
+    `arc_samples` arc points, 64 unit directions w (2 in 1-D), and x over the grid: sigma(rho w)
+    is rho^n sigma(w), so the direction symbols serve every arc point.  Returns (C, ok), ok False
+    if a sampled matrix is singular by the scale-free test of `_resolvent_blocks` (C is then over
+    the other directions), or if an eigenvalue mu of some sigma(w) is on the ray t e^{i theta0},
+    t >= 0: the block at (r, rho w) with (r / rho)^n = |mu|, sampled or not, is singular.
     """
     if Q.in_channels != Q.out_channels:
         raise ChannelMismatch("parameter-ellipticity requires square channels")
     n = Q.order
     worst = 0.0
     dirs = unit_directions(Q.grid.dim, 64)
-    mu = np.linalg.eigvals(np.stack([symbol_field(Q, omega) for omega in dirs]))
+    sym = np.stack([symbol_field(Q, omega) for omega in dirs])  # (directions, *shape, l, l)
+    mu = np.linalg.eigvals(sym)
     ok = not np.any(np.abs(mu - np.abs(mu) * np.exp(1j * theta0)) <= 1e-12 * np.abs(mu))
     for s in np.linspace(0.0, np.pi / 2.0, arc_samples):
-        r = float(np.sin(s))
-        rho = float(np.cos(s))
-        for omega in dirs:
-            xi = rho * omega
-            _, smin, singular = _resolvent_blocks((r**n) * np.exp(1j * theta0), symbol_field(Q, xi))
-            if np.any(singular):
-                ok = False
-                continue
-            worst = max(worst, (r + float(np.linalg.norm(xi))) ** n / float(np.min(smin)))
+        r, rho = float(np.sin(s)), float(np.cos(s))
+        _, smin, singular = _resolvent_blocks((r**n) * np.exp(1j * theta0), rho**n * sym)
+        singular = singular.reshape(len(dirs), -1).any(axis=1)  # per direction
+        ok = ok and not singular.any()
+        worst = max(worst, (r + rho) ** n / float(np.min(smin[~singular], initial=np.inf)))
     return worst, ok
 
 

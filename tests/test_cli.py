@@ -271,6 +271,12 @@ LONG_VALUES = {
     "nested-alpha": {"kind": "besov-norm", "parameters": {"alpha": _nested(0.5, 900)}},
     "long-kind": {"kind": "k" * 5000},
     "long-key": {"kind": "besov-norm", "parameters": {"a" * 5000: 1.0}},
+    # operator_from_description's own messages, echoed through the cli
+    **{name: {"kind": "resolvent-solve", "parameters": {"operator": {
+        "order": order, "entries": [{"alpha": [2], "coeff": coeff}]}}} for name, order, coeff in [
+            ("long-token", 2, {"token": "z" * 3000}),
+            ("long-string-coeff", 2, "z" * 3000),
+            ("long-order", "x" * 3000, -1.0)]},
 }
 
 

@@ -174,6 +174,27 @@ def test_lp_norm_of_a_tiny_or_huge_constant(c, channels, p):
     assert abs(lp_norm(f, p) - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("p", [2.0, 2000.0, 1e300, math.inf])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("others", [3.0, math.inf])
+def test_lp_norm_of_a_field_with_an_inf_sample(others, channels, p):
+    # an inf sample makes the norm inf at every p: not inf / inf = nan above p = 1022, and
+    # no overflow warning from the unscaled finite samples beside it
+    grid = GridSpec(1, 16, math.pi)
+    samples = np.full(grid.shape + (channels,), others)
+    samples[5, 0] = math.inf
+    assert lp_norm(Field(grid, samples), p) == math.inf
+
+
+def test_power_means_of_a_column_holding_inf():
+    # the column holding inf has mean inf; the other columns' means are those without it
+    values = np.array([[1.0, 3.0, 0.0], [2.0, math.inf, 0.0], [2.0, 5.0, 0.0]])
+    ps = (2.0, 2000.0, math.inf)
+    finite = power_means(values[:, [0, 2]].copy(), 0.5, ps)
+    for got, want in zip(power_means(values.copy(), 0.5, ps), finite):
+        assert got[1] == math.inf and got[0] == want[0] and got[2] == want[1] == 0.0
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 1100.0, 1e6, 1e300, math.inf])
 def test_power_means_scale_each_column_by_itself(p):
     # columns of zeros, of 1e-200, of 1e200 and of 1 times the same profile

@@ -22,6 +22,7 @@ from ellreg.mollify import (
     kernel_field,
     log2_rates,
     mollifier_convergence_experiment,
+    mollifier_convergence_tables,
     mollify,
     ratios,
     rel_changes,
@@ -143,6 +144,25 @@ def test_sweep_costs_one_transform_of_f_and_two_per_eps(order, transform_calls):
     transform_calls.clear()
     mollifier_convergence_experiment(P, f, 2.0, eps, mask)
     assert len(eps) < len(transform_calls) <= 2 * len(eps) + 1
+    # the list sweep: per eps one transform of the kernel and one per operator, under every p
+    ops = [P] + [operator_from_constant(grid, {(k,): 1.0}, order=k) for k in range(3) if k != order]
+    transform_calls.clear()
+    mollifier_convergence_tables(ops, f, [1.0, 2.0, math.inf], eps, mask)
+    assert len(transform_calls) == 1 + len(eps) * (1 + len(ops)) == 17
+
+
+def test_list_sweep_equals_the_one_operator_one_exponent_sweeps():
+    grid = GridSpec(1, 256, math.pi)
+    f = _fixture_field(grid, "kink")
+    mask = _window_mask(grid)
+    eps = admissible_eps_sequence(grid, count=4)
+    ops = [operator_from_constant(grid, {(0,): 1.0}, order=0),
+           operator_from_constant(grid, {(1,): 1.0}, order=1),
+           operator_from_constant(grid, {(2,): -1.0}, order=2)]
+    ps = [1.0, 2.0, math.inf]
+    tables = mollifier_convergence_tables(ops, f, ps, eps, mask)
+    singles = [mollifier_convergence_experiment(P, f, p, eps, mask) for P in ops for p in ps]
+    assert tables == singles
 
 
 PI_LONG = 4.0 * np.arctan(np.longdouble(1.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellreg import pdo
 from ellreg.grid import (
     GridSpec,
     apply_multiplier,
@@ -138,6 +139,61 @@ def test_parameter_ellipticity_detects_the_singular_ray_at_every_scale(dim, s):
     Q = operator_from_constant(grid, coeffs, order=2)
     assert not parameter_ellipticity_constant(Q, 0.0)[1]
     assert parameter_ellipticity_constant(Q, math.pi)[1]
+
+
+def pointwise_parameter_constant(Q, theta0, arc_samples=17):
+    """parameter_ellipticity_constant by brute force: one symbol and one block test per (s, w)."""
+    n, worst = Q.order, 0.0
+    dirs = unit_directions(Q.grid.dim, 64)
+    mu = np.linalg.eigvals(np.stack([symbol_field(Q, w) for w in dirs]))
+    ok = not np.any(np.abs(mu - np.abs(mu) * np.exp(1j * theta0)) <= 1e-12 * np.abs(mu))
+    for s in np.linspace(0.0, math.pi / 2.0, arc_samples):
+        r, rho = math.sin(s), math.cos(s)
+        lam = r**n * np.exp(1j * theta0)
+        for w in dirs:
+            sym = symbol_field(Q, rho * w)
+            smin = np.linalg.svd(lam * np.eye(Q.in_channels) - sym, compute_uv=False)[..., -1]
+            if np.any(smin <= 1e-14 * (abs(lam) + np.linalg.norm(sym, axis=(-2, -1)))):
+                ok = False
+                continue
+            worst = max(worst, (r + float(np.linalg.norm(rho * w))) ** n / float(np.min(smin)))
+    return worst, ok
+
+
+def anisotropic_two_channel_operator():
+    """2-D, 2-channel, variable coefficients: at theta0 = 0 its blocks at s = pi/4 are singular
+    in the four axis directions only, where a = 1 + 0.3 cos x is 1 (x = +-pi/2)."""
+    grid = GridSpec(2, 8, math.pi)
+    x = grid.coords()[..., 0]
+    a = (1.0 + 0.3 * np.cos(x))[..., None, None]
+    c = np.sin(x)[..., None, None]
+    coeffs = {(2, 0): -a * np.diag([1.0, 2.0]), (0, 2): -a * np.diag([2.0, 1.0]),
+              (1, 1): -c * np.array([[0.0, 0.1], [0.1, 0.0]]),
+              (1, 0): np.eye(2), (0, 0): np.ones((2, 2))}
+    return PDOperator(grid, 2, 2, 2, coeffs)
+
+
+@pytest.mark.parametrize("theta0, elliptic", [(math.pi, True), (1.0, True), (0.0, False)])
+def test_parameter_ellipticity_constant_matches_the_pointwise_reference(theta0, elliptic):
+    # one stack of 64 direction symbols times rho^n gives the point-by-point numbers; at the
+    # singular theta0 = 0 the constant is taken over the other directions by both
+    Q = anisotropic_two_channel_operator()
+    C, ok = parameter_ellipticity_constant(Q, theta0)
+    want, want_ok = pointwise_parameter_constant(Q, theta0)
+    assert ok == want_ok == elliptic
+    assert abs(C - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dim, directions", [(1, 2), (2, 64)])
+def test_parameter_ellipticity_builds_one_symbol_per_direction(monkeypatch, dim, directions):
+    calls = {"symbol_field": 0, "_resolvent_blocks": 0}
+    for name in calls:
+        def counted(*args, _func=getattr(pdo, name), _name=name):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(pdo, name, counted)
+    parameter_ellipticity_constant(neg_laplacian(GridSpec(dim, 8, math.pi)), math.pi)
+    assert calls == {"symbol_field": directions, "_resolvent_blocks": 17}
 
 
 def test_frozen_at(grid1d):
