@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Hermitian, SpectralField, apply_multiplier, apply_multipliers, dft,
-                   lp_norms, monomial, power_means, spectral_derivatives)
+from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, apply_multiplier,
+                   apply_multipliers, dft, lp_norms, monomial, power_means, spectral_derivatives)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -48,32 +48,38 @@ def bessel_lift(gamma: float, f: Field) -> Field:
     return apply_multiplier(f, _bessel(gamma, f.grid.freqs()))
 
 
-def _lp_norms(stacks, grid, ps) -> dict:
-    """The L^p norm of every field of every sample stack, in order, for each p of `ps`.
+def _lp_norms(stacks, grid, ps, fields: int) -> dict:
+    """The L^p norms (n, fields) of every sample stack (*shape, n, fields * l), in order, for
+    each p of `ps`, (0, fields) when there are none: the stacks hold `fields` fields side by
+    side on the channel axis, and each field's channel 2-norm stays its own.
 
     Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
     """
-    chunks = [lp_norms(stack, ps, grid=grid) for stack in stacks]
-    return {p: [n for chunk in chunks for n in chunk[i]] for i, p in enumerate(ps)}
+    chunks = [lp_norms(stack.reshape(stack.shape[:-1] + (fields, -1)), ps, grid=grid)
+              for stack in stacks]
+    return {p: np.concatenate([np.empty((0, fields))] + [chunk[i] for chunk in chunks])
+            for i, p in enumerate(ps)}
 
 
 def sobolev_norm(f, k: int, p: float) -> float:
     """W^{k,p} norm: sum of L^p norms of all derivatives up to order k; f a Field or its spectrum."""
     F = f if isinstance(f, SpectralField) else dft(f)
-    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), [p])[p]))
+    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), [p], 1)[p][:, 0]))
 
 
-def _lower_norms(F: SpectralField, alphas, ps) -> dict:
-    """The L^p norms of the d^alpha f with spectrum F, for `alphas`, which start with zero,
-    for each p of `ps`.
+def _lower_norms(F: SpectralField, alphas, ps, fields: int) -> dict:
+    """The L^p norms (len(alphas), fields) of the d^alpha f of the `fields` fields with spectrum
+    F, side by side as in _lp_norms, for `alphas`, which start with zero, for each p of `ps`.
 
     The order-zero term is read from the samples dft transformed; a spectrum made without
     them carries it in the derivative stack.
     """
     if F.source is None:
-        return _lp_norms(spectral_derivatives(F, alphas), F.grid, ps)
-    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, ps)
-    return {p: [n] + derivatives[p] for p, n in zip(ps, lp_norms(F.source, ps, grid=F.grid))}
+        return _lp_norms(spectral_derivatives(F, alphas), F.grid, ps, fields)
+    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, ps, fields)
+    source = F.source.reshape(F.grid.shape + (fields, -1))
+    return {p: np.concatenate([n[None], derivatives[p]])
+            for p, n in zip(ps, lp_norms(source, ps, grid=F.grid))}
 
 
 def displacement_shells(grid) -> list:
@@ -159,7 +165,20 @@ def besov_norm(f, params: BesovParams) -> float:
 
 def besov_norms(f, points) -> list:
     """The B^alpha_{p,q} norms of f at each BesovParams of `points`, in order."""
-    return [float(sum(parts)) for parts in _besov_parts(f, points)]
+    return batch_norms([f], points)[0]
+
+
+def batch_norms(fields, points) -> list:
+    """The besov_norms of each of `fields` at `points`: one list of norms per field, in order.
+
+    The fields share one grid and one channel count.  Runs of them go through one transform
+    and one stack set per _stack_set side by side on the channel axis (_batches), so that a
+    run shares every multiplier build, inverse transform and reduction.  A run takes the
+    real route of apply_multipliers only if all its fields are real: the program's batches
+    are all real or all complex (patches share their field's realness, resolvent solutions
+    are complex).  A field may be a SpectralField only in a batch of one.
+    """
+    return [[float(sum(parts)) for parts in field] for field in _besov_parts(fields, points)]
 
 
 def besov_parts(f, params: BesovParams) -> tuple:
@@ -170,7 +189,7 @@ def besov_parts(f, params: BesovParams) -> tuple:
     they are the L^p norm and the functional of f, or of its Bessel lift for alpha <= 0.
     f is a Field or its SpectralField, as in sobolev_norm.
     """
-    return _besov_parts(f, [params])[0]
+    return _besov_parts([f], [params])[0][0]
 
 
 def _stack_set(alpha: float) -> tuple:
@@ -183,34 +202,70 @@ def _stack_set(alpha: float) -> tuple:
     return None, math.ceil(alpha) - 1  # strictly-less-than bracket: [alpha] < alpha
 
 
-def _besov_parts(f, points) -> list:
-    """besov_parts at each of `points`: one dft of f and one stack set per _stack_set, each
-    stack reduced under every p that the points of its set ask for."""
-    F = f if isinstance(f, SpectralField) else dft(f)
-    grid, dim = F.grid, F.grid.dim
-    table = _difference_table(grid)
+def _batches(fields):
+    """(count, spectrum) per run of consecutive `fields`: the spectrum of the run's samples side
+    by side on the channel axis.  A run's samples hold at most _STACK_POINTS complex points,
+    so that a run, like a chunk of apply_multipliers, stays within 1 MB; a larger field runs
+    alone."""
+    run, size = [], 0
+    for f in fields:
+        points = (f.coefficients if isinstance(f, SpectralField) else f.samples).size
+        if run and size + points > _STACK_POINTS:
+            yield _joined(run)
+            run, size = [], 0
+        run.append(f)
+        size += points
+    if run:
+        yield _joined(run)
+
+
+def _joined(run: list) -> tuple:
+    """(len(run), the spectrum of the run's fields side by side); empties `run`, so that the
+    fields' own samples can go once they are copied."""
+    if len(run) == 1:
+        f = run.pop()
+        return 1, f if isinstance(f, SpectralField) else dft(f)
+    grid, count = run[0].grid, len(run)
+    samples = np.concatenate([f.samples for f in run], axis=-1)
+    run.clear()
+    return count, dft(Field(grid, samples))
+
+
+def _besov_parts(fields, points) -> list:
+    """besov_parts of each of `fields` at each of `points`: per run of _batches, one dft and one
+    stack set per _stack_set, each stack reduced under every p that the points of its set ask
+    for, field by field."""
     keys = [_stack_set(P.alpha) for P in points]
     sets = {}  # stack set -> the p its stacks are reduced under, in first-asked order
     for key, P in zip(keys, points):
         sets.setdefault(key, {})[P.p] = None
-    norms = {}  # stack set -> (lower-order norms, top-derivative norms) under each p
-    for (gamma, k), ps in sets.items():
-        if k == 0:
-            lower = dict.fromkeys(ps, [])
-            factors = [None if gamma is None else Hermitian(_bessel, gamma)]
-        else:
-            # each top derivative's L^p norm rides with its second differences
-            lower = _lower_norms(F, multi_indices(dim, k - 1), ps)
-            factors = [Hermitian(monomial, alpha=beta)
-                       for beta in multi_indices(dim, k) if mi_order(beta) == k]
-        tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, table[2], factor), grid, ps)
-                for factor in factors]
-        norms[gamma, k] = lower, tops
     parts = []
-    for (gamma, k), P in zip(keys, points):
-        lower, tops = norms[gamma, k]
-        order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
-        sobolev = lower[P.p] + [top[P.p][0] for top in tops]
-        semis = [_shell_functional(grid, table, top[P.p][1:], order, P.q) for top in tops]
-        parts.append((float(sum(sobolev)), float(sum(semis))))
+    for count, F in _batches(fields):
+        grid, dim = F.grid, F.grid.dim
+        table = _difference_table(grid)
+        norms = {}  # stack set -> (lower-order norms, top-derivative norms) under each p
+        for (gamma, k), ps in sets.items():
+            if k == 0:
+                lower = dict.fromkeys(ps, np.empty((0, count)))
+                factors = [None if gamma is None else Hermitian(_bessel, gamma)]
+            else:
+                # each top derivative's L^p norm rides with its second differences
+                lower = _lower_norms(F, multi_indices(dim, k - 1), ps, count)
+                factors = [Hermitian(monomial, alpha=beta)
+                           for beta in multi_indices(dim, k) if mi_order(beta) == k]
+            tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, table[2], factor),
+                              grid, ps, count)
+                    for factor in factors]
+            norms[gamma, k] = lower, tops
+        del F  # so that the next run's spectrum is not made while this one is held
+        for j in range(count):
+            field = []
+            for (gamma, k), P in zip(keys, points):
+                lower, tops = norms[gamma, k]
+                order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
+                sobolev = list(lower[P.p][:, j]) + [top[P.p][0, j] for top in tops]
+                semis = [_shell_functional(grid, table, top[P.p][1:, j], order, P.q)
+                         for top in tops]
+                field.append((float(sum(sobolev)), float(sum(semis))))
+            parts.append(field)
     return parts

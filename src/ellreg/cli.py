@@ -22,11 +22,11 @@ from textwrap import shorten  # a bounded, one-line exception text
 import numpy as np
 
 from . import casework
-from .besov import BesovParams, besov_norm, besov_norms
+from .besov import BesovParams, besov_norms
 from .mollify import admissible_eps_sequence, mollifier_convergence_tables
 from .errors import ConfigError, EllregError, ExperimentError
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
-from .localize import build_partition, patch_norm
+from .localize import build_partition, global_and_patch_norm
 from .pdo import (
     PDOperator,
     neg_laplacian,
@@ -238,12 +238,22 @@ def _run_mollify(
 ):
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
     mask = _window_mask(cfg.grid)
+    # one sweep per fixture over its distinct operators: fixture -> operator spelling -> operator
+    ops = {}
+    for case in cases:
+        spelling = json.dumps(case["operator"].spec, sort_keys=True)
+        ops.setdefault(case["fixture"], {}).setdefault(spelling, case["operator"].op)
+    by_case = {}  # (fixture, operator spelling) -> its tables, one per exponent
+    for fixture, fixture_ops in ops.items():
+        f = _fixture_field(cfg.grid, fixture)
+        sweeps = mollifier_convergence_tables(list(fixture_ops.values()), f, p, eps_seq, mask)
+        for i, spelling in enumerate(fixture_ops):
+            by_case[fixture, spelling] = sweeps[i * len(p):(i + 1) * len(p)]
     results = {"eps_seq": [float(e) for e in eps_seq], "cases": []}
     tables = []
     for case in cases:
         operator, fixture = case["operator"], case["fixture"]
-        f = _fixture_field(cfg.grid, fixture)
-        sweeps = mollifier_convergence_tables([operator.op], f, p, eps_seq, mask)
+        sweeps = by_case[fixture, json.dumps(operator.spec, sort_keys=True)]
         tables += [_error_csv(f"mollify_{operator.spec}_{fixture}_p{exponent}", table)
                    for exponent, table in zip(p, sweeps)]
         by_p = {str(exponent): table.as_dict() for exponent, table in zip(p, sweeps)}
@@ -345,8 +355,7 @@ def _run_patch(
     rows = []
     for idx in range(count):
         f = random_band_limited_field(cfg.grid, 1, rng)
-        global_norm = besov_norm(f, BesovParams(beta, p, p))
-        local_norm = patch_norm(f, part, beta, p)
+        global_norm, local_norm = global_and_patch_norm(f, part, beta, p)
         rows.append([idx, global_norm, local_norm, local_norm / global_norm])
     ratios = [row[3] for row in rows]
     results = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, batch_norms
 from .errors import IncommensurableDelta
 from .grid import Field, GridSpec, power_means
 from .profiles import Plateau, min_image
@@ -67,8 +67,17 @@ def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
 
 
 def patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> float:
-    """l^p over patches of the per-patch B^beta_{p,p} norms."""
-    params = BesovParams(beta, p, p)
-    vals = np.array([besov_norm(pf, params) for pf in part.patch_fields(f)])
-    return float(power_means(vals, 1.0, [p])[0])
+    """l^p over patches of the per-patch B^beta_{p,p} norms, the patches measured in one batch."""
+    return _over_patches(batch_norms(part.patch_fields(f), [BesovParams(beta, p, p)]), p)
 
+
+def global_and_patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> tuple:
+    """The B^beta_{p,p} norm of f and its patch_norm, f measured in the batch of its patches."""
+    fields = itertools.chain([f], part.patch_fields(f))
+    (whole,), *patches = batch_norms(fields, [BesovParams(beta, p, p)])
+    return whole, _over_patches(patches, p)
+
+
+def _over_patches(norms, p: float) -> float:
+    """The l^p sum of per-patch norms, given as one list of one norm per patch."""
+    return float(power_means(np.array([n for n, in norms]), 1.0, [p])[0])

@@ -162,8 +162,9 @@ def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: in
     """Least C with |(r^n e^{i theta0} - sigma(i xi))^-1| <= C (r+|xi|)^-n, sampled.
 
     Samples (r, rho w) on the quarter-sphere r^2 + rho^2 = 1 (enough by joint homogeneity) at
-    `arc_samples` arc points, 64 unit directions w (2 in 1-D), and x over the grid: sigma(rho w)
-    is rho^n sigma(w), so the direction symbols serve every arc point.  Returns (C, ok), ok False
+    `arc_samples` arc points, 64 unit directions w (2 in 1-D), and x over the grid (its first
+    point for a constant-coefficient Q, where every point gives its blocks): sigma(rho w) is
+    rho^n sigma(w), so the direction symbols serve every arc point.  Returns (C, ok), ok False
     if a sampled matrix is singular by the scale-free test of `_resolvent_blocks` (C is then over
     the other directions), or if an eigenvalue mu of some sigma(w) is on the ray t e^{i theta0},
     t >= 0: the block at (r, rho w) with (r / rho)^n = |mu|, sampled or not, is singular.
@@ -174,6 +175,8 @@ def parameter_ellipticity_constant(Q: PDOperator, theta0: float, arc_samples: in
     worst = 0.0
     dirs = unit_directions(Q.grid.dim, 64)
     sym = np.stack([symbol_field(Q, omega) for omega in dirs])  # (directions, *shape, l, l)
+    if Q.is_constant_coefficient():  # every grid point gives the first point's blocks
+        sym = sym.reshape((len(dirs), -1) + sym.shape[-2:])[:, :1]
     mu = np.linalg.eigvals(sym)
     ok = not np.any(np.abs(mu - np.abs(mu) * np.exp(1j * theta0)) <= 1e-12 * np.abs(mu))
     for s in np.linspace(0.0, np.pi / 2.0, arc_samples):

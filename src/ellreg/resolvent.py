@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovParams, besov_norms
+from .besov import BesovParams, batch_norms, besov_norms
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
 from .grid import Field, apply_multiplier, dft, lp_norm, monomial
 from .pdo import PDOperator, _resolvent_blocks, apply, mi_order
@@ -172,7 +172,8 @@ def apriori_ratios(g: Field, Q: PDOperator, solutions, beta, pq) -> list:
     """Measured a-priori quotients (r^n ||u||_{B^b} + ||u||_{B^{b+n}}) / ||g||_{B^b}.
 
     One per (r, u) of `solutions`, b of `beta` and (p, q) of `pq`, in that nesting order.
-    g is measured once at every (b, p, q), each u once at those points and at b + n.
+    g is measured once at every (b, p, q); the u are measured in one batch at those points
+    and at b + n.
     """
     n = Q.order
     low = [BesovParams(b, p, q) for b in beta for p, q in pq]
@@ -181,8 +182,7 @@ def apriori_ratios(g: Field, Q: PDOperator, solutions, beta, pq) -> list:
     if 0.0 in data:
         raise ZeroRHS("cannot form a-priori ratio against zero data")
     ratios = []
-    for r, u in solutions:
-        norms = besov_norms(u, low + high)
+    for (r, _), norms in zip(solutions, batch_norms([u for _, u in solutions], low + high)):
         ratios += [(r**n * lo + hi) / d
                    for lo, hi, d in zip(norms[:len(low)], norms[len(low):], data)]
     return ratios

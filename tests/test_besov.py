@@ -10,6 +10,7 @@ from ellreg.besov import (
     _bessel,
     _difference_multipliers,
     _difference_table,
+    batch_norms,
     bessel_lift,
     besov_norm,
     besov_norms,
@@ -404,3 +405,47 @@ def test_real_route_matches_ifftn_of_the_whole_lattice_product(dim, n, channels,
     for p in (1.0, 2.0, INF):
         norm, oracle = (besov_norm(g, BesovParams(alpha, p, INF)) for g in (f, turned))
         assert abs(norm - oracle) <= 1e-13 * oracle, p
+
+
+BATCH_POINTS = [BesovParams(a, p, q) for a in (-1.0, 0.5, 1.0, 2.5)
+                for p, q in ((1.0, INF), (2.0, 2.0), (INF, INF))]
+
+
+def assert_batch_matches_one_field_calls(fields):
+    # equal for alpha <= 1; above one the Sobolev part holds f's own L^p norm (and, in 1-D, its
+    # one first derivative's), a single column that numpy sums pairwise for one field and row by
+    # row for several, so those points may move by an ulp or so
+    got = batch_norms(fields, BATCH_POINTS)
+    assert len(got) == len(fields)
+    for norms, f in zip(got, fields):
+        for P, a, b in zip(BATCH_POINTS, norms, besov_norms(f, BATCH_POINTS)):
+            assert a == b if P.alpha <= 1.0 else abs(a - b) <= 1e-15 * b, (P, a, b)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_batch_norms_match_one_field_calls(dim, n, channels, real, size):
+    grid = GridSpec(dim, n, math.pi)
+    rng = np.random.Generator(np.random.PCG64(size + 10 * channels))
+    fields = [random_band_limited_field(grid, channels, rng) for _ in range(size)]
+    if real:
+        fields = [Field(grid, f.samples.real) for f in fields]
+    assert_batch_matches_one_field_calls(fields)
+
+
+def test_batch_norms_across_the_group_cap():
+    # 17 fields of 64^2 points: a run holds 16 of them (_STACK_POINTS), the 17th runs alone
+    grid = GridSpec(2, 64, math.pi)
+    rng = np.random.Generator(np.random.PCG64(17))
+    fields = [random_band_limited_field(grid, 1, rng) for _ in range(17)]
+    assert 16 * grid.num_points == _STACK_POINTS
+    assert_batch_matches_one_field_calls(fields)
+
+
+def test_batch_norms_of_a_spectrum_and_no_fields(grid1d, rng):
+    f = random_band_limited_field(grid1d, 2, rng)
+    assert batch_norms([dft(f)], BATCH_POINTS) == batch_norms([f], BATCH_POINTS)
+    assert batch_norms([], BATCH_POINTS) == []
+    assert batch_norms([f, f], []) == [[], []]

@@ -477,3 +477,30 @@ def test_handlers_read_no_parameters_by_hand():
     source = pathlib.Path(cli.__file__).read_text()
     assert not re.search(r"parameters\.get\(", source)
     assert "default" not in {key for entry in CATALOG.values() for key in entry}
+
+
+def test_mollify_convergence_sweeps_each_fixture_once(tmp_path, transform_calls):
+    # one sweep per fixture over its distinct operators, each eps one symbol transform and
+    # one inverse per operator: kink 1 + 6 * (1 + 3), cubic-kink 1 + 6 * (1 + 1)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = parse_config(json.loads((root / "configs" / "mollify-convergence.json").read_text()))
+    transform_calls.clear()
+    out = run_experiment(cfg, output_root=str(tmp_path))
+    assert len(transform_calls) == 25 + 13
+    cases = json.loads((out / "results.json").read_text())["results"]["cases"]
+    assert [(c["operator"], c["fixture"]) for c in cases] == [
+        ("identity", "kink"), ("derivative", "kink"),
+        ("neg-laplacian", "cubic-kink"), ("neg-laplacian", "kink")]
+    assert sorted(json.loads((out / "manifest.json").read_text())["tables"]) == sorted(
+        f"mollify_{c['operator']}_{c['fixture']}_p{p}" for c in cases for p in (1.0, 2.0))
+
+
+def test_mollify_convergence_repeated_case_keeps_its_rows(tmp_path, transform_calls):
+    case = {"operator": "derivative", "fixture": "kink"}
+    cfg = parse_config({"kind": "mollify-convergence", "grid": {"points_per_axis": 256},
+                        "parameters": {"cases": [case, case], "p": [2.0], "eps_count": 3}})
+    transform_calls.clear()
+    out = run_experiment(cfg, output_root=str(tmp_path))
+    assert len(transform_calls) == 1 + 3 * (1 + 1)
+    first, second = json.loads((out / "results.json").read_text())["results"]["cases"]
+    assert first == second and len(first["by_p"]["2.0"]["rows"]) == 3

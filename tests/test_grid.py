@@ -391,6 +391,8 @@ _REACHED_ONLY_FROM_TESTS = {
     "translate": "the translate oracle of the band-limited multiplier path",
     "bessel_lift": "the oracle of test_fused_besov_norm_matches_its_parts",
     "w1p_inclusion_check": "criterion 8, to be run by the example-a experiment",
+    "besov_norm": "the one-field, one-point batch_norms of the package API and criterion 7",
+    "patch_norm": "criterion 7's patch measure; the experiment batches f with its patches",
 }
 
 

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ellreg.besov import BesovParams, besov_norm
 from ellreg.errors import IncommensurableDelta
-from ellreg.grid import GridSpec, random_band_limited_field
-from ellreg.localize import build_partition, patch_norm
+from ellreg.grid import _STACK_POINTS, Field, GridSpec, random_band_limited_field
+from ellreg.localize import build_partition, global_and_patch_norm, patch_norm
 
 
 def test_partition_sums_to_one_1d(grid1d):
@@ -74,3 +75,42 @@ def test_patch_norm_at_a_huge_exponent_is_the_sup_norm(grid1d, rng):
     assert abs(patch_norm(f, part, 1.0, 1e300) - sup) <= 1e-12 * sup
     # l^1100 over 8 patches of B^1_{1100,1100} norms: within 1% of the sup, not overflowed
     assert abs(patch_norm(f, part, 1.0, 1100.0) / sup - 1.0) < 0.01
+
+
+def test_global_and_patch_norm_is_one_batch(transform_calls):
+    # one 128-point sample of the patch-equivalence experiment: f and its 8 patches share
+    # one forward transform and one stacked inverse
+    grid = GridSpec(1, 128, math.pi)
+    part = build_partition(grid, grid.half_period / 2.0)
+    assert part.num_patches == 8
+    f = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(3)))
+    transform_calls.clear()
+    whole, local = global_and_patch_norm(f, part, 1.0, 2.0)
+    assert len(transform_calls) == 2, transform_calls
+    assert whole == besov_norm(f, BesovParams(1.0, 2.0, 2.0))
+    assert local == patch_norm(f, part, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("beta", [-1.0, 1.0, 2.5])
+def test_patch_norm_peak_memory(real, beta):
+    # 16 patches of a 3-channel field on 64^2 points hold three times _STACK_POINTS, so they go
+    # in runs of 5 fields.  A run's samples, their spectrum (times a Bessel factor below order
+    # one), a chunk's product and its inverse samples, and the reduction's real temporaries
+    # are at most about six arrays of the run's size; all 16 in one run measured 17 to 20
+    grid = GridSpec(2, 64, math.pi)
+    part = build_partition(grid, grid.half_period)
+    assert part.num_patches == 16
+    f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(0)))
+    if real:
+        f = Field(grid, f.samples.real)
+    assert part.num_patches * f.samples.size == 3 * _STACK_POINTS
+    patch_norm(f, part, beta, 2.0)  # fills the per-grid lattice and difference-table caches
+    tracemalloc.start()
+    try:
+        patch_norm(f, part, beta, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    run_bytes = 16 * _STACK_POINTS  # complex128
+    assert peak <= 7 * run_bytes, peak / run_bytes

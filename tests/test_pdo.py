@@ -247,3 +247,19 @@ def test_operator_order_validation(grid1d):
         PDOperator(grid1d, 1, 1, 1, {(2,): np.ones((1, 1))})
     with pytest.raises(ValueError, match="negative"):
         PDOperator(grid1d, 1, 1, 1, {(-1,): np.ones((1, 1))})
+
+
+@pytest.mark.parametrize("theta0", [math.pi, 1.0, 0.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_parameter_ellipticity_constant_coefficient_takes_one_point(monkeypatch, theta0, dim):
+    # a constant-coefficient operator is measured at its first grid point: the same (C, ok),
+    # bit for bit, as the test over all 32^dim points, which a variable operator takes
+    grid = GridSpec(dim, 32, math.pi)
+    lap = {tuple(2 * (j == axis) for j in range(dim)): -np.diag([1.0, 2.0]) for axis in range(dim)}
+    coupling = {(1,) + (0,) * (dim - 1): np.array([[0.0, 0.3], [0.3j, 0.0]])}
+    Q = operator_from_constant(grid, {**lap, **coupling, (0,) * dim: np.eye(2)}, order=2)
+    assert Q.is_constant_coefficient()
+    one_point = parameter_ellipticity_constant(Q, theta0)
+    monkeypatch.setattr(pdo.PDOperator, "is_constant_coefficient", lambda self: False)
+    assert one_point == parameter_ellipticity_constant(Q, theta0)
+    assert one_point[1] == (theta0 != 0.0)

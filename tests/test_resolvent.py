@@ -250,8 +250,9 @@ def test_fixed_point_refuses_when_max_iter_runs_out(grid1d):
 
 def test_apriori_sample_takes_each_norm_once(transform_calls):
     # one 128-point sample at the default r, beta and (p, q): 1 transform makes g, each
-    # of the 3 solves takes 4 (with its residual), g's norms 1 + 3 stacks, and each u's
-    # 1 + 6 (5 stack sets and the lower derivative of B^3); one norm per point took 184
+    # of the 3 solves takes 4 (with its residual), g's norms 1 + 3 stacks, and the 3 u's,
+    # side by side, 1 + 6 (5 stack sets and the lower derivative of B^3); one norm per
+    # point took 184
     grid = GridSpec(1, 128, math.pi)
     Q = neg_laplacian(grid)
     transform_calls.clear()
@@ -261,7 +262,7 @@ def test_apriori_sample_takes_each_norm_once(transform_calls):
     ratios = apriori_ratios(g, Q, solutions, [-2.0, 0.0, 1.0],
                             [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)])
     assert len(ratios) == 27
-    assert len(transform_calls) <= 38, len(transform_calls)
+    assert len(transform_calls) == 24, len(transform_calls)
 
 
 def test_apriori_ratio_zero_rhs(grid1d):
