@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, apply_multiplier,
+from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, _check_same, apply_multiplier,
                    apply_multipliers, dft, lp_norms, monomial, power_means, spectral_derivatives)
 from .pdo import multi_indices, mi_order, unit_directions
 
@@ -98,22 +98,26 @@ def displacement_shells(grid) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _difference_table(grid):
-    """Dyadic radii, each of 8 directions' representative up to sign, and the rows.
+    """(radii, weight, rows): the dyadic radii, the functional's weight and the rows.
 
-    The second difference is the multiplier 2 (cos xi.h - 1), even in h, so
-    antipodal directions share one displacement.  A row (h, c) is the multiplier
-    c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0) shell by shell.
+    The second difference is the multiplier 2 (cos xi.h - 1), even in h, so of
+    unit_directions(dim, 8) each direction is kept once up to sign: each kept one
+    stands for the same number of the 8 (two in 1-D and 2-D, one from 3-D up), and
+    the weight, area * ln 2 / directions, averages over the kept ones.  A row (h, c)
+    is the multiplier c - 4 sin^2(xi.h / 2): the identity (0, 1), then (rho w, 0)
+    shell by shell.
     """
     dirs = unit_directions(grid.dim, 8)
-    rep = [next(j for j in range(i + 1) if j == i or np.allclose(dirs[j], -w, atol=1e-12))
-           for i, w in enumerate(dirs)]
-    kept = sorted(set(rep))
-    radii = displacement_shells(grid)
+    kept = np.array([w for i, w in enumerate(dirs)
+                     if not any(np.allclose(v, -w, atol=1e-12) for v in dirs[:i])])
+    radii = np.array(displacement_shells(grid))
     rows = np.zeros((1 + len(radii) * len(kept), grid.dim + 1))
     rows[0, -1] = 1.0
-    rows[1:, :-1] = (np.array(radii)[:, None, None] * dirs[kept]).reshape(-1, grid.dim)
-    rows.flags.writeable = False
-    return radii, tuple(kept.index(j) for j in rep), rows
+    rows[1:, :-1] = (radii[:, None, None] * kept).reshape(-1, grid.dim)
+    radii.flags.writeable = rows.flags.writeable = False
+    m = grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
+    area = 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    return radii, area * math.log(2.0) / len(kept), rows
 
 
 @Hermitian
@@ -138,17 +142,6 @@ def _difference_multipliers(rows, xi) -> np.ndarray:
     s *= -4.0
     s += rows[:, -1]
     return s
-
-
-def _shell_functional(grid, table, diffs, alpha: float, q: float) -> float:
-    """The |x|^(-alpha)-weighted l^q functional of the L^p norms `diffs` of the second
-    differences at the rows of the grid's _difference_table after its identity row."""
-    radii, rep, _ = table
-    arr = np.asarray(diffs).reshape(len(radii), -1)[:, rep] / np.array(radii)[:, None] ** alpha
-    # per-shell midpoint rule in log-radius against dx / |x|^m, averaged over the directions
-    m = grid.dim  # the unit sphere in R^m has area 2 pi^(m/2) / Gamma(m/2)
-    area = 2.0 * np.pi ** (m / 2.0) / math.gamma(m / 2.0)
-    return float(power_means(arr.reshape(-1), area * math.log(2.0) / len(rep), [q])[0])
 
 
 def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> float:
@@ -206,10 +199,13 @@ def _batches(fields):
     """(count, spectrum) per run of consecutive `fields`: the spectrum of the run's samples side
     by side on the channel axis.  A run's samples hold at most _STACK_POINTS complex points,
     so that a run, like a chunk of apply_multipliers, stays within 1 MB; a larger field runs
-    alone."""
-    run, size = [], 0
+    alone.  A field on another grid or with another channel count than the first is refused,
+    as Field arithmetic refuses it."""
+    run, size, first = [], 0, None
     for f in fields:
-        points = (f.coefficients if isinstance(f, SpectralField) else f.samples).size
+        first = f if first is None else first
+        _check_same(first, f)
+        points = f.grid.num_points * f.channels
         if run and size + points > _STACK_POINTS:
             yield _joined(run)
             run, size = [], 0
@@ -233,18 +229,16 @@ def _joined(run: list) -> tuple:
 
 def _besov_parts(fields, points) -> list:
     """besov_parts of each of `fields` at each of `points`: per run of _batches, one dft and one
-    stack set per _stack_set, each stack reduced under every p that the points of its set ask
-    for, field by field."""
+    stack set per _stack_set, each stack reduced under every p of the points; then per point
+    one column sum of the Sobolev parts and one functional reduction of the run's columns."""
     keys = [_stack_set(P.alpha) for P in points]
-    sets = {}  # stack set -> the p its stacks are reduced under, in first-asked order
-    for key, P in zip(keys, points):
-        sets.setdefault(key, {})[P.p] = None
+    ps = list(dict.fromkeys(P.p for P in points))
     parts = []
     for count, F in _batches(fields):
         grid, dim = F.grid, F.grid.dim
-        table = _difference_table(grid)
+        radii, weight, rows = _difference_table(grid)
         norms = {}  # stack set -> (lower-order norms, top-derivative norms) under each p
-        for (gamma, k), ps in sets.items():
+        for gamma, k in dict.fromkeys(keys):
             if k == 0:
                 lower = dict.fromkeys(ps, np.empty((0, count)))
                 factors = [None if gamma is None else Hermitian(_bessel, gamma)]
@@ -253,19 +247,21 @@ def _besov_parts(fields, points) -> list:
                 lower = _lower_norms(F, multi_indices(dim, k - 1), ps, count)
                 factors = [Hermitian(monomial, alpha=beta)
                            for beta in multi_indices(dim, k) if mi_order(beta) == k]
-            tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, table[2], factor),
+            tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, rows, factor),
                               grid, ps, count)
                     for factor in factors]
             norms[gamma, k] = lower, tops
         del F  # so that the next run's spectrum is not made while this one is held
-        for j in range(count):
-            field = []
-            for (gamma, k), P in zip(keys, points):
-                lower, tops = norms[gamma, k]
-                order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
-                sobolev = list(lower[P.p][:, j]) + [top[P.p][0, j] for top in tops]
-                semis = [_shell_functional(grid, table, top[P.p][1:, j], order, P.q)
-                         for top in tops]
-                field.append((float(sum(sobolev)), float(sum(semis))))
-            parts.append(field)
+        columns = []
+        for (gamma, k), P in zip(keys, points):
+            lower, tops = norms[gamma, k]
+            order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
+            sobolev = sum(list(lower[P.p]) + [top[P.p][0] for top in tops])
+            # a contiguous row per (top derivative, field), reduced as one field alone would be:
+            # np.array copies in C order, where np.stack would keep the transposes' strides
+            diffs = np.array([top[P.p][1:].T.reshape(count, len(radii), -1) for top in tops])
+            diffs = (diffs / (radii ** order)[:, None]).reshape(len(tops) * count, -1)
+            semis = power_means(diffs.T, weight, [P.q])[0].reshape(len(tops), count)
+            columns.append((sobolev, sum(semis)))
+        parts += [[(float(s[j]), float(d[j])) for s, d in columns] for j in range(count)]
     return parts

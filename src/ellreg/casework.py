@@ -102,7 +102,7 @@ class HardyReport:
     ratio: float
 
 
-def hardy_average(g: Field, p: float = 2.0) -> HardyReport:
+def hardy_average(g: Field, p: float) -> HardyReport:
     """h(x) = x^{-1} * integral_0^x dg, with h(0) = dg(0), plus the Hardy ratio."""
     if g.grid.dim != 1 or g.channels != 1:
         raise ValueError("hardy_average expects a scalar 1-D field")
@@ -142,7 +142,7 @@ def _trace_constant(line: LineGrid, p: float) -> float:
     return best
 
 
-def nondensity_witness(p: float, eps_seq, n_ref: int = 8192) -> dict:
+def nondensity_witness(p: float, eps_seq, n_ref: int) -> dict:
     """Smooth candidates u_eps get L^p-close to u while the graph distance stays up.
 
     For u = phi ln|x|, v = x d2 u equals 1 at the origin but x d2 u_eps
@@ -252,7 +252,7 @@ def log_singular_field(grid: GridSpec) -> Field:
     return Field(grid, (vals * win)[..., None])
 
 
-def regularity_gap_experiment(grid_sizes=(64, 128, 256), half_period: float = math.pi) -> dict:
+def regularity_gap_experiment(grid_sizes, half_period: float) -> dict:
     """Refinement trajectories of the windowed singular field's norms.
 
     The L^1-scale claim: the windowed field stays in W^{k-1,1} and in the

@@ -43,7 +43,7 @@ class SupportViolation(EllregError):
 
 
 class IncommensurableDelta(EllregError):
-    """Partition spacing does not divide the torus period."""
+    """Partition spacing does not divide the torus period, or makes more than 2^22 samples."""
 
 
 class ZeroRHS(EllregError):

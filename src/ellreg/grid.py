@@ -160,6 +160,10 @@ class SpectralField:
         if self.coefficients.shape[:-1] != self.grid.shape:
             raise ValueError("coefficient shape does not match grid")
 
+    @property
+    def channels(self) -> int:
+        return self.coefficients.shape[-1]
+
     @functools.cached_property
     def real(self) -> bool:
         return self.source is not None and not self.source.imag.any()
@@ -168,7 +172,7 @@ class SpectralField:
 def _check_same(a, b):
     if a.grid != b.grid:
         raise GridMismatch("fields live on different grids")
-    if a.samples.shape[-1] != b.samples.shape[-1]:
+    if a.channels != b.channels:
         raise ChannelMismatch("channel counts differ")
 
 

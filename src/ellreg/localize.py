@@ -46,6 +46,11 @@ def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
         raise IncommensurableDelta(
             f"delta={delta} does not divide the period {period}"
         )
+    if count**grid.dim * grid.num_points > 1 << 22:  # the grid's own cap, before any allocation
+        raise IncommensurableDelta(
+            f"delta={delta} makes {count}^{grid.dim} translates of {grid.num_points} points, "
+            "more than 2^22 samples"
+        )
     prof = Plateau(delta / 2.0, delta)
     axis = grid.axis_points()
     centers = -grid.half_period + (delta / 2.0) * np.arange(count)

@@ -36,7 +36,7 @@ def mollify(f, eps: float) -> Field:
     return apply_multiplier(f, mollifier_symbol(f.grid, eps))
 
 
-def admissible_eps_sequence(grid: GridSpec, count: int = 5) -> list:
+def admissible_eps_sequence(grid: GridSpec, count: int) -> list:
     """Halving sweep from L/8 down, truncated at the 2*spacing floor; never empty."""
     eps = grid.half_period / 8.0
     out = []

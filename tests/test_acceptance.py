@@ -319,7 +319,7 @@ def test_criterion_08_example_suite(capsys):
 
 
 def test_criterion_09_regularity_gap(capsys):
-    rep = casework.regularity_gap_experiment(grid_sizes=(64, 128, 256))
+    rep = casework.regularity_gap_experiment(grid_sizes=(64, 128, 256), half_period=math.pi)
     stable = {k: v["stable"] for k, v in rep["verdicts"].items()}
     last = {k: v["rel_changes"][-1] for k, v in rep["verdicts"].items()}
     hedged = "not certified" in rep["note"]

@@ -19,6 +19,7 @@ from ellreg.besov import (
     sobolev_norm,
 )
 from ellreg.cli import main
+from ellreg.errors import ChannelMismatch, GridMismatch
 from ellreg.grid import (
     _STACK_POINTS,
     _half_pieces,
@@ -121,6 +122,26 @@ def test_seminorm_triangle_wave_oracle():
     f = kink_field(grid)
     s = second_difference_seminorm(f, 1.0, INF, INF)
     assert abs(s - oracle) < 1e-6
+
+
+@pytest.mark.parametrize("dim,n,k", [(2, 16, (3, -2)), (3, 8, (1, 2, -3))])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("q", [1.0, 2.0, INF])
+def test_seminorm_of_a_plane_wave_over_all_eight_directions(dim, n, k, alpha, q):
+    # Oracle from the definition: each second difference of exp(i k.x) at h is the wave times
+    # 2 cos(k.h) - 2, of modulus 4 sin^2(k.h / 2), so the functional is a closed-form sum over
+    # every shell and all 8 unit_directions, antipodes included, nothing deduplicated
+    grid = GridSpec(dim, n, math.pi)
+    f = field_from_function(grid, lambda x: np.exp(1j * (x @ np.array(k, dtype=float))))
+    area = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    for p in (1.0, 2.0, INF):
+        wave = (2.0 * grid.half_period) ** (dim / p)  # ||exp(i k.x)||_p
+        terms = [4.0 * math.sin(rho * np.dot(k, w) / 2.0) ** 2 * wave / rho**alpha
+                 for rho in displacement_shells(grid) for w in unit_directions(dim, 8)]
+        want = (max(terms) if q == INF
+                else (area * math.log(2.0) / 8.0 * sum(t**q for t in terms)) ** (1.0 / q))
+        got = second_difference_seminorm(f, alpha, p, q)
+        assert abs(got - want) <= 1e-12 * want, (p, got, want)
 
 
 def test_seminorm_alpha_range(grid1d, rng):
@@ -442,6 +463,19 @@ def test_batch_norms_across_the_group_cap():
     fields = [random_band_limited_field(grid, 1, rng) for _ in range(17)]
     assert 16 * grid.num_points == _STACK_POINTS
     assert_batch_matches_one_field_calls(fields)
+
+
+def test_batch_norms_refuse_mixed_grids_and_channel_counts(rng):
+    # measured side by side, a 3-channel field would be read as 3 fields of one channel, and a
+    # field of another period on the first one's grid
+    grid = GridSpec(1, 64, math.pi)
+    one, three = (random_band_limited_field(grid, channels, rng) for channels in (1, 3))
+    other = random_band_limited_field(GridSpec(1, 64, 2.0), 1, rng)
+    point = [BesovParams(0.5, 2.0, 2.0)]
+    with pytest.raises(ChannelMismatch):
+        batch_norms([one, three], point)
+    with pytest.raises(GridMismatch):
+        batch_norms([one, other], point)
 
 
 def test_batch_norms_of_a_spectrum_and_no_fields(grid1d, rng):

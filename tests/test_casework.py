@@ -187,7 +187,7 @@ def test_regularity_gap_log_singular_field():
 
 
 def test_regularity_gap_experiment_verdicts():
-    rep = casework.regularity_gap_experiment(grid_sizes=(64, 128, 256))
+    rep = casework.regularity_gap_experiment(grid_sizes=(64, 128, 256), half_period=math.pi)
     for verdict in rep["verdicts"].values():
         assert verdict["stable"]
     assert "not certified" in rep["note"]

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +306,25 @@ def test_example_a_eps_outside_the_mollifier_range_is_an_experiment_error(tmp_pa
     argv = ["run", cfg_path, "--output-root", str(tmp_path)]
     _assert_one_line_failure(capsys, 3, argv, "EpsilonOutOfRange: eps=1.0 outside")
     assert not (tmp_path / "example-a").exists()
+
+
+def test_a_partition_past_the_sample_cap_is_refused_before_it_is_built(tmp_path):
+    # delta = pi / 2^19 divides the period of the default 256-point grid: 2^21 translates,
+    # 2^29 samples, 4 GiB for the 1-D factors alone.  The run goes in a child process under a
+    # 1.5 GiB address-space limit, so that a regression ends there in a MemoryError
+    cfg_path = _write_config(tmp_path, {"kind": "patch-equivalence",
+                                        "parameters": {"delta": math.pi / 2**19}})
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+              "from ellreg.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", script, "run", cfg_path, "--output-root", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "more than 2^22 samples" in proc.stderr and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "patch-equivalence").exists()
 
 
 def _frozen_config(tmp_path, rhs, name):

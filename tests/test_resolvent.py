@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellreg import besov
 from ellreg.errors import NotContracting, SingularSymbol, SupportViolation, ZeroRHS
 from ellreg.grid import (
     Field,
@@ -263,6 +264,26 @@ def test_apriori_sample_takes_each_norm_once(transform_calls):
                             [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)])
     assert len(ratios) == 27
     assert len(transform_calls) == 24, len(transform_calls)
+
+
+def test_apriori_sample_takes_one_functional_reduction_per_point(monkeypatch):
+    # g at its 9 points in one run, the 3 u's side by side at 18: one second-difference
+    # functional reduction per Besov point per run, over all its columns (one per column took 63)
+    shapes = []
+
+    def counted(values, weight, ps, _power_means=besov.power_means):
+        shapes.append(values.shape)
+        return _power_means(values, weight, ps)
+
+    monkeypatch.setattr(besov, "power_means", counted)
+    grid = GridSpec(1, 128, math.pi)
+    Q = neg_laplacian(grid)
+    g = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(9)))
+    solutions = [(r, solve_constant(ResolventProblem(Q, math.pi, r, g)).u)
+                 for r in (4.0, 8.0, 16.0)]
+    apriori_ratios(g, Q, solutions, [-2.0, 0.0, 1.0],
+                   [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)])
+    assert [columns for _, columns in shapes] == [1] * 9 + [3] * 18
 
 
 def test_apriori_ratio_zero_rhs(grid1d):
