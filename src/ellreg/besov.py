@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, _check_same, apply_multiplier,
-                   apply_multipliers, dft, lp_norms, monomial, power_means, spectral_derivatives)
+from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, _check_same, _monomials,
+                   apply_multiplier, apply_multipliers, dft, lp_norms, monomial, power_means)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -61,25 +62,124 @@ def _lp_norms(stacks, grid, ps, fields: int) -> dict:
             for i, p in enumerate(ps)}
 
 
+def _moduli(symbol, *args) -> np.ndarray:
+    """|symbol(*args)| for a factor symbol(xi) or a build symbol(rows, xi) of _stack_norms.
+    A monomial's comes real, as the product of the |xi_d|^a_d, without its complex powers."""
+    if symbol is _monomials:
+        rows, xi = args
+        return np.stack([_monomial_modulus(xi, alpha) for alpha in rows], -1)
+    if isinstance(symbol, Hermitian) and symbol.func is monomial:
+        return _monomial_modulus(*args, **symbol.keywords)
+    return np.abs(symbol(*args))
+
+
+def _monomial_modulus(xi, alpha) -> np.ndarray:
+    """|(i xi)^alpha| over the last axis of xi, by products: a float power is a slow pow."""
+    out = np.ones(xi.shape[:-1])
+    for axis, a in enumerate(alpha):
+        modulus = np.abs(xi[..., axis]) if a else None
+        for _ in range(a):
+            out *= modulus
+    return out
+
+
+def _exponents(tops: np.ndarray) -> np.ndarray:
+    """The exponents e of tops = d * 2^e, d in [1/2, 1), for non-negative tops; 0 at zero, and an
+    inf counts as the largest float."""
+    return np.frexp(np.fmin(tops, sys.float_info.max))[1]
+
+
+@dataclass
+class _Run:
+    """The spectrum F of `count` fields side by side on the channel axis, as _batches makes it."""
+
+    F: SpectralField
+    count: int
+
+    @functools.cached_property
+    def power(self) -> tuple:
+        """(e, w): per field, the _exponents e of its largest coefficient modulus, and
+        w = sum_l |c_xi,l / 2^e|^2 on the lattice, one contiguous row per field (count, lattice)."""
+        c = self.F.coefficients.reshape(self.F.grid.num_points, self.count, -1)
+        e = _exponents(np.abs(c).max(axis=(0, 2)))
+        re, im = (np.ldexp(part, -e[:, None]) for part in (c.real, c.imag))
+        return e, np.ascontiguousarray((re * re + im * im).sum(axis=-1).T)
+
+
+def _parseval_norms(run: _Run, build, rows, factors) -> list:
+    """The L^2 norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
+    factor), one array per factor of `factors`, with no inverse transform: by Parseval,
+
+        h^m sum_x |idft(m F)|^2 = (2L)^m sum_xi |m(xi)|^2 sum_l |c_xi,l|^2.
+
+    Each (factor, row)'s moduli |m factor| and each field's coefficients are divided by the
+    powers of two of their maxima (exact), so that no square overflows or underflows, as
+    power_means keeps the samples' sums; moduli that overflow give NaN norms, as the inverse
+    transforms of their products give NaN samples.  The products (count, factors, n, lattice)
+    come in chunks of n rows that hold at most _STACK_POINTS values, or of one row, each built
+    from one |m| chunk, and each (field, factor, row) is one contiguous sum over the lattice, so
+    that a field's norms are the same alone or in a batch, and whichever stacks share the call.
+    """
+    grid, xi = run.F.grid, run.F.grid.freqs()
+    e, power = run.power
+    scales = np.array([np.ones(grid.num_points) if f is None else _moduli(f, xi).reshape(-1)
+                       for f in factors])
+    sums = np.empty((run.count, len(factors), len(rows)))
+    exponents = np.empty((len(factors), len(rows)), dtype=np.intc)  # ldexp's own type: no casts
+    per = max(1, _STACK_POINTS // (len(factors) * power.size))
+    for start in range(0, len(rows), per):
+        chunk = slice(start, start + per)
+        moduli = np.ascontiguousarray(_moduli(build, rows[chunk], xi).reshape(grid.num_points, -1).T)
+        moduli = moduli * scales[:, None, :]
+        tops = moduli.max(axis=-1)
+        exponents[:, chunk] = _exponents(tops)
+        moduli = np.ldexp(moduli, -exponents[:, chunk, None])
+        moduli *= moduli
+        sums[:, :, chunk] = (power[:, None, None, :] * moduli).sum(axis=-1)
+        sums[:, :, chunk][:, np.isinf(tops)] = np.nan
+    norms = np.ldexp((grid.volume * sums) ** 0.5, exponents + e[:, None, None])
+    return list(norms.transpose(1, 2, 0))
+
+
+def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
+    """The L^p norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
+    factor) for each factor of `factors` and each p of `ps`, one dict per factor: p = 2 of every
+    factor from one lattice reduction (_parseval_norms), any other p from the samples of the
+    inverse transforms, which only those take."""
+    others = [p for p in ps if p != 2.0]
+    norms = [_lp_norms(apply_multipliers(run.F, build, rows, factor), run.F.grid, others,
+                       run.count) if others else {}
+             for factor in factors]
+    if len(others) < len(ps):
+        for n, lattice in zip(norms, _parseval_norms(run, build, rows, factors)):
+            n[2.0] = lattice
+    return norms
+
+
 def sobolev_norm(f, k: int, p: float) -> float:
     """W^{k,p} norm: sum of L^p norms of all derivatives up to order k; f a Field or its spectrum."""
-    F = f if isinstance(f, SpectralField) else dft(f)
-    return float(sum(_lower_norms(F, multi_indices(f.grid.dim, k), [p], 1)[p][:, 0]))
+    run = _Run(f if isinstance(f, SpectralField) else dft(f), 1)
+    return float(sum(_lower_norms(run, multi_indices(f.grid.dim, k), [p])[p][:, 0]))
 
 
-def _lower_norms(F: SpectralField, alphas, ps, fields: int) -> dict:
-    """The L^p norms (len(alphas), fields) of the d^alpha f of the `fields` fields with spectrum
-    F, side by side as in _lp_norms, for `alphas`, which start with zero, for each p of `ps`.
+def _lower_norms(run: _Run, alphas, ps) -> dict:
+    """The L^p norms (len(alphas), run.count) of the d^alpha f of the fields of `run`, for
+    `alphas`, which start with zero, for each p of `ps`.
 
-    The order-zero term is read from the samples dft transformed; a spectrum made without
-    them carries it in the derivative stack.
+    p = 2 comes from the lattice at every order (_stack_norms).  Any other p reads the
+    order-zero term from the samples dft transformed; a spectrum made without them carries
+    it in the derivative stack.
     """
-    if F.source is None:
-        return _lp_norms(spectral_derivatives(F, alphas), F.grid, ps, fields)
-    derivatives = _lp_norms(spectral_derivatives(F, alphas[1:]), F.grid, ps, fields)
-    source = F.source.reshape(F.grid.shape + (fields, -1))
-    return {p: np.concatenate([n[None], derivatives[p]])
-            for p, n in zip(ps, lp_norms(source, ps, grid=F.grid))}
+    F, others = run.F, [p for p in ps if p != 2.0]
+    if F.source is None or not others:
+        return _stack_norms(run, _monomials, alphas, [None], ps)[0]
+    (derivatives,) = _stack_norms(run, _monomials, alphas[1:], [None], others)
+    source = F.source.reshape(F.grid.shape + (run.count, -1))
+    norms = {p: np.concatenate([n[None], derivatives[p]])
+             for p, n in zip(others, lp_norms(source, others, grid=F.grid))}
+    if len(others) < len(ps):
+        (norms[2.0],) = _parseval_norms(run, _monomials, alphas, [None])
+    return norms
 
 
 def displacement_shells(grid) -> list:
@@ -196,13 +296,15 @@ def _stack_set(alpha: float) -> tuple:
 
 
 def _batches(fields):
-    """(count, spectrum) per run of consecutive `fields`: the spectrum of the run's samples side
-    by side on the channel axis.  A run's samples hold at most _STACK_POINTS complex points,
+    """A _Run per run of consecutive `fields`: the spectrum of the run's samples side by side on
+    the channel axis.  A run's samples hold at most _STACK_POINTS complex points,
     so that a run, like a chunk of apply_multipliers, stays within 1 MB; a larger field runs
     alone.  A field on another grid or with another channel count than the first is refused,
-    as Field arithmetic refuses it."""
+    as Field arithmetic refuses it, and so is a SpectralField in a batch of more than one."""
     run, size, first = [], 0, None
     for f in fields:
+        if first is not None and (isinstance(first, SpectralField) or isinstance(f, SpectralField)):
+            raise ValueError("a SpectralField is measured only in a batch of one field")
         first = f if first is None else first
         _check_same(first, f)
         points = f.grid.num_points * f.channels
@@ -215,43 +317,48 @@ def _batches(fields):
         yield _joined(run)
 
 
-def _joined(run: list) -> tuple:
-    """(len(run), the spectrum of the run's fields side by side); empties `run`, so that the
-    fields' own samples can go once they are copied."""
+def _joined(run: list) -> _Run:
+    """The _Run of the run's fields side by side; empties `run`, so that the fields' own samples
+    can go once they are copied."""
     if len(run) == 1:
         f = run.pop()
-        return 1, f if isinstance(f, SpectralField) else dft(f)
+        return _Run(f if isinstance(f, SpectralField) else dft(f), 1)
     grid, count = run[0].grid, len(run)
     samples = np.concatenate([f.samples for f in run], axis=-1)
     run.clear()
-    return count, dft(Field(grid, samples))
+    return _Run(dft(Field(grid, samples)), count)
+
+
+def _top_factors(key: tuple, dim: int) -> list:
+    """The factors of the top stacks of the stack set `key` = (gamma, k) of _stack_set: the
+    Bessel lift by gamma, none, or each order-k derivative."""
+    gamma, k = key
+    if k == 0:
+        return [None if gamma is None else Hermitian(_bessel, gamma)]
+    return [Hermitian(monomial, alpha=beta) for beta in multi_indices(dim, k) if mi_order(beta) == k]
 
 
 def _besov_parts(fields, points) -> list:
-    """besov_parts of each of `fields` at each of `points`: per run of _batches, one dft and one
-    stack set per _stack_set, each stack reduced under every p of the points; then per point
-    one column sum of the Sobolev parts and one functional reduction of the run's columns."""
+    """besov_parts of each of `fields` at each of `points`: per run of _batches, one dft, the
+    top stacks of every stack set (_stack_set) in one _stack_norms call and each set's lower
+    orders, each stack reduced under every p of the points; then per point one column sum of
+    the Sobolev parts and one functional reduction of the run's columns."""
     keys = [_stack_set(P.alpha) for P in points]
-    ps = list(dict.fromkeys(P.p for P in points))
+    sets, ps = dict.fromkeys(keys), list(dict.fromkeys(P.p for P in points))
     parts = []
-    for count, F in _batches(fields):
-        grid, dim = F.grid, F.grid.dim
+    for run in _batches(fields):
+        grid, dim, count = run.F.grid, run.F.grid.dim, run.count
         radii, weight, rows = _difference_table(grid)
+        stacks = [(key, factor) for key in sets for factor in _top_factors(key, dim)]
+        top_norms = _stack_norms(run, _difference_multipliers, rows, [f for _, f in stacks], ps)
         norms = {}  # stack set -> (lower-order norms, top-derivative norms) under each p
-        for gamma, k in dict.fromkeys(keys):
-            if k == 0:
-                lower = dict.fromkeys(ps, np.empty((0, count)))
-                factors = [None if gamma is None else Hermitian(_bessel, gamma)]
-            else:
-                # each top derivative's L^p norm rides with its second differences
-                lower = _lower_norms(F, multi_indices(dim, k - 1), ps, count)
-                factors = [Hermitian(monomial, alpha=beta)
-                           for beta in multi_indices(dim, k) if mi_order(beta) == k]
-            tops = [_lp_norms(apply_multipliers(F, _difference_multipliers, rows, factor),
-                              grid, ps, count)
-                    for factor in factors]
-            norms[gamma, k] = lower, tops
-        del F  # so that the next run's spectrum is not made while this one is held
+        for gamma, k in sets:
+            # each top derivative's L^p norm rides with its second differences
+            lower = (_lower_norms(run, multi_indices(dim, k - 1), ps) if k
+                     else dict.fromkeys(ps, np.empty((0, count))))
+            norms[gamma, k] = lower, [n for (key, _), n in zip(stacks, top_norms)
+                                      if key == (gamma, k)]
+        del run  # so that the next run's spectrum is not made while this one is held
         columns = []
         for (gamma, k), P in zip(keys, points):
             lower, tops = norms[gamma, k]

@@ -24,9 +24,9 @@ import numpy as np
 from . import casework
 from .besov import BesovParams, besov_norms
 from .mollify import admissible_eps_sequence, mollifier_convergence_tables
-from .errors import ConfigError, EllregError, ExperimentError
+from .errors import ConfigError, EllregError, ExperimentError, IncommensurableDelta
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
-from .localize import build_partition, global_and_patch_norm
+from .localize import build_partition, global_and_patch_norm, partition_count
 from .pdo import (
     PDOperator,
     neg_laplacian,
@@ -169,6 +169,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     params = _fields("parameters", obj.get("parameters", {}), schema, grid)
     if params.get("method") == "frozen" and params.get("rhs") == "random":
         raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
+    if kind == "patch-equivalence":  # here delta is the partition spacing, not a cube radius
+        try:
+            partition_count(grid, params["delta"])
+        except IncommensurableDelta as exc:
+            raise ConfigError(str(exc)) from exc
     seed = _coerce("seed", obj.get("seed", 0), 0, grid)
     output_dir = _coerce("output_dir", obj.get("output_dir", kind), kind, grid)
     return ExperimentConfig(kind, grid, params, seed, output_dir)

@@ -9,6 +9,7 @@ norms aggregate per-patch Besov norms in l^p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +38,28 @@ class PartitionSpec:
         return int(np.max(np.sum(self.psis > 1e-12, axis=0)))
 
 
-def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
-    """Partition of unity from plateau translates at spacing delta/2."""
+def partition_count(grid: GridSpec, delta: float) -> int:
+    """The plateau translates per axis of build_partition(grid, delta), or IncommensurableDelta:
+    delta / 2 must divide the period, and the partition must hold at most 2^22 samples (the
+    grid's own cap), which is checked here, before any allocation."""
     period = 2.0 * grid.half_period
     count_f = 2.0 * period / delta  # translates per axis at spacing delta/2
-    count = round(count_f)
+    count = round(count_f) if math.isfinite(count_f) else 0
     if abs(count_f - count) > 1e-9 or count < 1:
         raise IncommensurableDelta(
             f"delta={delta} does not divide the period {period}"
         )
-    if count**grid.dim * grid.num_points > 1 << 22:  # the grid's own cap, before any allocation
+    if count**grid.dim * grid.num_points > 1 << 22:
         raise IncommensurableDelta(
             f"delta={delta} makes {count}^{grid.dim} translates of {grid.num_points} points, "
             "more than 2^22 samples"
         )
+    return count
+
+
+def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
+    """Partition of unity from plateau translates at spacing delta/2."""
+    count = partition_count(grid, delta)
     prof = Plateau(delta / 2.0, delta)
     axis = grid.axis_points()
     centers = -grid.half_period + (delta / 2.0) * np.arange(count)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from ellreg.besov import (
     _bessel,
     _difference_multipliers,
     _difference_table,
+    _joined,
+    _monomials,
+    _parseval_norms,
     batch_norms,
     bessel_lift,
     besov_norm,
@@ -31,6 +35,7 @@ from ellreg.grid import (
     dft,
     field_from_function,
     lp_norm,
+    lp_norms,
     monomial,
     random_band_limited_field,
     spectral_derivative,
@@ -433,14 +438,16 @@ BATCH_POINTS = [BesovParams(a, p, q) for a in (-1.0, 0.5, 1.0, 2.5)
 
 
 def assert_batch_matches_one_field_calls(fields):
-    # equal for alpha <= 1; above one the Sobolev part holds f's own L^p norm (and, in 1-D, its
-    # one first derivative's), a single column that numpy sums pairwise for one field and row by
-    # row for several, so those points may move by an ulp or so
+    # equal at p = 2, whose norms are per-field lattice sums at every order, and for alpha <= 1;
+    # above one a p != 2 Sobolev part holds f's own L^p norm (and, in 1-D, its one first
+    # derivative's), a single column of samples that numpy sums pairwise for one field and row
+    # by row for several, so those points may move by an ulp or so
     got = batch_norms(fields, BATCH_POINTS)
     assert len(got) == len(fields)
     for norms, f in zip(got, fields):
         for P, a, b in zip(BATCH_POINTS, norms, besov_norms(f, BATCH_POINTS)):
-            assert a == b if P.alpha <= 1.0 else abs(a - b) <= 1e-15 * b, (P, a, b)
+            exact = P.p == 2.0 or P.alpha <= 1.0
+            assert a == b if exact else abs(a - b) <= 1e-15 * b, (P, a, b)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
@@ -483,3 +490,100 @@ def test_batch_norms_of_a_spectrum_and_no_fields(grid1d, rng):
     assert batch_norms([dft(f)], BATCH_POINTS) == batch_norms([f], BATCH_POINTS)
     assert batch_norms([], BATCH_POINTS) == []
     assert batch_norms([f, f], []) == [[], []]
+
+
+def test_batch_norms_refuse_a_spectrum_among_other_fields(grid1d, rng):
+    # a spectrum carries no samples to lay side by side with another field's
+    f = random_band_limited_field(grid1d, 1, rng)
+    for batch in ([dft(f), f], [f, dft(f)], [dft(f), dft(f)]):
+        with pytest.raises(ValueError, match="SpectralField"):
+            batch_norms(batch, [BesovParams(0.5, 2.0, 2.0)])
+
+
+def inverse_route_l2(F, build, rows, factor, count):
+    """Oracle: the L^2 norms (n, count) of apply_multipliers' sample stacks, stack by stack."""
+    return np.concatenate([
+        lp_norms(stack.reshape(stack.shape[:-1] + (count, -1)), [2.0], grid=F.grid)[0]
+        for stack in apply_multipliers(F, build, rows, factor)])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_parseval_route_matches_the_inverse_route(dim, n, channels, real):
+    # two fields side by side, as a batch lays them; every top-stack factor family at once
+    grid = GridSpec(dim, n, 2.5)
+    rng = np.random.Generator(np.random.PCG64(dim * n + channels))
+    fields = [random_band_limited_field(grid, channels, rng) for _ in range(2)]
+    if real:
+        fields = [Field(grid, f.samples.real) for f in fields]
+    run = _joined(list(fields))
+    assert run.F.real == real
+    _, _, rows = _difference_table(grid)
+    factors = [None, Hermitian(_bessel, 2.0), Hermitian(monomial, alpha=(1,) * dim)]
+    for factor, got in zip(factors, _parseval_norms(run, _difference_multipliers, rows, factors)):
+        want = inverse_route_l2(run.F, _difference_multipliers, rows, factor, 2)
+        assert got.shape == want.shape == (len(rows), 2)
+        assert np.max(np.abs(got - want) / want) <= 1e-13, factor
+    alphas = multi_indices(dim, 2)
+    (got,) = _parseval_norms(run, _monomials, alphas, [None])
+    want = inverse_route_l2(run.F, _monomials, alphas, None, 2)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_parseval_route_past_the_square_overflow():
+    # |xi|^199 reaches 32^199 = 2^995 on 64 points of period 2 pi, where xi = k: its square
+    # overflows, the norm does not, and it matches the exact rational sum over the lattice.
+    # |xi|^300 overflows itself, and both routes give NaN.
+    grid = GridSpec(1, 64, math.pi)
+    k = np.rint(grid.freqs()[..., 0]).astype(int)
+    f = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(5)))
+    for real in (False, True):
+        run = _joined([Field(grid, f.samples.real) if real else f])
+        rows = [(199,), (300,)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got,) = _parseval_norms(run, _monomials, rows, [None])
+            want = inverse_route_l2(run.F, _monomials, rows, None, 1)
+        squares = sum(Fraction(abs(int(j)) ** 398) * Fraction(float(abs(c) ** 2))
+                      for j, c in zip(k, run.F.coefficients[:, 0]))
+        exact = math.sqrt(float(2 * Fraction(math.pi) * squares / 2**1000)) * 2.0**500
+        assert abs(got[0, 0] - exact) <= 1e-14 * exact and exact > 1e200
+        assert np.isnan(got[1]).all() and np.isnan(want[1]).all()
+
+
+def test_parseval_route_in_row_chunks():
+    # on 256^2 points a chunk holds one row of the two factors: every row is its own chunk
+    grid = GridSpec(2, 256, math.pi)
+    run = _joined([random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(7)))])
+    _, _, rows = _difference_table(grid)
+    factors = [None, Hermitian(monomial, alpha=(0, 1))]
+    assert len(factors) * grid.num_points > _STACK_POINTS and len(rows) > 1
+    for factor, got in zip(factors, _parseval_norms(run, _difference_multipliers, rows, factors)):
+        want = inverse_route_l2(run.F, _difference_multipliers, rows, factor, 1)
+        assert np.max(np.abs(got - want) / want) <= 1e-13, factor
+
+
+@pytest.mark.parametrize("scale", [2.0**-700, 1e-200, 1e200, 2.0**700])
+def test_p2_norms_scale_without_overflow(scale):
+    # the squares of these coefficients leave the float range; the norms do not
+    grid = GridSpec(1, 64, math.pi)
+    f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(11)))
+    points = [BesovParams(a, 2.0, 2.0) for a in (-1.0, 0.5, 2.5)]
+    for got, want in zip(besov_norms(f * scale, points), besov_norms(f, points)):
+        assert abs(got - scale * want) <= 1e-13 * scale * want
+    assert sobolev_norm(f * scale, 2, 2.0) == pytest.approx(scale * sobolev_norm(f, 2, 2.0),
+                                                            rel=1e-13)
+
+
+def test_p2_batch_takes_one_forward_transform_per_run_and_no_inverse(transform_calls):
+    # 9 complex fields of 8192 points: a run of 8 (_STACK_POINTS) and one alone
+    grid = GridSpec(1, 8192, math.pi)
+    rng = np.random.Generator(np.random.PCG64(13))
+    fields = [random_band_limited_field(grid, 1, rng) for _ in range(9)]
+    points = [BesovParams(a, 2.0, q) for a in (-1.0, 0.5, 1.0, 2.5) for q in (1.0, 2.0, INF)]
+    transform_calls.clear()
+    batch_norms(fields, points)
+    assert transform_calls == ["fft", "fft"]
+    transform_calls.clear()
+    sobolev_norm(fields[0], 2, 2.0)
+    assert transform_calls == ["fft"]

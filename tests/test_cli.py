@@ -322,9 +322,11 @@ def test_a_partition_past_the_sample_cap_is_refused_before_it_is_built(tmp_path)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, "-c", script, "run", cfg_path, "--output-root", str(tmp_path)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 2, proc.stderr
     assert "more than 2^22 samples" in proc.stderr and proc.stderr.count("\n") == 1
     assert not (tmp_path / "patch-equivalence").exists()
+    # the config alone decides it, so validate refuses it too
+    assert main(["validate", cfg_path]) == 2
 
 
 def _frozen_config(tmp_path, rhs, name):
@@ -428,7 +430,9 @@ PROBES = [
     ("x0-index-short", "resolvent-solve", {"grid": {"dim": 2, "points_per_axis": 64},
                                            "parameters": {"x0_index": [3]}}, 2),
     ("output-dir-int", "besov-norm", {"output_dir": 5}, 2),
-    ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 3),
+    ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 2),
+    ("delta-subnormal", "patch-equivalence", {"parameters": {"delta": 5e-324}}, 2),
+    ("delta-past-the-cap", "patch-equivalence", {"parameters": {"delta": math.pi / 2**19}}, 2),
     ("alpha-nan-result", "besov-norm", {"parameters": {"alpha": [400.0]}}, 3),
     ("r-overflow", "resolvent-solve", {"parameters": {"r": 1e200}}, 3),
     ("constant-variable-op", "resolvent-solve", {"parameters": {"operator": _VARIABLE_OP}}, 3),

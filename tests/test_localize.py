@@ -7,7 +7,7 @@ import pytest
 from ellreg.besov import BesovParams, besov_norm
 from ellreg.errors import IncommensurableDelta
 from ellreg.grid import _STACK_POINTS, Field, GridSpec, random_band_limited_field
-from ellreg.localize import build_partition, global_and_patch_norm, patch_norm
+from ellreg.localize import build_partition, global_and_patch_norm, partition_count, patch_norm
 
 
 def test_partition_sums_to_one_1d(grid1d):
@@ -40,6 +40,19 @@ def test_overlap_bound(grid1d, grid2d):
 def test_incommensurable_delta(grid1d):
     with pytest.raises(IncommensurableDelta):
         build_partition(grid1d, 1.0)  # 4 pi is not an integer multiple
+
+
+@pytest.mark.parametrize("delta", [1.0, 5e-324, math.pi / 2**19])
+def test_partition_count_refuses_what_build_partition_refuses(grid1d, delta):
+    # not a divisor; a spacing whose count overflows to inf; 2^21 translates of 64 points
+    for refuse in (partition_count, build_partition):
+        with pytest.raises(IncommensurableDelta):
+            refuse(grid1d, delta)
+
+
+def test_partition_count_is_the_translates_per_axis(grid1d, grid2d):
+    for grid, delta in ((grid1d, math.pi / 2.0), (grid2d, math.pi), (grid2d, 4.0 * math.pi)):
+        assert build_partition(grid, delta).num_patches == partition_count(grid, delta) ** grid.dim
 
 
 def test_patch_fields_reassemble(grid1d, rng):
@@ -79,14 +92,14 @@ def test_patch_norm_at_a_huge_exponent_is_the_sup_norm(grid1d, rng):
 
 def test_global_and_patch_norm_is_one_batch(transform_calls):
     # one 128-point sample of the patch-equivalence experiment: f and its 8 patches share
-    # one forward transform and one stacked inverse
+    # one forward transform, and at p = 2 they are measured on the lattice, with no inverse
     grid = GridSpec(1, 128, math.pi)
     part = build_partition(grid, grid.half_period / 2.0)
     assert part.num_patches == 8
     f = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(3)))
     transform_calls.clear()
     whole, local = global_and_patch_norm(f, part, 1.0, 2.0)
-    assert len(transform_calls) == 2, transform_calls
+    assert len(transform_calls) == 1, transform_calls
     assert whole == besov_norm(f, BesovParams(1.0, 2.0, 2.0))
     assert local == patch_norm(f, part, 1.0, 2.0)
 
