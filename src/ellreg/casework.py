@@ -142,6 +142,11 @@ def _trace_constant(line: LineGrid, p: float) -> float:
     return best
 
 
+def witness_grid(n_ref: int) -> GridSpec:
+    """The periodic grid on [-pi, pi) on which nondensity_witness mollifies."""
+    return GridSpec(1, n_ref, math.pi)
+
+
 def nondensity_witness(p: float, eps_seq, n_ref: int) -> dict:
     """Smooth candidates u_eps get L^p-close to u while the graph distance stays up.
 
@@ -157,7 +162,7 @@ def nondensity_witness(p: float, eps_seq, n_ref: int) -> dict:
     v = elem.v(x)
     # the staggered samples are a half-cell translate of the periodic grid, so
     # the grid's convolution (kernel at integer offsets) applies unchanged
-    u_hat = dft(Field(GridSpec(1, n_ref, math.pi), u[:, None]))  # one transform for every eps
+    u_hat = dft(Field(witness_grid(n_ref), u[:, None]))  # one transform for every eps
 
     rows = []
     for eps in eps_seq:

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import casework
 from .besov import BesovParams, besov_norms
-from .mollify import admissible_eps_sequence, mollifier_convergence_tables
-from .errors import ConfigError, EllregError, ExperimentError, IncommensurableDelta
+from .mollify import admissible_eps_sequence, eps_range, mollifier_convergence_tables
+from .errors import (ConfigError, EllregError, EpsilonOutOfRange, ExperimentError,
+                     IncommensurableDelta)
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
 from .localize import build_partition, global_and_patch_norm, partition_count
 from .pdo import (
@@ -173,6 +174,16 @@ def parse_config(obj: dict) -> ExperimentConfig:
         try:
             partition_count(grid, params["delta"])
         except IncommensurableDelta as exc:
+            raise ConfigError(str(exc)) from exc
+    if kind == "example-a":  # its eps are widths on the witness's reference grid
+        lo, hi = eps_range(casework.witness_grid(params["n_ref"]))
+        if bad := [eps for eps in params["eps"] if not lo <= eps < hi]:
+            raise ConfigError(f"eps must lie in [{lo:.4g}, {hi:.4g}) on the n_ref grid, "
+                              f"got {brief(bad[0])}")
+    if kind in ("mollify-convergence", "uniform-convergence"):  # their sweeps must be non-empty
+        try:
+            admissible_eps_sequence(grid, 1)
+        except EpsilonOutOfRange as exc:
             raise ConfigError(str(exc)) from exc
     seed = _coerce("seed", obj.get("seed", 0), 0, grid)
     output_dir = _coerce("output_dir", obj.get("output_dir", kind), kind, grid)

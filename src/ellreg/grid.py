@@ -394,10 +394,14 @@ def _half_inverse(F: _HalfSpectrum) -> np.ndarray:
     return out
 
 
-def apply_multiplier(f: Field, values: np.ndarray) -> Field:
-    """Multiply coefficients by one lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
-    (samples,) = apply_multipliers(f, lambda rows: np.expand_dims(rows[0], f.grid.dim), [values])
-    return Field(f.grid, samples[..., 0, :])
+def multiply(F: SpectralField, values: np.ndarray) -> SpectralField:
+    """The spectrum values * F of one lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
+    return SpectralField(F.grid, _times(values, F.coefficients, F.grid.dim))
+
+
+def apply_multiplier(f, values: np.ndarray) -> Field:
+    """idft(values * dft(f)) for one lattice array `values`; f a Field or its SpectralField."""
+    return idft(multiply(f if isinstance(f, SpectralField) else dft(f), values))
 
 
 def spectral_derivatives(f, alphas, factor=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,13 +23,26 @@ def kernel_field(grid: GridSpec, eps: float) -> Field:
     return Field(grid, (vals / mass)[..., None])
 
 
+def eps_range(grid: GridSpec) -> tuple:
+    """[lo, hi): the widths eps whose sampled dilate h_eps the grid resolves, at least two
+    spacings and under a quarter of the period."""
+    return 2.0 * grid.spacing, grid.half_period / 4.0
+
+
 def mollifier_symbol(grid: GridSpec, eps: float) -> np.ndarray:
-    """Lattice multiplier (*shape,) of convolution with the sampled dilate h_eps."""
-    if not (2.0 * grid.spacing <= eps < grid.half_period / 4.0):
-        raise EpsilonOutOfRange(
-            f"eps={eps} outside [{2 * grid.spacing}, {grid.half_period / 4.0})"
-        )
-    return dft(kernel_field(grid, eps)).coefficients[..., 0] * grid.volume
+    """Lattice multiplier (*shape,) of convolution with the sampled dilate h_eps; read-only."""
+    lo, hi = eps_range(grid)
+    if not lo <= eps < hi:
+        raise EpsilonOutOfRange(f"eps={eps} outside [{lo}, {hi})")
+    return _symbol(grid, eps)
+
+
+@functools.lru_cache(maxsize=16)
+def _symbol(grid: GridSpec, eps: float) -> np.ndarray:
+    """mollifier_symbol, built once per (grid, eps) and frozen: every sweep shares its eps."""
+    symbol = dft(kernel_field(grid, eps)).coefficients[..., 0] * grid.volume
+    symbol.flags.writeable = False
+    return symbol
 
 
 def mollify(f, eps: float) -> Field:
@@ -37,10 +51,10 @@ def mollify(f, eps: float) -> Field:
 
 
 def admissible_eps_sequence(grid: GridSpec, count: int) -> list:
-    """Halving sweep from L/8 down, truncated at the 2*spacing floor; never empty."""
-    eps = grid.half_period / 8.0
+    """Halving sweep from L/8 (half the eps_range top) down, truncated at its floor; never empty."""
+    floor, top = eps_range(grid)
+    eps = top / 2.0
     out = []
-    floor = 2.0 * grid.spacing
     for _ in range(count):
         if eps < floor:
             break

@@ -16,7 +16,7 @@ import numpy as np
 
 from .besov import BesovParams, batch_norms, besov_norms
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
-from .grid import Field, apply_multiplier, dft, lp_norm, monomial
+from .grid import Field, SpectralField, dft, idft, lp_norm, monomial, multiply, power_means
 from .pdo import PDOperator, _resolvent_blocks, apply, mi_order
 from .profiles import box_mask, box_window
 
@@ -58,6 +58,16 @@ def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None
     return lp_norm(res, math.inf, mask=mask)
 
 
+def _lattice_symbol(P: PDOperator) -> np.ndarray:
+    """The full symbol sum_alpha C_alpha(origin) (i xi)^alpha on the lattice, (*shape, l1, l0)."""
+    grid = P.grid
+    origin, xi = (0,) * grid.dim, grid.freqs()
+    sym = np.zeros(grid.shape + (P.out_channels, P.in_channels), dtype=np.complex128)
+    for alpha, arr in P.coeffs.items():
+        sym += monomial(xi, alpha)[..., None, None] * arr[origin]
+    return sym
+
+
 def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     """(r^n e^{i theta0} - symbol of A)^{-1} on the lattice; raises on singularity.
 
@@ -66,31 +76,30 @@ def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     """
     if not A.is_constant_coefficient():
         raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
-    grid = A.grid
-    origin = (0,) * grid.dim
-    xi = grid.freqs()
-    ell = A.in_channels
-    sym = np.zeros(grid.shape + (ell, ell), dtype=np.complex128)
-    for alpha, arr in A.coeffs.items():
-        sym += monomial(xi, alpha)[..., None, None] * arr[origin]
-    mats, _, bad = _resolvent_blocks(r**A.order * np.exp(1j * theta0), sym)
+    mats, _, bad = _resolvent_blocks(r**A.order * np.exp(1j * theta0), _lattice_symbol(A))
     if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(bad)), grid.shape)
-        raise SingularSymbol(xi[idx])
-    return 1.0 / mats if ell == 1 else np.linalg.inv(mats)
+        idx = np.unravel_index(int(np.argmax(bad)), A.grid.shape)
+        raise SingularSymbol(A.grid.freqs()[idx])
+    return 1.0 / mats if A.in_channels == 1 else np.linalg.inv(mats)
 
 
-def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
-    """Iterate x <- step(x) from x0 until the L^2 increment is <= tol (1 + ||x||_2).
+def _l2(F: SpectralField) -> float:
+    """The L^2 norm of idft(F) by Parseval: ((2L)^m sum_xi sum_l |c_xi,l|^2)^(1/2)."""
+    return float(power_means(np.abs(F.coefficients).reshape(-1), F.grid.volume, [2.0])[0])
+
+
+def _fixed_point(step, x0: SpectralField, tol: float, max_iter: int, what: str):
+    """Iterate x <- step(x) on spectra from x0 until the L^2 increment is <= tol (1 + ||x||_2).
 
     Returns (x, contraction, increments): the last ratio of successive increments and
-    the list of all of them.  Raises NotContracting, with that list, when the ratio
-    reaches 1 - 1e-3 from the third step on, or when max_iter steps do not converge.
+    the list of all of them, each measured on the lattice (_l2).  Raises NotContracting,
+    with that list, when the ratio reaches 1 - 1e-3 from the third step on, or when
+    max_iter steps do not converge.
     """
     x, increments, contraction = x0, [], None
     for iterations in range(1, max_iter + 1):
         x_next = step(x)
-        increments.append(inc := lp_norm(x_next - x, 2.0))
+        increments.append(inc := _l2(SpectralField(x.grid, x_next.coefficients - x.coefficients)))
         if iterations > 1 and increments[-2] > 0:
             contraction = inc / increments[-2]
             if iterations >= 3 and contraction >= 1.0 - 1e-3:
@@ -98,7 +107,7 @@ def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
                     f"{what}: not contracting (ratio {contraction:.4f})", contraction, increments
                 )
         x = x_next
-        if inc <= tol * (1.0 + lp_norm(x, 2.0)):
+        if inc <= tol * (1.0 + _l2(x)):
             return x, contraction, increments
     raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction,
                          increments)
@@ -107,23 +116,34 @@ def _fixed_point(step, x0: Field, tol: float, max_iter: int, what: str):
 def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: float, what: str):
     """Solve with the split Q = A + D: A inverted exactly, D absorbed by a contraction.
 
-    Iterates h <- g + cutoff D A^{-1} h from h = g and returns u = A^{-1} h,
-    with its residual on `mask`.  With D = 0 this is the exact solve u = A^{-1} g.
+    Iterates H <- G + dft(cutoff D A^{-1} idft(H)) on the spectrum from H = G = dft(g) and
+    returns u = idft(A^{-1} H), with its residual on `mask`.  When cutoff D is constant (a
+    scalar cutoff, a constant D), cutoff D A^{-1} is one lattice multiplier, built once, and a
+    step takes no transform; otherwise a step takes two.  With D = 0 this is the exact solve
+    u = A^{-1} g.
     """
-    Q = problem.Q
+    Q, G = problem.Q, dft(problem.g)
     minv = _resolvent_multiplier(A, problem.r, problem.theta0)
     D = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels,
                    {a: d for a, C in Q.coeffs.items() if np.any(d := C - A.coefficient(a))})
     if D.coeffs:
+        if np.ndim(cutoff) == 0 and D.is_constant_coefficient():
+            M = cutoff * (_lattice_symbol(D) @ minv)
 
-        def step(h):
-            correction = apply(D, dft(h), minv)
-            return Field(Q.grid, problem.g.samples + cutoff * correction.samples)
+            def correction(H):
+                return multiply(H, M)
+        else:
 
-        h, contraction, increments = _fixed_point(step, problem.g, tol, 200, what)
+            def correction(H):
+                return dft(Field(Q.grid, cutoff * apply(D, H, minv).samples))
+
+        def step(H):
+            return SpectralField(Q.grid, G.coefficients + correction(H).coefficients)
+
+        H, contraction, increments = _fixed_point(step, G, tol, 200, what)
     else:
-        h, contraction, increments = problem.g, None, []
-    u = apply_multiplier(h, minv)
+        H, contraction, increments = G, None, []
+    u = idft(multiply(H, minv))
     return SolveReport(u, residual(problem, u, mask), len(increments), contraction, increments)
 
 

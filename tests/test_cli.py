@@ -301,10 +301,11 @@ def test_sample_count_below_one_is_a_config_error(tmp_path, capsys, kind, count)
     assert not (tmp_path / kind).exists()
 
 
-def test_example_a_eps_outside_the_mollifier_range_is_an_experiment_error(tmp_path, capsys):
+def test_example_a_eps_outside_the_mollifier_range_is_a_config_error(tmp_path, capsys):
+    # the bounds are mollify.eps_range on the 8192-point reference grid
     cfg_path = _write_config(tmp_path, {"kind": "example-a", "parameters": {"eps": [1.0]}})
     argv = ["run", cfg_path, "--output-root", str(tmp_path)]
-    _assert_one_line_failure(capsys, 3, argv, "EpsilonOutOfRange: eps=1.0 outside")
+    _assert_one_line_failure(capsys, 2, argv, "eps must lie in [0.001534, 0.7854) on the n_ref grid")
     assert not (tmp_path / "example-a").exists()
 
 
@@ -438,8 +439,13 @@ PROBES = [
     ("constant-variable-op", "resolvent-solve", {"parameters": {"operator": _VARIABLE_OP}}, 3),
     ("neumann-variable-op", "resolvent-solve",
      {"parameters": {"operator": _VARIABLE_OP, "method": "neumann"}}, 3),
-    ("mollify-16-points", "mollify-convergence", {"grid": {"points_per_axis": 16}}, 3),
-    ("uniform-16-points", "uniform-convergence", {"grid": {"points_per_axis": 16}}, 3),
+    # eps outside mollify.eps_range: each once passed `validate` and failed `run`
+    ("mollify-16-points", "mollify-convergence", {"grid": {"points_per_axis": 16}}, 2),
+    ("uniform-16-points", "uniform-convergence", {"grid": {"points_per_axis": 16}}, 2),
+    ("mollify-8-points", "mollify-convergence", {"grid": {"points_per_axis": 8}}, 2),
+    ("uniform-8-points", "uniform-convergence", {"grid": {"points_per_axis": 8}}, 2),
+    ("example-a-eps-wide", "example-a", {"parameters": {"eps": [1.0]}}, 2),
+    ("example-a-eps-narrow", "example-a", {"parameters": {"eps": [0.0001]}}, 2),
 ]
 
 
@@ -498,6 +504,23 @@ def test_mutated_shipped_configs_parse_or_raise_config_error(path, data):
         pass
 
 
+# explicit mutations of the shipped configs, each once valid to `validate` and refused by `run`
+EPS_OUT_OF_RANGE = [
+    ("example-a", ("parameters", "eps"), [1.0]),
+    ("example-a", ("parameters", "eps"), [0.0001]),
+    ("uniform-convergence", ("grid", "points_per_axis"), 8),
+    ("mollify-convergence", ("grid", "points_per_axis"), 8),
+]
+
+
+@pytest.mark.parametrize("name, key, value", EPS_OUT_OF_RANGE)
+def test_mutated_shipped_configs_outside_the_eps_range_raise_config_error(name, key, value):
+    obj = json.loads(SHIPPED[0].with_name(f"{name}.json").read_text())
+    obj[key[0]][key[1]] = value
+    with pytest.raises(ConfigError, match="eps"):
+        parse_config(obj)
+
+
 def test_handlers_read_no_parameters_by_hand():
     # each handler's keyword parameters are its kind's schema: no ad-hoc reads
     source = pathlib.Path(cli.__file__).read_text()
@@ -506,13 +529,17 @@ def test_handlers_read_no_parameters_by_hand():
 
 
 def test_mollify_convergence_sweeps_each_fixture_once(tmp_path, transform_calls):
-    # one sweep per fixture over its distinct operators, each eps one symbol transform and
-    # one inverse per operator: kink 1 + 6 * (1 + 3), cubic-kink 1 + 6 * (1 + 1)
+    # one sweep per fixture over its distinct operators, each eps one inverse per operator:
+    # kink 1 + 6 * 3, cubic-kink 1 + 6 * 1, and, cold, one symbol transform per distinct eps
+    # (the fixtures share the six), which the symbol memo keeps for the warm run
     root = pathlib.Path(__file__).resolve().parent.parent
     cfg = parse_config(json.loads((root / "configs" / "mollify-convergence.json").read_text()))
     transform_calls.clear()
+    run_experiment(cfg, output_root=str(tmp_path / "cold"))
+    assert len(transform_calls) == 19 + 7 + 6
+    transform_calls.clear()
     out = run_experiment(cfg, output_root=str(tmp_path))
-    assert len(transform_calls) == 25 + 13
+    assert len(transform_calls) == 19 + 7
     cases = json.loads((out / "results.json").read_text())["results"]["cases"]
     assert [(c["operator"], c["fixture"]) for c in cases] == [
         ("identity", "kink"), ("derivative", "kink"),
@@ -526,7 +553,10 @@ def test_mollify_convergence_repeated_case_keeps_its_rows(tmp_path, transform_ca
     cfg = parse_config({"kind": "mollify-convergence", "grid": {"points_per_axis": 256},
                         "parameters": {"cases": [case, case], "p": [2.0], "eps_count": 3}})
     transform_calls.clear()
+    run_experiment(cfg, output_root=str(tmp_path / "cold"))
+    assert len(transform_calls) == 1 + 3 * (1 + 1)  # cold: each eps's symbol and one inverse
+    transform_calls.clear()
     out = run_experiment(cfg, output_root=str(tmp_path))
-    assert len(transform_calls) == 1 + 3 * (1 + 1)
+    assert len(transform_calls) == 1 + 3  # warm: the symbols come from the memo
     first, second = json.loads((out / "results.json").read_text())["results"]["cases"]
     assert first == second and len(first["by_p"]["2.0"]["rows"]) == 3

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -23,12 +24,15 @@ from ellreg.mollify import (
     log2_rates,
     mollifier_convergence_experiment,
     mollifier_convergence_tables,
+    mollifier_symbol,
     mollify,
     ratios,
     rel_changes,
 )
 from ellreg.pdo import neg_laplacian, operator_from_constant
 from ellreg.profiles import radial_window
+
+mollify_module = importlib.import_module("ellreg.mollify")  # the package's `mollify` is the function
 
 
 def test_kernel_unit_mass(grid1d):
@@ -55,6 +59,22 @@ def test_mollify_eps_range(grid1d, rng):
         mollify(f, 0.5 * grid1d.spacing)
     with pytest.raises(EpsilonOutOfRange):
         mollify(f, grid1d.half_period)
+
+
+def test_mollifier_symbol_is_read_only(grid1d):
+    symbol = mollifier_symbol(grid1d, 0.5)
+    assert not symbol.flags.writeable
+    with pytest.raises(ValueError):
+        symbol[0] = 0.0
+
+
+def test_mollify_is_the_same_with_a_cold_and_a_warm_memo(grid1d, rng):
+    f = random_band_limited_field(grid1d, 1, rng)
+    mollify_module._symbol.cache_clear()
+    cold = mollify(f, 0.5).samples.tobytes()
+    assert mollify_module._symbol.cache_info().currsize == 1
+    assert mollify(f, 0.5).samples.tobytes() == cold
+    assert mollify_module._symbol.cache_info().hits >= 1
 
 
 @given(seed=st.integers(0, 5000))
@@ -141,14 +161,19 @@ def test_sweep_costs_one_transform_of_f_and_two_per_eps(order, transform_calls):
     P = operator_from_constant(grid, {(order,): 1.0}, order=order)
     eps = admissible_eps_sequence(grid, count=4)
     mask = np.ones(grid.shape, dtype=bool)
+    # cold: per eps one transform of the kernel, which the symbol memo keeps, and one inverse
     transform_calls.clear()
     mollifier_convergence_experiment(P, f, 2.0, eps, mask)
-    assert len(eps) < len(transform_calls) <= 2 * len(eps) + 1
-    # the list sweep: per eps one transform of the kernel and one per operator, under every p
+    assert len(transform_calls) == 1 + 2 * len(eps) == 9
+    # warm: the kernels' symbols are built, so per eps only the inverse
+    transform_calls.clear()
+    mollifier_convergence_experiment(P, f, 2.0, eps, mask)
+    assert len(transform_calls) == 1 + len(eps) == 5
+    # the list sweep, warm: per eps one inverse per operator, under every p
     ops = [P] + [operator_from_constant(grid, {(k,): 1.0}, order=k) for k in range(3) if k != order]
     transform_calls.clear()
     mollifier_convergence_tables(ops, f, [1.0, 2.0, math.inf], eps, mask)
-    assert len(transform_calls) == 1 + len(eps) * (1 + len(ops)) == 17
+    assert len(transform_calls) == 1 + len(eps) * len(ops) == 13
 
 
 def test_list_sweep_equals_the_one_operator_one_exponent_sweeps():
