@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, _check_same, _monomials,
-                   apply_multiplier, apply_multipliers, dft, lp_norms, monomial, power_means)
+                   _power_product, apply_multiplier, apply_multipliers, dft, lp_norms, monomial,
+                   power_means)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -64,23 +65,14 @@ def _lp_norms(stacks, grid, ps, fields: int) -> dict:
 
 def _moduli(symbol, *args) -> np.ndarray:
     """|symbol(*args)| for a factor symbol(xi) or a build symbol(rows, xi) of _stack_norms.
-    A monomial's comes real, as the product of the |xi_d|^a_d, without its complex powers."""
+    A monomial's is that of its real _power_product, with no complex array: the unit i^|alpha|
+    has modulus one."""
     if symbol is _monomials:
         rows, xi = args
-        return np.stack([_monomial_modulus(xi, alpha) for alpha in rows], -1)
+        return np.abs(np.stack([_power_product(xi, alpha) for alpha in rows], -1))
     if isinstance(symbol, Hermitian) and symbol.func is monomial:
-        return _monomial_modulus(*args, **symbol.keywords)
+        return np.abs(_power_product(*args, **symbol.keywords))
     return np.abs(symbol(*args))
-
-
-def _monomial_modulus(xi, alpha) -> np.ndarray:
-    """|(i xi)^alpha| over the last axis of xi, by products: a float power is a slow pow."""
-    out = np.ones(xi.shape[:-1])
-    for axis, a in enumerate(alpha):
-        modulus = np.abs(xi[..., axis]) if a else None
-        for _ in range(a):
-            out *= modulus
-    return out
 
 
 def _exponents(tops: np.ndarray) -> np.ndarray:
@@ -183,17 +175,9 @@ def _lower_norms(run: _Run, alphas, ps) -> dict:
 
 
 def displacement_shells(grid) -> list:
-    """Dyadic radii from L/2 down to roughly the 2^-(log2 N - 1) floor."""
-    j_max = int(np.log2(grid.points_per_axis)) - 1
-    floor = 2.0 ** (-j_max)
-    radii = []
-    rho = grid.half_period / 2.0
-    while rho >= floor and len(radii) < 40:
-        radii.append(rho)
-        rho *= 0.5
-    if len(radii) < 2:  # tiny grids still get two shells
-        radii = [grid.half_period / 2.0, grid.half_period / 4.0]
-    return radii
+    """The dyadic radii L / 2^j, j = 1 .. floor(log2 N): from half the half-period down to
+    between h/2 and h, at every L, so that the functional is exactly homogeneous under dilation."""
+    return [grid.half_period / 2.0**j for j in range(1, grid.points_per_axis.bit_length())]
 
 
 @functools.lru_cache(maxsize=16)
@@ -242,13 +226,6 @@ def _difference_multipliers(rows, xi) -> np.ndarray:
     s *= -4.0
     s += rows[:, -1]
     return s
-
-
-def second_difference_seminorm(f: Field, alpha: float, p: float, q: float) -> float:
-    """The |x|^(-alpha)-weighted second-difference functional, 0 < alpha <= 1."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("second-difference seminorm needs alpha in (0, 1]")
-    return besov_parts(f, BesovParams(alpha, p, q))[1]
 
 
 def besov_norm(f, params: BesovParams) -> float:

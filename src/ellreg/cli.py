@@ -25,7 +25,7 @@ from . import casework
 from .besov import BesovParams, besov_norms
 from .mollify import admissible_eps_sequence, eps_range, mollifier_convergence_tables
 from .errors import (ConfigError, EllregError, EpsilonOutOfRange, ExperimentError,
-                     IncommensurableDelta)
+                     IncommensurableDelta, SupportViolation)
 from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
 from .localize import build_partition, global_and_patch_norm, partition_count
 from .pdo import (
@@ -38,6 +38,7 @@ from .pdo import (
 from .profiles import box_mask, radial_window
 from .resolvent import (
     ResolventProblem,
+    _supporting_cube,
     apriori_ratios,
     solve_constant,
     solve_frozen_localized,
@@ -168,8 +169,15 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _, *args = inspect.signature(CATALOG[kind]["handler"]).parameters.values()
     schema = {a.name: a.default(grid) if callable(a.default) else a.default for a in args}
     params = _fields("parameters", obj.get("parameters", {}), schema, grid)
-    if params.get("method") == "frozen" and params.get("rhs") == "random":
-        raise ConfigError("method 'frozen' needs a localized rhs fixture: the random rhs is global")
+    if params.get("method") == "frozen":  # its rhs fixture must lie in the solve's cube
+        if params["rhs"] == "random":
+            raise ConfigError("method 'frozen' needs a localized rhs fixture: "
+                              "the random rhs is global")
+        try:
+            _supporting_cube(_fixture_field(grid, params["rhs"]), params["x0_index"],
+                             params["delta"])
+        except SupportViolation as exc:
+            raise ConfigError(str(exc)) from exc
     if kind == "patch-equivalence":  # here delta is the partition spacing, not a cube radius
         try:
             partition_count(grid, params["delta"])

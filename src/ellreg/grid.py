@@ -102,11 +102,18 @@ def _lattice(grid: GridSpec):
 
 
 def monomial(xi: np.ndarray, alpha) -> np.ndarray:
-    """(i xi)^alpha over the last axis: one frequency vector or a whole lattice."""
-    out = np.ones(xi.shape[:-1], dtype=np.complex128)
+    """(i xi)^alpha over the last axis: one frequency vector or a whole lattice, as the unit
+    i^|alpha| times the real _power_product."""
+    return 1j ** (sum(alpha) % 4) * _power_product(xi, alpha)
+
+
+def _power_product(xi: np.ndarray, alpha) -> np.ndarray:
+    """xi^alpha over the last axis, real, by repeated multiplication: |alpha| - 1 roundings at
+    most, where a power takes a complex pow."""
+    out = np.ones(xi.shape[:-1])
     for axis, a in enumerate(alpha):
-        if a:
-            out = out * (1j * xi[..., axis]) ** a
+        for _ in range(a):
+            out *= xi[..., axis]
     return out
 
 
@@ -264,9 +271,9 @@ def apply_multipliers(f, build, params, factor=None):
 
     `f` is a Field or its SpectralField, so that stacks can share one forward transform.
     The multipliers of consecutive `params` rows come as one array, scalar (*shape, n) or
-    matrix (*shape, n, l1, l0): `build(rows)` on the whole lattice, or `build(rows, xi)` for
-    a Hermitian build.  `factor` multiplies dft(f) once: a lattice array, scalar (*shape,)
-    or matrix (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at
+    matrix (*shape, n, l1, l0): `build(rows, xi)` at the frequencies xi of the lattice.
+    `factor` multiplies dft(f) once: a lattice array, scalar (*shape,) or matrix
+    (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at
     most _STACK_POINTS complex points of the whole lattice goes back through one stacked
     inverse transform and is yielded as one sample stack (*shape, n, l).
 
@@ -277,18 +284,16 @@ def apply_multipliers(f, build, params, factor=None):
     """
     F = f if isinstance(f, SpectralField) else dft(f)
     grid, dim, per = F.grid, F.grid.dim, max(1, _STACK_POINTS // F.coefficients.size)
-    hermitian = isinstance(build, Hermitian)
-    if hermitian and isinstance(factor, (Hermitian, type(None))) and F.real:
+    if isinstance(build, Hermitian) and isinstance(factor, (Hermitian, type(None))) and F.real:
         yield from _half_stacks(F, build, params, factor, per)
         return
-    xi = grid.freqs() if hermitian or isinstance(factor, Hermitian) else None
-    coeff = F.coefficients
+    xi, coeff = grid.freqs(), F.coefficients
     if factor is not None:
         coeff = _times(factor(xi) if isinstance(factor, Hermitian) else factor, coeff, dim)
         del factor  # only the product is needed by the chunks
     for start in range(0, len(params), per):
         rows = params[start:start + per]
-        product = _times(build(rows, xi) if hermitian else build(rows), coeff, dim)
+        product = _times(build(rows, xi), coeff, dim)
         samples = idft(SpectralField(grid, product.reshape(grid.shape + (-1,)))).samples
         yield samples.reshape(product.shape)
 

@@ -80,18 +80,9 @@ def build_partition(grid: GridSpec, delta: float) -> PartitionSpec:
     return PartitionSpec(grid, delta, psis)
 
 
-def patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> float:
-    """l^p over patches of the per-patch B^beta_{p,p} norms, the patches measured in one batch."""
-    return _over_patches(batch_norms(part.patch_fields(f), [BesovParams(beta, p, p)]), p)
-
-
 def global_and_patch_norm(f: Field, part: PartitionSpec, beta: float, p: float) -> tuple:
-    """The B^beta_{p,p} norm of f and its patch_norm, f measured in the batch of its patches."""
+    """The B^beta_{p,p} norm of f and the l^p sum over patches of the per-patch B^beta_{p,p}
+    norms, f measured in one batch with its patches."""
     fields = itertools.chain([f], part.patch_fields(f))
     (whole,), *patches = batch_norms(fields, [BesovParams(beta, p, p)])
-    return whole, _over_patches(patches, p)
-
-
-def _over_patches(norms, p: float) -> float:
-    """The l^p sum of per-patch norms, given as one list of one norm per patch."""
-    return float(power_means(np.array([n for n, in norms]), 1.0, [p])[0])
+    return whole, float(power_means(np.array([n for n, in patches]), 1.0, [p])[0])

@@ -88,25 +88,27 @@ def _l2(F: SpectralField) -> float:
     return float(power_means(np.abs(F.coefficients).reshape(-1), F.grid.volume, [2.0])[0])
 
 
-def _fixed_point(step, x0: SpectralField, tol: float, max_iter: int, what: str):
-    """Iterate x <- step(x) on spectra from x0 until the L^2 increment is <= tol (1 + ||x||_2).
+def _fixed_point(correction, G: SpectralField, tol: float, max_iter: int, what: str):
+    """Iterate x <- G + correction(x) on spectra from x = G until the L^2 increment is
+    <= tol (1 + ||x||_2).
 
-    Returns (x, contraction, increments): the last ratio of successive increments and
-    the list of all of them, each measured on the lattice (_l2).  Raises NotContracting,
-    with that list, when the ratio reaches 1 - 1e-3 from the third step on, or when
-    max_iter steps do not converge.
+    Returns (x, contraction, increments): the last ratio of successive increments and the
+    list of all of them, each the difference of consecutive corrections measured on the
+    lattice (_l2), so that G's rounding stays out of it.  Raises NotContracting, with that
+    list, when the ratio reaches 1 - 1e-3 from the third step on, or when max_iter steps do
+    not converge.
     """
-    x, increments, contraction = x0, [], None
+    x, c, increments, contraction = G, 0.0, [], None
     for iterations in range(1, max_iter + 1):
-        x_next = step(x)
-        increments.append(inc := _l2(SpectralField(x.grid, x_next.coefficients - x.coefficients)))
+        c_next = correction(x).coefficients
+        increments.append(inc := _l2(SpectralField(G.grid, c_next - c)))
         if iterations > 1 and increments[-2] > 0:
             contraction = inc / increments[-2]
             if iterations >= 3 and contraction >= 1.0 - 1e-3:
                 raise NotContracting(
                     f"{what}: not contracting (ratio {contraction:.4f})", contraction, increments
                 )
-        x = x_next
+        x, c = SpectralField(G.grid, G.coefficients + c_next), c_next
         if inc <= tol * (1.0 + _l2(x)):
             return x, contraction, increments
     raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction,
@@ -137,10 +139,7 @@ def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: fl
             def correction(H):
                 return dft(Field(Q.grid, cutoff * apply(D, H, minv).samples))
 
-        def step(H):
-            return SpectralField(Q.grid, G.coefficients + correction(H).coefficients)
-
-        H, contraction, increments = _fixed_point(step, G, tol, 200, what)
+        H, contraction, increments = _fixed_point(correction, G, tol, 200, what)
     else:
         H, contraction, increments = G, None, []
     u = idft(multiply(H, minv))
@@ -165,6 +164,18 @@ def solve_neumann_lower_order(problem: ResolventProblem) -> SolveReport:
     return _split_solve(problem, A, 1.0, None, 1e-12, f"Neumann solve at r={problem.r}")
 
 
+def _supporting_cube(g: Field, x0_index, delta: float) -> np.ndarray:
+    """The cube mask of radius delta about grid point x0_index, or SupportViolation when g
+    exceeds 1e-10 of its maximum outside it: the one support rule of solve_frozen_localized,
+    which parse_config applies to a frozen solve's fixture."""
+    cube = box_mask(g.grid, g.grid.coords()[tuple(x0_index)], delta)
+    g_out = float(np.max(np.abs(g.samples[~cube]), initial=0.0))
+    g_max = float(np.max(np.abs(g.samples)))
+    if g_max > 0 and g_out > 1e-10 * g_max:
+        raise SupportViolation(f"g leaks outside the delta={delta} cube (leak {g_out:.3e})")
+    return cube
+
+
 def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) -> SolveReport:
     """Frozen-coefficient iteration for data supported in a small cube.
 
@@ -175,14 +186,7 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
     x0_index = tuple(int(i) for i in x0_index)
     x0 = grid.coords()[x0_index]
 
-    cube = box_mask(grid, x0, delta)
-    g_out = float(np.max(np.abs(problem.g.samples[~cube]), initial=0.0))
-    g_max = float(np.max(np.abs(problem.g.samples)))
-    if g_max > 0 and g_out > 1e-10 * g_max:
-        raise SupportViolation(
-            f"g leaks outside the delta={delta} cube (leak {g_out:.3e})"
-        )
-
+    cube = _supporting_cube(problem.g, x0_index, delta)
     phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
     return _split_solve(problem, problem.Q.frozen_at(x0_index), phi[..., None], cube, 1e-11,
                         f"frozen solve at r={problem.r}")

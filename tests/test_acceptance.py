@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ellreg import casework
-from ellreg.besov import BesovParams, besov_norm
 from ellreg.cli import _fixture_field, _window_mask, main, parse_config
 from ellreg.errors import NotContracting
 from ellreg.grid import (
@@ -24,7 +23,7 @@ from ellreg.grid import (
     lp_norm,
     random_band_limited_field,
 )
-from ellreg.localize import build_partition, patch_norm
+from ellreg.localize import build_partition, global_and_patch_norm
 from ellreg.mollify import (
     admissible_eps_sequence,
     mollifier_convergence_experiment,
@@ -255,7 +254,8 @@ def _patch_ratio_range(n, delta, num_fields=5):
     ratios = []
     for _ in range(num_fields):
         f = random_band_limited_field(grid, 1, rng, band_fraction=8.0 / n)
-        ratios.append(patch_norm(f, part, 1.0, 2.0) / besov_norm(f, BesovParams(1.0, 2.0, 2.0)))
+        whole, local = global_and_patch_norm(f, part, 1.0, 2.0)
+        ratios.append(local / whole)
     return min(ratios), max(ratios)
 
 

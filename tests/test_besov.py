@@ -18,8 +18,8 @@ from ellreg.besov import (
     bessel_lift,
     besov_norm,
     besov_norms,
+    besov_parts,
     displacement_shells,
-    second_difference_seminorm,
     sobolev_norm,
 )
 from ellreg.cli import main
@@ -125,7 +125,7 @@ def test_seminorm_triangle_wave_oracle():
     )
     assert abs(oracle - 2.0) < 1e-9  # the kink's peak second difference is 2h
     f = kink_field(grid)
-    s = second_difference_seminorm(f, 1.0, INF, INF)
+    s = besov_parts(f, BesovParams(1.0, INF, INF))[1]
     assert abs(s - oracle) < 1e-6
 
 
@@ -145,14 +145,24 @@ def test_seminorm_of_a_plane_wave_over_all_eight_directions(dim, n, k, alpha, q)
                  for rho in displacement_shells(grid) for w in unit_directions(dim, 8)]
         want = (max(terms) if q == INF
                 else (area * math.log(2.0) / 8.0 * sum(t**q for t in terms)) ** (1.0 / q))
-        got = second_difference_seminorm(f, alpha, p, q)
+        got = besov_parts(f, BesovParams(alpha, p, q))[1]
         assert abs(got - want) <= 1e-12 * want, (p, got, want)
 
 
-def test_seminorm_alpha_range(grid1d, rng):
-    f = random_band_limited_field(grid1d, 1, rng)
-    with pytest.raises(ValueError):
-        second_difference_seminorm(f, 1.5, 2.0, 2.0)
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+@pytest.mark.parametrize("s", [1.0 / 64.0, 64.0])
+@pytest.mark.parametrize("alpha,p,q", [(0.5, 2.0, 2.0), (1.5, 1.0, 1.0), (0.9, INF, INF)])
+def test_second_difference_part_is_homogeneous_under_dilation(dim, n, s, alpha, p, q):
+    # f(./s) on [-s pi, s pi)^m has the samples of f on [-pi, pi)^m, and its seminorm is
+    # s^(m/p - alpha) times f's: every shell L / 2^j scales with L, none is cut at a length.
+    # White noise carries every frequency, so that no shell's term is negligible
+    grid = GridSpec(dim, n, math.pi)
+    noise = np.random.Generator(np.random.PCG64(dim)).standard_normal(grid.shape + (1,))
+    f = Field(grid, noise)
+    P = BesovParams(alpha, p, q)
+    want = s ** (dim / p - alpha) * besov_parts(f, P)[1]
+    got = besov_parts(Field(GridSpec(dim, n, s * math.pi), f.samples), P)[1]
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_besov_norm_finite_across_scale(grid1d):
@@ -319,7 +329,7 @@ def test_batched_second_difference_matches_translates(dim, n, channels):
     oracle = translate_second_differences(f, 0.5, ps)
     for arr, p in zip(oracle, ps):
         for q in (2.0, INF):
-            got = second_difference_seminorm(f, 0.5, p, q)
+            got = besov_parts(f, BesovParams(0.5, p, q))[1]
             want = shell_integral(arr, q, dim)
             assert abs(got - want) <= 1e-12 * want, (p, q, got, want)
 
@@ -337,11 +347,11 @@ def test_fused_besov_norm_matches_its_parts(dim, n, channels):
         for q in (2.0, INF):
             want = {}
             for alpha, g in lifted.items():
-                want[alpha] = lp_norm(g, p) + second_difference_seminorm(g, 1.0, p, q)
+                want[alpha] = lp_norm(g, p) + besov_parts(g, BesovParams(1.0, p, q))[1]
             for alpha, k in ((2.0, 1), (2.5, 2)):
                 frac = alpha - k
                 want[alpha] = sobolev_norm(f, k, p) + sum(
-                    second_difference_seminorm(d, frac, p, q) for d in tops[k]
+                    besov_parts(d, BesovParams(frac, p, q))[1] for d in tops[k]
                 )
             for alpha, w in want.items():
                 got = besov_norm(f, BesovParams(alpha, p, q))

@@ -446,6 +446,11 @@ PROBES = [
     ("uniform-8-points", "uniform-convergence", {"grid": {"points_per_axis": 8}}, 2),
     ("example-a-eps-wide", "example-a", {"parameters": {"eps": [1.0]}}, 2),
     ("example-a-eps-narrow", "example-a", {"parameters": {"eps": [0.0001]}}, 2),
+    # a frozen solve's fixture, out to radius L/2, leaks out of a cube of radius delta < L/2
+    ("frozen-smooth-delta-0.01", "resolvent-solve",
+     {"parameters": {"method": "frozen", "rhs": "smooth", "delta": 0.01}}, 2),
+    ("frozen-smooth-delta-1", "resolvent-solve",
+     {"parameters": {"method": "frozen", "rhs": "smooth", "delta": 1.0}}, 2),
 ]
 
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,12 +304,25 @@ def test_lattice_is_cached_read_only():
             arr[0] = 1.0
 
 
+def test_monomial_at_a_high_order_is_within_its_roundings_of_the_exact_power():
+    # (i xi)^199 = -i xi^199 on the integers xi of a 64-point lattice, exact as Fractions:
+    # 198 multiplications round by at most 2^-53 each, where a complex pow is off by more
+    grid = GridSpec(1, 64, math.pi)
+    xi = grid.freqs()
+    got = monomial(xi, (199,))
+    assert not got.real.any()
+    for x, y in zip(xi[..., 0], got.imag):
+        exact = -Fraction(float(x)) ** 199
+        assert abs(Fraction(float(y)) - exact) <= 198 * 2.0**-53 * abs(exact), x
+
+
 def test_multiplier_stack_matches_one_at_a_time(rng):
     grid = GridSpec(2, 64, math.pi)
     f = random_band_limited_field(grid, 2, rng)
     r2 = np.sum(grid.freqs() ** 2, axis=-1)
     ts = np.linspace(0.0, 0.2, 40)
-    stacks = list(apply_multipliers(f, lambda rows: np.exp(-rows * r2[..., None]), ts))
+    gaussians = lambda rows, xi: np.exp(-rows * np.sum(xi**2, axis=-1)[..., None])
+    stacks = list(apply_multipliers(f, gaussians, ts))
     # 40 two-channel fields on 64^2 need several stacked inverse transforms
     assert len(ts) * f.samples.size > 2 * _STACK_POINTS and len(stacks) > 2
     got = np.concatenate(stacks, axis=-2)
@@ -370,7 +384,7 @@ def test_real_fields_under_resolvent_and_mollifier_symbols_take_the_complex_rout
     for symbol in (minv, mollifier_symbol(grid, 0.5)):
         # as a factor of a Hermitian derivative stack, and as the multiplier itself
         assert np.array_equal(apply(Q, F, symbol).samples, apply(Q, unmarked, symbol).samples)
-        build = lambda rows: np.expand_dims(rows[0], grid.dim)
+        build = lambda rows, xi: np.expand_dims(rows[0], grid.dim)
         (got,), (want,) = (apply_multipliers(g, build, [symbol]) for g in (F, unmarked))
         assert np.array_equal(got, want)
 
@@ -387,12 +401,11 @@ def test_fourier_side_work_goes_through_the_multiplier_path(name):
 
 # Public names that no code of the package or of perfbench names, each kept for a reason
 _REACHED_ONLY_FROM_TESTS = {
-    "second_difference_seminorm": "perfbench's oracle interface, timed there by its name",
-    "translate": "the translate oracle of the band-limited multiplier path",
-    "bessel_lift": "the oracle of test_fused_besov_norm_matches_its_parts",
+    "translate": "the reference translation that the second-difference oracle compares against",
+    "bessel_lift": "the reference lift that test_fused_besov_norm_matches_its_parts compares "
+                   "against; exported package API",
     "w1p_inclusion_check": "criterion 8, to be run by the example-a experiment",
-    "besov_norm": "the one-field, one-point batch_norms of the package API and criterion 7",
-    "patch_norm": "criterion 7's patch measure; the experiment batches f with its patches",
+    "besov_norm": "exported package API: the one-field, one-point batch_norms",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from ellreg.besov import BesovParams, besov_norm
 from ellreg.errors import IncommensurableDelta
 from ellreg.grid import _STACK_POINTS, Field, GridSpec, random_band_limited_field
-from ellreg.localize import build_partition, global_and_patch_norm, partition_count, patch_norm
+from ellreg.localize import build_partition, global_and_patch_norm, partition_count
 
 
 def test_partition_sums_to_one_1d(grid1d):
@@ -72,7 +72,8 @@ def test_patch_norm_two_sided_and_refinement_stable(rng):
         rs = []
         for _ in range(5):
             f = random_band_limited_field(grid, 1, corpus_rng, band_fraction=8.0 / n)
-            rs.append(patch_norm(f, part, beta, p) / besov_norm(f, BesovParams(beta, p, p)))
+            whole, local = global_and_patch_norm(f, part, beta, p)
+            rs.append(local / whole)
         ratios[n] = (min(rs), max(rs))
     for lo, hi in ratios.values():
         assert 0.05 < lo <= hi < 20.0
@@ -84,10 +85,10 @@ def test_patch_norm_two_sided_and_refinement_stable(rng):
 def test_patch_norm_at_a_huge_exponent_is_the_sup_norm(grid1d, rng):
     part = build_partition(grid1d, math.pi / 2.0)
     f = random_band_limited_field(grid1d, 1, rng)
-    sup = patch_norm(f, part, 1.0, math.inf)
-    assert abs(patch_norm(f, part, 1.0, 1e300) - sup) <= 1e-12 * sup
+    sup = global_and_patch_norm(f, part, 1.0, math.inf)[1]
+    assert abs(global_and_patch_norm(f, part, 1.0, 1e300)[1] - sup) <= 1e-12 * sup
     # l^1100 over 8 patches of B^1_{1100,1100} norms: within 1% of the sup, not overflowed
-    assert abs(patch_norm(f, part, 1.0, 1100.0) / sup - 1.0) < 0.01
+    assert abs(global_and_patch_norm(f, part, 1.0, 1100.0)[1] / sup - 1.0) < 0.01
 
 
 def test_global_and_patch_norm_is_one_batch(transform_calls):
@@ -101,16 +102,19 @@ def test_global_and_patch_norm_is_one_batch(transform_calls):
     whole, local = global_and_patch_norm(f, part, 1.0, 2.0)
     assert len(transform_calls) == 1, transform_calls
     assert whole == besov_norm(f, BesovParams(1.0, 2.0, 2.0))
-    assert local == patch_norm(f, part, 1.0, 2.0)
+    # each patch measured alone, summed in l^2
+    alone = [besov_norm(pf, BesovParams(1.0, 2.0, 2.0)) for pf in part.patch_fields(f)]
+    assert abs(local - math.sqrt(sum(n * n for n in alone))) <= 1e-14 * local
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("beta", [-1.0, 1.0, 2.5])
 def test_patch_norm_peak_memory(real, beta):
     # 16 patches of a 3-channel field on 64^2 points hold three times _STACK_POINTS, so they go
-    # in runs of 5 fields.  A run's samples, their spectrum (times a Bessel factor below order
-    # one), a chunk's product and its inverse samples, and the reduction's real temporaries
-    # are at most about six arrays of the run's size; all 16 in one run measured 17 to 20
+    # with the field in runs of 5 fields.  A run's samples, their spectrum (times a Bessel
+    # factor below order one), a chunk's product and its inverse samples, and the reduction's
+    # real temporaries are at most about six arrays of the run's size; all 16 in one run
+    # measured 17 to 20
     grid = GridSpec(2, 64, math.pi)
     part = build_partition(grid, grid.half_period)
     assert part.num_patches == 16
@@ -118,10 +122,10 @@ def test_patch_norm_peak_memory(real, beta):
     if real:
         f = Field(grid, f.samples.real)
     assert part.num_patches * f.samples.size == 3 * _STACK_POINTS
-    patch_norm(f, part, beta, 2.0)  # fills the per-grid lattice and difference-table caches
+    global_and_patch_norm(f, part, beta, 2.0)  # fills the per-grid lattice and table caches
     tracemalloc.start()
     try:
-        patch_norm(f, part, beta, 2.0)
+        global_and_patch_norm(f, part, beta, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
