@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_STACK_POINTS, Field, Hermitian, SpectralField, _check_same, _monomials,
-                   _power_product, apply_multiplier, apply_multipliers, dft, lp_norms, monomial,
-                   power_means)
+from . import grid as _grid  # _STACK_POINTS read through the module: one constant for every chunk
+from .grid import (Field, Hermitian, SpectralField, _check_same, _monomials, _multiplier_chunks,
+                   _power_product, apply_multiplier, dft, lp_norms, monomial, power_means)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -50,26 +50,13 @@ def bessel_lift(gamma: float, f: Field) -> Field:
     return apply_multiplier(f, _bessel(gamma, f.grid.freqs()))
 
 
-def _lp_norms(stacks, grid, ps, fields: int) -> dict:
-    """The L^p norms (n, fields) of every sample stack (*shape, n, fields * l), in order, for
-    each p of `ps`, (0, fields) when there are none: the stacks hold `fields` fields side by
-    side on the channel axis, and each field's channel 2-norm stays its own.
-
-    Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
-    """
-    chunks = [lp_norms(stack.reshape(stack.shape[:-1] + (fields, -1)), ps, grid=grid)
-              for stack in stacks]
-    return {p: np.concatenate([np.empty((0, fields))] + [chunk[i] for chunk in chunks])
-            for i, p in enumerate(ps)}
-
-
 def _moduli(symbol, *args) -> np.ndarray:
     """|symbol(*args)| for a factor symbol(xi) or a build symbol(rows, xi) of _stack_norms.
     A monomial's is that of its real _power_product, with no complex array: the unit i^|alpha|
     has modulus one."""
     if symbol is _monomials:
         rows, xi = args
-        return np.abs(np.stack([_power_product(xi, alpha) for alpha in rows], -1))
+        return np.abs(np.stack([_power_product(xi, alpha) for alpha in rows]))
     if isinstance(symbol, Hermitian) and symbol.func is monomial:
         return np.abs(_power_product(*args, **symbol.keywords))
     return np.abs(symbol(*args))
@@ -104,47 +91,92 @@ def _parseval_norms(run: _Run, build, rows, factors) -> list:
 
         h^m sum_x |idft(m F)|^2 = (2L)^m sum_xi |m(xi)|^2 sum_l |c_xi,l|^2.
 
-    Each (factor, row)'s moduli |m factor| and each field's coefficients are divided by the
-    powers of two of their maxima (exact), so that no square overflows or underflows, as
-    power_means keeps the samples' sums; moduli that overflow give NaN norms, as the inverse
-    transforms of their products give NaN samples.  The products (count, factors, n, lattice)
-    come in chunks of n rows that hold at most _STACK_POINTS values, or of one row, each built
-    from one |m| chunk, and each (field, factor, row) is one contiguous sum over the lattice, so
-    that a field's norms are the same alone or in a batch, and whichever stacks share the call.
+    The moduli |m| are built here in chunks of rows that hold at most _STACK_POINTS values per
+    field, or of one row (_parseval_sums), so that a field's norms are the same alone or in a
+    batch, and whichever stacks share the call.
     """
-    grid, xi = run.F.grid, run.F.grid.freqs()
-    e, power = run.power
-    scales = np.array([np.ones(grid.num_points) if f is None else _moduli(f, xi).reshape(-1)
-                       for f in factors])
-    sums = np.empty((run.count, len(factors), len(rows)))
-    exponents = np.empty((len(factors), len(rows)), dtype=np.intc)  # ldexp's own type: no casts
-    per = max(1, _STACK_POINTS // (len(factors) * power.size))
-    for start in range(0, len(rows), per):
-        chunk = slice(start, start + per)
-        moduli = np.ascontiguousarray(_moduli(build, rows[chunk], xi).reshape(grid.num_points, -1).T)
-        moduli = moduli * scales[:, None, :]
-        tops = moduli.max(axis=-1)
-        exponents[:, chunk] = _exponents(tops)
-        moduli = np.ldexp(moduli, -exponents[:, chunk, None])
-        moduli *= moduli
-        sums[:, :, chunk] = (power[:, None, None, :] * moduli).sum(axis=-1)
-        sums[:, :, chunk][:, np.isinf(tops)] = np.nan
-    norms = np.ldexp((grid.volume * sums) ** 0.5, exponents + e[:, None, None])
+    xi = run.F.grid.freqs()
+    per = max(1, _grid._STACK_POINTS // run.power[1].size)
+    scales = _scales(factors, xi)
+    return _parseval_finish(run, [_parseval_sums(run, _moduli(build, rows[i:i + per], xi), scales)
+                                  for i in range(0, len(rows), per)], len(factors))
+
+
+def _scales(factors, xi) -> list:
+    """The moduli |factor(xi)| (lattice,) of `factors`, None for no factor."""
+    return [None if f is None else _moduli(f, xi).reshape(-1) for f in factors]
+
+
+def _parseval_sums(run: _Run, moduli: np.ndarray, scales: list) -> tuple:
+    """(sums, exponents) of one chunk of rows, moduli |m| (n, *lattice), under each factor's
+    `scales`: sums (run.count, factors, n) of w |m factor / 2^x|^2 over the lattice, where x
+    (factors, n), the exponents, are those of each (factor, row)'s maximum modulus.
+
+    The moduli and each field's coefficients (_Run.power) are divided by the powers of two of
+    their maxima (exact), so that no square overflows or underflows, as power_means keeps the
+    samples' sums; moduli that overflow give NaN sums, as the inverse transforms of their
+    products give NaN samples.  Each (field, factor, row) is one contiguous sum.
+    """
+    power = run.power[1]
+    moduli = moduli.reshape(len(moduli), -1)
+    sums = np.empty((run.count, len(scales), len(moduli)))
+    exponents = np.empty((len(scales), len(moduli)), dtype=np.intc)  # ldexp's own type: no casts
+    for j, scale in enumerate(scales):
+        m = moduli if scale is None else moduli * scale
+        tops = m.max(axis=-1)
+        exponents[j] = _exponents(tops)
+        m = np.ldexp(m, -exponents[j, :, None])
+        m *= m
+        sums[:, j] = (power[:, None, :] * m).sum(axis=-1)
+        sums[:, j][:, np.isinf(tops)] = np.nan
+    return sums, exponents
+
+
+def _parseval_finish(run: _Run, parts: list, factors: int) -> list:
+    """The L^2 norms (rows, run.count), one array per factor, from the _parseval_sums of every
+    chunk of rows, in order."""
+    e = run.power[0]
+    sums = np.concatenate([np.empty((run.count, factors, 0))] + [s for s, _ in parts], axis=-1)
+    exponents = np.concatenate([np.empty((factors, 0), np.intc)] + [x for _, x in parts], axis=-1)
+    norms = np.ldexp((run.F.grid.volume * sums) ** 0.5, exponents + e[:, None, None])
     return list(norms.transpose(1, 2, 0))
 
 
 def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
     """The L^p norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
     factor) for each factor of `factors` and each p of `ps`, one dict per factor: p = 2 of every
-    factor from one lattice reduction (_parseval_norms), any other p from the samples of the
-    inverse transforms, which only those take."""
-    others = [p for p in ps if p != 2.0]
-    norms = [_lp_norms(apply_multipliers(run.F, build, rows, factor), run.F.grid, others,
-                       run.count) if others else {}
-             for factor in factors]
-    if len(others) < len(ps):
-        for n, lattice in zip(norms, _parseval_norms(run, build, rows, factors)):
-            n[2.0] = lattice
+    factor by Parseval, any other p from the samples of the inverse transforms, which only those
+    take.  Each chunk of rows is built once for every factor (_multiplier_chunks), and on the
+    whole lattice its lattice sums take the moduli of that build too; the real route builds on
+    half-lattice pieces, so its lattice sums build their own (_parseval_norms).
+
+    Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
+    """
+    others, grid, count = [p for p in ps if p != 2.0], run.F.grid, run.count
+    if not others:
+        return [{2.0: n} for n in _parseval_norms(run, build, rows, factors)]
+    l2, scales, half = 2.0 in ps, None, False
+    reduced, lattice = [[] for _ in factors], []  # per factor the chunks' norms; lattice sums
+    for m, stacks in _multiplier_chunks(run.F, build, rows, factors):
+        for chunks in reduced:
+            # the stacks hold the run's fields side by side on the channel axis, each field's
+            # channel 2-norm its own; each is let go before the next one is made
+            stack = next(stacks)
+            chunks.append(lp_norms(stack.reshape((len(stack), count, -1) + grid.shape), others,
+                                   grid=grid))
+            del stack
+        if m is None:
+            half = True
+        elif l2:
+            scales = _scales(factors, grid.freqs()) if scales is None else scales
+            lattice.append(_parseval_sums(run, np.abs(m), scales))
+    norms = [{p: np.concatenate([np.empty((0, count))] + [chunk[i] for chunk in chunks])
+              for i, p in enumerate(others)} for chunks in reduced]
+    if l2:
+        l2_norms = (_parseval_norms(run, build, rows, factors) if half
+                    else _parseval_finish(run, lattice, len(factors)))
+        for n, lattice_norms in zip(norms, l2_norms):
+            n[2.0] = lattice_norms
     return norms
 
 
@@ -162,16 +194,15 @@ def _lower_norms(run: _Run, alphas, ps) -> dict:
     order-zero term from the samples dft transformed; a spectrum made without them carries
     it in the derivative stack.
     """
-    F, others = run.F, [p for p in ps if p != 2.0]
+    F, dim, others = run.F, run.F.grid.dim, [p for p in ps if p != 2.0]
     if F.source is None or not others:
         return _stack_norms(run, _monomials, alphas, [None], ps)[0]
-    (derivatives,) = _stack_norms(run, _monomials, alphas[1:], [None], others)
-    source = F.source.reshape(F.grid.shape + (run.count, -1))
-    norms = {p: np.concatenate([n[None], derivatives[p]])
-             for p, n in zip(others, lp_norms(source, others, grid=F.grid))}
+    (norms,) = _stack_norms(run, _monomials, alphas[1:], [None], ps)
+    source = F.source.reshape(F.grid.shape + (run.count, -1))  # a stack (count, l, *shape):
+    zero = lp_norms(np.moveaxis(source, range(dim), range(-dim, 0)), others, grid=F.grid)
     if len(others) < len(ps):
-        (norms[2.0],) = _parseval_norms(run, _monomials, alphas, [None])
-    return norms
+        zero.append(_parseval_norms(run, _monomials, alphas[:1], [None])[0][0])
+    return {p: np.concatenate([n[None], norms[p]]) for p, n in zip(others + [2.0], zero)}
 
 
 def displacement_shells(grid) -> list:
@@ -210,12 +241,13 @@ def _difference_multipliers(rows, xi) -> np.ndarray:
 
     xi.h / 2 is a sum of per-axis angles a_d, so sin and cos of it fold in one
     axis at a time (s <- s cos a_d + c sin a_d, c <- c cos a_d - s sin a_d): the
-    trigonometry runs on the points of each axis, and one lattice buffer
-    (*lattice, n) takes the cancellation-free finish c - 4 s^2 in place.
+    trigonometry runs on the points of each axis, and one row-major lattice buffer
+    (n, *lattice) takes the cancellation-free finish c - 4 s^2 in place.
     """
     dim, n = rows.shape[1] - 1, len(rows)
     axes = [xi[(0,) * d + (slice(None),) + (0,) * (dim - 1 - d) + (d,)] for d in range(dim)]
-    angles = [(0.5 * (k[:, None] * rows[:, d])).reshape((len(k),) + (1,) * (dim - 1 - d) + (n,))
+    angles = [(0.5 * (rows[:, d, None] * k)).reshape((n,) + (1,) * d + (len(k),)
+                                                      + (1,) * (dim - 1 - d))
               for d, k in enumerate(axes)]
     s, c = np.sin(angles[0]), (np.cos(angles[0]) if dim > 1 else None)
     for d in range(1, dim):
@@ -224,7 +256,7 @@ def _difference_multipliers(rows, xi) -> np.ndarray:
         s, c = s * cos_a + c * sin_a, (c * cos_a - s * sin_a if d < dim - 1 else None)
     s *= s
     s *= -4.0
-    s += rows[:, -1]
+    s += rows[:, -1].reshape((n,) + (1,) * dim)
     return s
 
 
@@ -285,7 +317,7 @@ def _batches(fields):
         first = f if first is None else first
         _check_same(first, f)
         points = f.grid.num_points * f.channels
-        if run and size + points > _STACK_POINTS:
+        if run and size + points > _grid._STACK_POINTS:
             yield _joined(run)
             run, size = [], 0
         run.append(f)
@@ -341,11 +373,10 @@ def _besov_parts(fields, points) -> list:
             lower, tops = norms[gamma, k]
             order = 1.0 if gamma is not None else P.alpha - k  # in (0, 1]; 1 at integer alpha
             sobolev = sum(list(lower[P.p]) + [top[P.p][0] for top in tops])
-            # a contiguous row per (top derivative, field), reduced as one field alone would be:
-            # np.array copies in C order, where np.stack would keep the transposes' strides
+            # one row per (top derivative, field), reduced as one field alone would be
             diffs = np.array([top[P.p][1:].T.reshape(count, len(radii), -1) for top in tops])
             diffs = (diffs / (radii ** order)[:, None]).reshape(len(tops) * count, -1)
-            semis = power_means(diffs.T, weight, [P.q])[0].reshape(len(tops), count)
+            semis = power_means(diffs, weight, [P.q])[0].reshape(len(tops), count)
             columns.append((sobolev, sum(semis)))
         parts += [[(float(s[j]), float(d[j])) for s, d in columns] for j in range(count)]
     return parts

@@ -201,10 +201,11 @@ def dft(f: Field) -> SpectralField:
     return SpectralField(f.grid, raw, f.samples)
 
 
-def idft(F) -> Field:
-    """Samples of a SpectralField, or of a _HalfSpectrum (the real route of apply_multipliers)."""
-    if isinstance(F, _HalfSpectrum):
-        return Field(F.grid, _half_inverse(F))
+def idft(F):
+    """Samples of a SpectralField, as a Field; of a _Stack of apply_multipliers, as its
+    row-major sample array (k, *shape), one contiguous plane per row of products."""
+    if isinstance(F, _Stack):
+        return _stack_inverse(F)
     samples = F.coefficients * F.grid._phase()[..., None]
     for axis in reversed(range(F.grid.dim)):
         np.fft.ifft(samples, axis=axis, out=samples)
@@ -213,35 +214,55 @@ def idft(F) -> Field:
 
 
 def power_means(values: np.ndarray, weight: float, ps) -> list:
-    """(weight * sum over axis 0 of values^p)^(1/p) for each p of `ps`; the maximum at p = inf.
+    """(weight * sum over the last axis of values^p)^(1/p) for each p of `ps`; the maximum at
+    p = inf.
 
-    The non-negative `values` are overwritten: each column is divided by d, its means multiplied
-    back by d.  d is the power of two of the column maximum for p <= 1022 (an exact division;
-    the largest quotient, at least 1/2, has a normal p-th power), and the maximum itself above.
-    An inf maximum counts as the largest float, so that column's means are inf, never nan.
+    The non-negative `values` are overwritten: each row is divided by d, its means multiplied
+    back by d.  d is the power of two of the row maximum for p <= 1022 (an exact division; the
+    largest quotient, at least 1/2, has a normal p-th power), and the maximum itself above.
+    An inf maximum counts as the largest float, so that row's means are inf, never nan.
+    A contiguous row is one pairwise sum, the same whichever rows share the call.
     """
-    top = values.max(axis=0, initial=0.0)
+    top = values.max(axis=-1, keepdims=True, initial=0.0)
     scaled_top, e = np.frexp(np.fmin(top, sys.float_info.max))  # scaled_top in [1/2, 1) or 0
     np.ldexp(values, -e, out=values)  # exact; a factor 2^-e would overflow at subnormal maxima
+    top, e, alone = top[..., 0], e[..., 0], len(ps) == 1
 
     def mean(p):
-        d = np.maximum(scaled_top, 0.5) if p > 1022 else 1.0  # 1/2 stands in for a zero column
-        scaled = values / d if p > 1022 else values  # not x * (1/d): the max may land under 1
-        return np.ldexp(d * (weight * (scaled ** p).sum(axis=0)) ** (1.0 / p), e)
+        # a lone p works in `values` itself, and p = 1 reads them as they are: no copy
+        powers = values if alone or p == 1.0 else values.copy()
+        d = np.maximum(scaled_top, 0.5) if p > 1022 else 1.0  # 1/2 stands in for a zero row
+        if p > 1022:
+            powers /= d  # not x * (1/d): the max may land under 1
+            d = d[..., 0]
+        if p != 1.0:
+            powers **= p
+        return np.ldexp(d * (weight * powers.sum(axis=-1)) ** (1.0 / p), e)
     return [top if math.isinf(p) else mean(p) for p in ps]
 
 
 def lp_norms(f, ps, mask: np.ndarray | None = None, grid: GridSpec | None = None) -> list:
     """Quadrature L^p norms for each p of `ps`: the power_means of the magnitude of `f`.
 
-    `f` is a Field, or a sample stack (*grid.shape, n, l) with its `grid`: n norms per p.  The
-    magnitude is |f| for one channel, the channel 2-norm otherwise; `mask` is boolean, grid-shaped.
+    `f` is a Field, or a sample stack (..., l, *grid.shape) with its `grid`, one norm per p for
+    each leading index.  The magnitude is |f| for one channel, the channel 2-norm otherwise;
+    `mask` is boolean, grid-shaped.  Each leading index's lattice is one contiguous row.
     """
     if isinstance(f, Field):
-        grid, f = f.grid, f.samples
+        grid, f, channel = f.grid, f.samples, -1
+    else:
+        channel = -1 - grid.dim
     mag = np.abs(f)
-    mag = mag[..., 0] if f.shape[-1] == 1 else power_means(np.moveaxis(mag, -1, 0), 1.0, [2])[0]
-    mag = mag.reshape((grid.num_points,) + mag.shape[grid.dim:]) if mask is None else mag[mask]
+    if f.shape[channel] == 1:
+        mag = mag.squeeze(channel)
+    else:
+        mag = power_means(mag if channel == -1 else np.moveaxis(mag, channel, -1), 1.0, [2])[0]
+    lead = mag.ndim - grid.dim
+    mag = np.ascontiguousarray(mag)  # a row per leading index: one pairwise sum each
+    if mask is None:
+        mag = mag.reshape(mag.shape[:lead] + (-1,))
+    else:
+        mag = mag[(slice(None),) * lead + (mask,)]
     return [n if n.ndim else float(n) for n in power_means(mag, grid.spacing ** grid.dim, ps)]
 
 
@@ -270,63 +291,90 @@ def apply_multipliers(f, build, params, factor=None):
     """Yield the samples of idft(m * factor * dft(f)) for the multipliers m of `params`.
 
     `f` is a Field or its SpectralField, so that stacks can share one forward transform.
-    The multipliers of consecutive `params` rows come as one array, scalar (*shape, n) or
-    matrix (*shape, n, l1, l0): `build(rows, xi)` at the frequencies xi of the lattice.
-    `factor` multiplies dft(f) once: a lattice array, scalar (*shape,) or matrix
-    (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at
-    most _STACK_POINTS complex points of the whole lattice goes back through one stacked
-    inverse transform and is yielded as one sample stack (*shape, n, l).
+    The multipliers of consecutive `params` rows come as one row-major array, scalar
+    (n, *shape) or matrix (n, *shape, l1, l0): `build(rows, xi)` at the frequencies xi of the
+    lattice.  `factor` multiplies dft(f) once: a lattice array, scalar (*shape,) or matrix
+    (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at most
+    _STACK_POINTS complex points of the whole lattice goes back through one stacked inverse
+    transform and is yielded as one fresh sample stack (n, l, *shape): one contiguous plane per
+    (row, channel), which the inverse transforms in place and lp_norms sums as one row.
 
     The spectrum of a real field times Hermitian symbols is Hermitian off the Nyquist
     hyperplanes, so when f is real and build and factor are Hermitian, the products are
     built on the half lattice and the leading axes' Nyquist hyperplanes only, and idft
     inverts them with irfft (_half_inverse).  Everything else takes the whole lattice.
     """
-    F = f if isinstance(f, SpectralField) else dft(f)
-    grid, dim, per = F.grid, F.grid.dim, max(1, _STACK_POINTS // F.coefficients.size)
-    if isinstance(build, Hermitian) and isinstance(factor, (Hermitian, type(None))) and F.real:
-        yield from _half_stacks(F, build, params, factor, per)
+    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
+        yield from stacks
+
+
+def _multiplier_chunks(f, build, params, factors):
+    """apply_multipliers under each of `factors`, with one build per chunk for all of them.
+
+    Per chunk of `params` rows, yields (m, stacks): the chunk's multipliers m (n, *shape) on
+    the whole lattice, or None on the real route, which builds them on the pieces of
+    _half_pieces; and an iterator of the chunk's sample stacks, one per factor, in order, to be
+    read before the next chunk.  On the whole lattice each product is transformed in place into
+    the stack it yields; the real route's products are work arrays, made once per call and
+    reused, and its samples are new arrays.
+    """
+    if len(params) == 0:  # no rows: no coefficients to make ready
         return
-    xi, coeff = grid.freqs(), F.coefficients
-    if factor is not None:
-        coeff = _times(factor(xi) if isinstance(factor, Hermitian) else factor, coeff, dim)
-        del factor  # only the product is needed by the chunks
+    F = f if isinstance(f, SpectralField) else dft(f)
+    grid, xi, phase = F.grid, F.grid.freqs(), F.grid._phase()
+    per = max(1, _STACK_POINTS // F.coefficients.size)
+    real = (isinstance(build, Hermitian)
+            and all(isinstance(factor, (Hermitian, type(None))) for factor in factors) and F.real)
+    pieces = _half_pieces(grid) if real else ((slice(None),) * grid.dim,)
+
+    def rows_first(factor, s):
+        # the piece's coefficients times the origin phase and the factor, channels first
+        c = F.coefficients[s] * phase[s][..., None]
+        values = factor(xi[s]) if isinstance(factor, Hermitian) else factor
+        if values is not None and values.ndim == grid.dim:
+            c *= values[..., None]  # in place: c is the piece's own
+        elif values is not None:
+            c = _times(values, c, grid.dim)
+        return np.ascontiguousarray(c.transpose((grid.dim,) + tuple(range(grid.dim))))
+
+    coeffs = [[rows_first(factor, s) for s in pieces] for factor in factors]
+    del factors  # only the products are needed by the chunks
+    buffers = [None] * len(pieces)  # the real route's work arrays, sized by its first chunk
     for start in range(0, len(params), per):
-        rows = params[start:start + per]
-        product = _times(build(rows, xi), coeff, dim)
-        samples = idft(SpectralField(grid, product.reshape(grid.shape + (-1,)))).samples
-        yield samples.reshape(product.shape)
+        ms = [build(params[start:start + per], xi[s]) for s in pieces]
+        if real and buffers[0] is None:  # (rows, output channels, *piece)
+            shape = (len(ms[0]), ms[0].shape[-2] if ms[0].ndim > grid.dim + 1 else F.channels)
+            buffers = [np.empty(shape + c.shape[1:], dtype=np.complex128) for c in coeffs[0]]
+        # each stack is made as it is read: map binds this chunk's ms and keeps no stack
+        stacks = map(functools.partial(_stack_samples, grid, ms, buffers, real), coeffs)
+        yield None if real else ms[0], stacks
 
 
-def _half_stacks(F: SpectralField, build, params, factor, per: int):
-    """apply_multipliers on the pieces of _half_pieces, for a real field's spectrum F."""
-    grid, dim, xi = F.grid, F.grid.dim, F.grid.freqs()
-    pieces = _half_pieces(grid)
-    # the origin phase once here, not once per chunk in idft
-    coeffs = [F.coefficients[s] * grid._phase()[s][..., None] for s in pieces]
-    if factor is not None:
-        coeffs = [_times(factor(xi[s]), c, dim) for s, c in zip(pieces, coeffs)]
-        del factor  # only the products are needed by the chunks
-    for start in range(0, len(params), per):
-        rows = params[start:start + per]
-        products = [_times(build(rows, xi[s]), c, dim) for s, c in zip(pieces, coeffs)]
-        stack = products[0].shape[dim:]
-        half, *planes = [p.reshape(p.shape[:dim] + (-1,)) for p in products]
-        samples = idft(_HalfSpectrum(grid, half, tuple(planes))).samples
-        yield samples.reshape(grid.shape + stack)
+def _stack_samples(grid: GridSpec, ms: list, buffers: list, real: bool, cs: list) -> np.ndarray:
+    """The sample stack (n, l, *shape) of the multipliers `ms` times the coefficients `cs`, piece
+    by piece, each piece's products made in its buffer of `buffers`, or in a new array where
+    that is None."""
+    products = [_stack_times(m, c, None if b is None else b[:len(m)])
+                for m, c, b in zip(ms, cs, buffers)]
+    rows = [p.reshape((-1,) + p.shape[2:]) for p in products]
+    samples = idft(_Stack(grid, rows[0], tuple(rows[1:]) if real else None))
+    return samples.reshape(products[0].shape[:2] + grid.shape)
+
+
+def _stack_times(m: np.ndarray, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """m * c (n, l1, *lattice), in `out` if given: a stack of multipliers, scalar (n, *lattice)
+    or matrix (n, *lattice, l1, l0), times row-major coefficients c (l0, *lattice)."""
+    if m.ndim == c.ndim:
+        return np.multiply(m[:, None], c, out=out)
+    return np.einsum("n...ij,j...->ni...", m, c, out=out)
 
 
 def _times(m: np.ndarray, F: np.ndarray, dim: int) -> np.ndarray:
-    """m * F for coefficients F (*lattice, l) and one lattice multiplier or a stack of them.
-
-    m is scalar (*lattice,) or matrix (*lattice, l, l), giving (*lattice, l), or a stack,
-    scalar (*lattice, n) or matrix (*lattice, n, l1, l0), giving (*lattice, n, l).
-    """
+    """m * F for coefficients F (*lattice, l) and one lattice multiplier m, scalar (*lattice,)
+    or matrix (*lattice, l, l), giving (*lattice, l)."""
     if m.ndim == dim:
         return F * m[..., None]
-    if m.ndim == dim + 1:
-        return F[..., None, :] * m[..., None]
-    return np.einsum("...ij,...j->...i" if m.ndim == dim + 2 else "...cij,...j->...ci", m, F)
+    return np.einsum("...ij,...j->...i", m, F)
 
 
 def _half_pieces(grid: GridSpec) -> tuple:
@@ -338,17 +386,29 @@ def _half_pieces(grid: GridSpec) -> tuple:
 
 
 @dataclass
-class _HalfSpectrum:
-    """Products of a real field's spectrum with Hermitian symbols on the pieces of _half_pieces,
-    already times the origin phase exp(i pi k): `coefficients` on the half lattice, `planes[d]`
-    on leading axis d's Nyquist hyperplane.  idft transforms `coefficients` in place."""
+class _Stack:
+    """Row-major products (k, *lattice) of apply_multipliers, already times the origin phase
+    exp(i pi k), for idft, which transforms `coefficients` in place: on the whole lattice, or,
+    with `planes`, a real field's products with Hermitian symbols on the pieces of
+    _half_pieces, `coefficients` on the half lattice and `planes[d]` on leading axis d's
+    Nyquist hyperplane."""
 
     grid: GridSpec
     coefficients: np.ndarray
-    planes: tuple
+    planes: tuple | None = None
 
 
-def _half_inverse(F: _HalfSpectrum) -> np.ndarray:
+def _stack_inverse(F: _Stack) -> np.ndarray:
+    """The samples (k, *shape) of F: plain sums (norm="forward" leaves the inverse unscaled),
+    as idft's N^m ifftn; on the whole lattice, F's own array, transformed in place."""
+    if F.planes is not None:
+        return _half_inverse(F)
+    for axis in range(1, F.grid.dim + 1):
+        np.fft.ifft(F.coefficients, axis=-axis, out=F.coefficients, norm="forward")
+    return F.coefficients
+
+
+def _half_inverse(F: _Stack) -> np.ndarray:
     """Samples of the lattice product that F holds, every Nyquist bin carried exactly.
 
     Off the Nyquist hyperplanes k_d = -N/2 the product is Hermitian.  On them the lattice
@@ -361,36 +421,37 @@ def _half_inverse(F: _HalfSpectrum) -> np.ndarray:
     columns itself; a leading hyperplane's other bins are set to it here.  Each
     hyperplane's anti-Hermitian part, less the lower axes' ones (a bin counts once),
     gives the imaginary part by its (m-1)-dimensional transform times (-1)^{j_d}.
+    Lattice axis d is array axis d + 1, after the stack axis.
     """
     grid = F.grid
     dim, n = grid.dim, grid.points_per_axis
-    h, lead = n // 2, (slice(None),) * (dim - 1)
-    half, planes = F.coefficients, list(F.planes) + [F.coefficients[lead + (slice(h, h + 1),)]]
+    h, row, lead = n // 2, (slice(None),), (slice(None),) * (dim - 1)
+    half = F.coefficients
+    planes = list(F.planes) + [half[row + lead + (slice(h, h + 1),)]]
     negative = -np.arange(n) % n  # the index of -k
     antis = []
     for d, plane in enumerate(planes):
         mirror = plane.conj()  # conj G(-k), -k taken mod N on every axis but d
         for axis in range(dim):
             if axis != d:
-                mirror = mirror.take(negative, axis)
+                mirror = mirror.take(negative, axis + 1)
         if d < dim - 1:
-            half[lead[:d] + (slice(h, h + 1),) + lead[d + 1:] + (slice(1, h),)] = (
-                0.5 * (plane[..., 1:h, :] + mirror[..., 1:h, :]))
+            half[row + lead[:d] + (slice(h, h + 1),) + lead[d + 1:] + (slice(1, h),)] = (
+                0.5 * (plane[..., 1:h] + mirror[..., 1:h]))
         anti = 0.5 * (plane - mirror)
         for e in range(d):
-            anti[lead[:e] + (h,)] = 0.0
+            anti[row + lead[:e] + (h,)] = 0.0
         antis.append(anti)
-    # plain sums (norm="forward" leaves the inverse unscaled), as idft's N^m ifftn
     for axis in reversed(range(dim - 1)):
-        np.fft.ifft(half, axis=axis, out=half, norm="forward")
-    out = np.empty(grid.shape + half.shape[dim:], dtype=np.complex128)
-    np.fft.irfft(half, n, axis=dim - 1, out=out.real, norm="forward")
+        np.fft.ifft(half, axis=axis + 1, out=half, norm="forward")
+    out = np.empty(half.shape[:1] + grid.shape, dtype=np.complex128)
+    np.fft.irfft(half, n, axis=-1, out=out.real, norm="forward")
     imag = out.imag
     for d, anti in enumerate(antis):
         for axis in reversed(range(dim)):
             if axis != d:
-                np.fft.ifft(anti, axis=axis, out=anti, norm="forward")
-        even, odd = lead[:d] + (slice(0, None, 2),), lead[:d] + (slice(1, None, 2),)
+                np.fft.ifft(anti, axis=axis + 1, out=anti, norm="forward")
+        even, odd = row + lead[:d] + (slice(0, None, 2),), row + lead[:d] + (slice(1, None, 2),)
         if d == 0:  # the first hyperplane writes every sample's imaginary part
             imag[even], imag[odd] = anti.imag, -anti.imag
         else:
@@ -410,7 +471,7 @@ def apply_multiplier(f, values: np.ndarray) -> Field:
 
 
 def spectral_derivatives(f, alphas, factor=None):
-    """Stacks (*shape, n, l) of the band-limited d^alpha f; f, factor as in apply_multipliers."""
+    """Stacks (n, l, *shape) of the band-limited d^alpha f; f, factor as in apply_multipliers."""
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if any(len(alpha) != f.grid.dim for alpha in alphas):
         raise ValueError("multi-index length must equal grid dimension")
@@ -419,13 +480,13 @@ def spectral_derivatives(f, alphas, factor=None):
 
 @Hermitian
 def _monomials(alphas, xi) -> np.ndarray:
-    return np.stack([monomial(xi, a) for a in alphas], -1)
+    return np.stack([monomial(xi, a) for a in alphas])
 
 
 def spectral_derivative(f: Field, alpha) -> Field:
     """Exact band-limited partial derivative of multi-index alpha."""
     (stack,) = spectral_derivatives(f, [alpha])
-    return Field(f.grid, stack[..., 0, :])
+    return Field(f.grid, np.moveaxis(stack[0], 0, -1))
 
 
 def translate(f: Field, h) -> Field:

@@ -116,10 +116,12 @@ def apply(P: PDOperator, f, factor: np.ndarray | None = None) -> Field:
     samples = f.samples if isinstance(f, Field) and factor is None else None
     out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
     stacks = spectral_derivatives(f, [a for a in P.coeffs if samples is None or any(a)], factor)
-    derivs = (d for stack in stacks for d in np.moveaxis(stack, -2, 0))
+    derivs = (d for stack in stacks for d in stack)  # each (l, *shape)
     for alpha, coeff in P.coeffs.items():
-        term = next(derivs) if samples is None or any(alpha) else samples
-        out += np.einsum("...ij,...j->...i", coeff, term)
+        if samples is None or any(alpha):
+            out += np.einsum("...ij,j...->...i", coeff, next(derivs))
+        else:
+            out += np.einsum("...ij,...j->...i", coeff, samples)
     return Field(P.grid, out)
 
 

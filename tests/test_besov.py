@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ellreg import besov, grid as grid_module
 from ellreg.besov import (
     BesovParams,
     _bessel,
@@ -366,11 +367,13 @@ def test_per_axis_difference_multipliers_match_the_lattice_formula(dim, n, half_
     _, _, rows = _difference_table(grid)
     got = _difference_multipliers(rows, grid.freqs())
     want = rows[:, -1] - 4.0 * np.sin(0.5 * (grid.freqs() @ rows[:, :-1].T)) ** 2
-    assert got.shape == want.shape == grid.shape + (len(rows),)
+    want = np.moveaxis(want, -1, 0)  # row-major, as builds are
+    assert got.shape == want.shape == (len(rows),) + grid.shape
     assert np.max(np.abs(got - want)) <= tol
     # the real route's half lattice and Nyquist planes are slices of the same product lattice
     for piece in _half_pieces(grid):
-        assert np.array_equal(_difference_multipliers(rows, grid.freqs()[piece]), got[piece])
+        assert np.array_equal(_difference_multipliers(rows, grid.freqs()[piece]),
+                              got[(slice(None),) + piece])
 
 
 @pytest.mark.parametrize("channels,n,real", [(1, 256, False), (3, 128, False), (1, 256, True),
@@ -398,11 +401,14 @@ def test_besov_norm_peak_memory(channels, n, real, alpha):
 
 
 def ifftn_of_the_lattice_product(f, m):
-    """Oracle: numpy's ifftn of the whole-lattice product m * dft(f), m of shape (*shape, n)."""
+    """Oracle: numpy's ifftn of the whole-lattice product m * dft(f), m of shape (n, *shape),
+    as a stack (n, l, *shape)."""
     grid = f.grid
     axes, phase = tuple(range(grid.dim)), grid._phase()[..., None]
     F = np.fft.fftn(f.samples, axes=axes) * (phase / grid.num_points)
-    return np.fft.ifftn(F[..., None, :] * (m * phase)[..., None], axes=axes) * grid.num_points
+    m = np.moveaxis(m, 0, -1)
+    want = np.fft.ifftn(F[..., None, :] * (m * phase)[..., None], axes=axes) * grid.num_points
+    return np.moveaxis(want, (-2, -1), (0, 1))
 
 
 # the families besov_norm stacks at each alpha: the Bessel lift, none, the top derivatives
@@ -428,9 +434,9 @@ def test_real_route_matches_ifftn_of_the_whole_lattice_product(dim, n, channels,
     xi = grid.freqs()
     for factor in besov_factors(dim, alpha):
         stacks = apply_multipliers(F, _difference_multipliers, rows, factor)
-        got = np.concatenate(list(stacks), axis=-2)
+        got = np.concatenate(list(stacks))
         m = _difference_multipliers(rows, xi)
-        want = ifftn_of_the_lattice_product(f, m if factor is None else m * factor(xi)[..., None])
+        want = ifftn_of_the_lattice_product(f, m if factor is None else m * factor(xi))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         for p in (1.0, 2.0, INF):
             norms, oracle = lp_norm(got, p, grid=grid), lp_norm(want, p, grid=grid)
@@ -448,16 +454,13 @@ BATCH_POINTS = [BesovParams(a, p, q) for a in (-1.0, 0.5, 1.0, 2.5)
 
 
 def assert_batch_matches_one_field_calls(fields):
-    # equal at p = 2, whose norms are per-field lattice sums at every order, and for alpha <= 1;
-    # above one a p != 2 Sobolev part holds f's own L^p norm (and, in 1-D, its one first
-    # derivative's), a single column of samples that numpy sums pairwise for one field and row
-    # by row for several, so those points may move by an ulp or so
+    # equal: every norm is one contiguous sum per field, over the lattice at p = 2 and over
+    # the field's own row of samples otherwise, however many fields share the run
     got = batch_norms(fields, BATCH_POINTS)
     assert len(got) == len(fields)
     for norms, f in zip(got, fields):
         for P, a, b in zip(BATCH_POINTS, norms, besov_norms(f, BATCH_POINTS)):
-            exact = P.p == 2.0 or P.alpha <= 1.0
-            assert a == b if exact else abs(a - b) <= 1e-15 * b, (P, a, b)
+            assert a == b, (P, a, b)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
@@ -513,7 +516,7 @@ def test_batch_norms_refuse_a_spectrum_among_other_fields(grid1d, rng):
 def inverse_route_l2(F, build, rows, factor, count):
     """Oracle: the L^2 norms (n, count) of apply_multipliers' sample stacks, stack by stack."""
     return np.concatenate([
-        lp_norms(stack.reshape(stack.shape[:-1] + (count, -1)), [2.0], grid=F.grid)[0]
+        lp_norms(stack.reshape((len(stack), count, -1) + F.grid.shape), [2.0], grid=F.grid)[0]
         for stack in apply_multipliers(F, build, rows, factor)])
 
 
@@ -597,3 +600,68 @@ def test_p2_batch_takes_one_forward_transform_per_run_and_no_inverse(transform_c
     transform_calls.clear()
     sobolev_norm(fields[0], 2, 2.0)
     assert transform_calls == ["fft"]
+
+
+def counted_difference_builds(monkeypatch):
+    """Grows by one per _difference_multipliers build, on either route and for either norm."""
+    calls = []
+
+    def counted(rows, xi, _build=_difference_multipliers):
+        calls.append(len(rows))
+        return _build(rows, xi)
+
+    monkeypatch.setattr(besov, "_difference_multipliers", Hermitian(counted))
+    return calls
+
+
+@pytest.mark.parametrize("n,builds", [(128, 16), (256, 66)])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_one_difference_build_per_chunk_and_piece_for_every_top_derivative(monkeypatch, n,
+                                                                           builds, alpha):
+    # a real 2-D field takes the half lattice and one Nyquist plane: two pieces per chunk.
+    # 256^2: 33 rows, one per chunk; 128^2: 29 rows, four per chunk, so 8 chunks.  Two top
+    # derivatives at alpha = 2 and three at alpha = 3 share each chunk's build
+    grid = GridSpec(2, n, 3.5)
+    f = Field(grid, random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(n)))
+              .samples.real)
+    calls = counted_difference_builds(monkeypatch)
+    besov_parts(f, BesovParams(alpha, 1.0, INF))
+    assert len(calls) == builds
+    assert sum(calls) == 2 * len(_difference_table(grid)[2])
+
+
+def test_one_build_per_chunk_for_p2_and_another_p_on_the_whole_lattice(monkeypatch):
+    # 14 rows on 8192 complex points, 8 per chunk: the inverse route's two chunk builds also
+    # give the lattice sums of p = 2, which alone build their own
+    grid = GridSpec(1, 8192, math.pi)
+    f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(4)))
+    rows = _difference_table(grid)[2]
+    chunks = -(-len(rows) // (grid_module._STACK_POINTS // f.samples.size))
+    assert chunks > 1
+    calls = counted_difference_builds(monkeypatch)
+    for ps, builds in (([1.0, 2.0, INF], chunks), ([1.0], chunks), ([2.0], None)):
+        calls.clear()
+        besov_norms(f, [BesovParams(0.5, p, 2.0) for p in ps])
+        assert sum(calls) == len(rows)
+        assert builds is None or len(calls) == builds, (ps, calls)
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(lambda: random_band_limited_field(GridSpec(2, 128, 3.0), 1,
+                                                   np.random.Generator(np.random.PCG64(1))),
+                 id="complex-128"),
+    pytest.param(lambda: Field(GridSpec(2, 128, 3.0), random_band_limited_field(
+        GridSpec(2, 128, 3.0), 1, np.random.Generator(np.random.PCG64(2))).samples.real),
+                 id="real-128"),
+    pytest.param(lambda: random_band_limited_field(GridSpec(1, 256, math.pi), 3,
+                                                   np.random.Generator(np.random.PCG64(3))),
+                 id="complex-1d-3-channels"),
+])
+def test_besov_parts_equal_with_one_row_per_chunk(monkeypatch, f):
+    # each norm is one contiguous sum per (row, field), so the chunking cannot move it
+    f = f()
+    points = [BesovParams(2.0, 1.0, INF), BesovParams(0.5, 1.0, 1.0)]
+    default = [besov_parts(f, P) for P in points]
+    assert len(_difference_table(f.grid)[2]) * f.samples.size > 1  # several rows per chunk
+    monkeypatch.setattr(grid_module, "_STACK_POINTS", 1)
+    assert [besov_parts(f, P) for P in points] == default

@@ -17,7 +17,9 @@ from ellreg.grid import (
     _STACK_POINTS,
     Field,
     GridSpec,
+    Hermitian,
     SpectralField,
+    _multiplier_chunks,
     apply_multiplier,
     apply_multipliers,
     dft,
@@ -150,7 +152,7 @@ def test_lp_norm_mask(grid1d):
 def test_stacked_lp_norm_matches_the_per_field_loop(rng, p, channels):
     grid = GridSpec(2, 16, 2.0)
     fields = [random_band_limited_field(grid, channels, rng) for _ in range(5)]
-    stack = np.stack([f.samples for f in fields], axis=-2)
+    stack = np.stack([np.moveaxis(f.samples, -1, 0) for f in fields])
     mask = grid.coords()[..., 0].real >= 0.5
     for m in (None, mask):
         got = lp_norm(stack, p, mask=m, grid=grid)
@@ -188,20 +190,20 @@ def test_lp_norm_of_a_field_with_an_inf_sample(others, channels, p):
 
 
 def test_power_means_of_a_column_holding_inf():
-    # the column holding inf has mean inf; the other columns' means are those without it
-    values = np.array([[1.0, 3.0, 0.0], [2.0, math.inf, 0.0], [2.0, 5.0, 0.0]])
+    # the row holding inf has mean inf; the other rows' means are those without it
+    values = np.array([[1.0, 3.0, 0.0], [2.0, math.inf, 0.0], [2.0, 5.0, 0.0]]).T.copy()
     ps = (2.0, 2000.0, math.inf)
-    finite = power_means(values[:, [0, 2]].copy(), 0.5, ps)
+    finite = power_means(values[[0, 2]], 0.5, ps)
     for got, want in zip(power_means(values.copy(), 0.5, ps), finite):
         assert got[1] == math.inf and got[0] == want[0] and got[2] == want[1] == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 1100.0, 1e6, 1e300, math.inf])
 def test_power_means_scale_each_column_by_itself(p):
-    # columns of zeros, of 1e-200, of 1e200 and of 1 times the same profile
+    # rows of zeros, of 1e-200, of 1e200 and of 1 times the same profile
     profile = np.array([1.0, 2.0, 3.0, 0.5, 3.0])
     scales = np.array([0.0, 1e-200, 1e200, 1.0])
-    (got,) = power_means(profile[:, None] * scales, 0.25, [p])
+    (got,) = power_means(scales[:, None] * profile, 0.25, [p])
     top = profile.max()
     unit = top if math.isinf(p) else top * (0.25 * np.sum((profile / top) ** p)) ** (1.0 / p)
     assert np.allclose(got, scales * unit, rtol=1e-14, atol=0.0)
@@ -209,15 +211,16 @@ def test_power_means_scale_each_column_by_itself(p):
 
 def test_power_means_round_as_the_plain_sums_at_p_1_2_inf(rng):
     # the power-of-two divisor is exact, so stacked norms keep their unscaled rounding
-    values = rng.random((200, 6)) * 10.0 ** rng.uniform(-30.0, 30.0, 6)
+    values = rng.random((6, 200)) * 10.0 ** rng.uniform(-30.0, 30.0, (6, 1))
     for p, got in zip((1.0, 2.0, math.inf), power_means(values.copy(), 0.3, (1.0, 2.0, math.inf))):
-        want = values.max(axis=0) if math.isinf(p) else (0.3 * (values**p).sum(axis=0)) ** (1 / p)
+        want = values.max(axis=-1) if math.isinf(p) else (0.3 * (values**p).sum(axis=-1)) ** (1 / p)
         assert np.array_equal(got, want)
 
 
 def test_lp_norms_reduce_one_magnitude_under_every_exponent(rng):
     grid = GridSpec(2, 16, 2.0)
-    stack = np.stack([random_band_limited_field(grid, 2, rng).samples for _ in range(3)], axis=-2)
+    stack = np.stack([np.moveaxis(random_band_limited_field(grid, 2, rng).samples, -1, 0)
+                      for _ in range(3)])
     ps = [1.0, 2.0, 1.5, math.inf]
     for p, norms in zip(ps, lp_norms(stack, ps, grid=grid)):
         assert np.array_equal(norms, lp_norm(stack, p, grid=grid))
@@ -321,15 +324,43 @@ def test_multiplier_stack_matches_one_at_a_time(rng):
     f = random_band_limited_field(grid, 2, rng)
     r2 = np.sum(grid.freqs() ** 2, axis=-1)
     ts = np.linspace(0.0, 0.2, 40)
-    gaussians = lambda rows, xi: np.exp(-rows * np.sum(xi**2, axis=-1)[..., None])
+    gaussians = lambda rows, xi: np.exp(-np.multiply.outer(rows, np.sum(xi**2, axis=-1)))
     stacks = list(apply_multipliers(f, gaussians, ts))
     # 40 two-channel fields on 64^2 need several stacked inverse transforms
     assert len(ts) * f.samples.size > 2 * _STACK_POINTS and len(stacks) > 2
-    got = np.concatenate(stacks, axis=-2)
-    assert got.shape == grid.shape + (len(ts), 2)
+    got = np.concatenate(stacks)
+    assert got.shape == (len(ts), 2) + grid.shape
     for j, t in enumerate(ts):
-        want = apply_multiplier(f, np.exp(-t * r2)).samples
-        assert np.max(np.abs(got[..., j, :] - want)) <= 1e-14 * np.max(np.abs(want))
+        want = np.moveaxis(apply_multiplier(f, np.exp(-t * r2)).samples, -1, 0)
+        assert np.max(np.abs(got[j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_stacks_of_several_chunks_keep_their_values_once_all_are_made(real):
+    # the real route makes its products in work arrays reused from chunk to chunk, and both
+    # routes share each chunk's one build among the factors: every stack, held until the last
+    # is made, still equals what its own multiplier gives through apply_multiplier
+    grid = GridSpec(2, 64, 2.5)
+    f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(8)))
+    if real:
+        f = Field(grid, f.samples.real)
+    xi, ts = grid.freqs(), np.linspace(0.0, 0.1, 16)
+    gaussians = Hermitian(lambda rows, xi: np.exp(-np.multiply.outer(rows, np.sum(xi**2, -1))))
+    factors = [None, Hermitian(monomial, alpha=(1, 0)), Hermitian(monomial, alpha=(1, 1))]
+    stacks = [list(apply_multipliers(f, gaussians, ts, factor)) for factor in factors]
+    shared = [[] for _ in factors]
+    for _, chunk in _multiplier_chunks(f, gaussians, ts, factors):
+        for held, stack in zip(shared, chunk):
+            held.append(stack)
+    assert len(ts) * f.samples.size > 2 * _STACK_POINTS and len(shared[0]) > 2
+    for factor, one, held in zip(factors, stacks, shared):
+        one, held = np.concatenate(one), np.concatenate(held)
+        assert one.shape == held.shape == (len(ts), 3) + grid.shape
+        assert np.array_equal(one, held)
+        for j, t in enumerate(ts):
+            m = gaussians(ts[j:j + 1], xi)[0] * (1.0 if factor is None else factor(xi))
+            want = np.moveaxis(apply_multiplier(f, m).samples, -1, 0)
+            assert np.max(np.abs(one[j] - want)) <= 1e-13 * np.max(np.abs(want)), (factor, t)
 
 
 def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
@@ -337,8 +368,8 @@ def test_spectral_derivatives_match_single_derivatives(grid2d, rng):
     alphas = [(0, 0), (1, 0), (0, 2), (2, 1)]
     (stack,) = spectral_derivatives(f, alphas)
     for j, alpha in enumerate(alphas):
-        want = spectral_derivative(f, alpha).samples
-        assert np.max(np.abs(stack[..., j, :] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+        want = np.moveaxis(spectral_derivative(f, alpha).samples, -1, 0)
+        assert np.max(np.abs(stack[j] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (1, 96), (2, 32), (2, 48), (3, 16)])
@@ -350,10 +381,11 @@ def test_real_derivative_stacks_match_ifftn_of_the_whole_lattice_product(dim, n,
     noise = np.random.Generator(np.random.PCG64(n)).standard_normal(grid.shape + (channels,))
     f = Field(grid, noise)
     alphas = multi_indices(dim, 2)
-    got = np.concatenate(list(spectral_derivatives(f, alphas)), axis=-2)
+    got = np.concatenate(list(spectral_derivatives(f, alphas)))
     m = np.stack([monomial(grid.freqs(), a) for a in alphas], -1)
     F = np.fft.fftn(f.samples, axes=axes) * (phase / grid.num_points)
     want = np.fft.ifftn(F[..., None, :] * (m * phase)[..., None], axes=axes) * grid.num_points
+    want = np.moveaxis(want, (-2, -1), (0, 1))  # the stacks' (n, l, *shape)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(want.imag)) > 1e-3 * np.max(np.abs(want))
 
@@ -384,7 +416,7 @@ def test_real_fields_under_resolvent_and_mollifier_symbols_take_the_complex_rout
     for symbol in (minv, mollifier_symbol(grid, 0.5)):
         # as a factor of a Hermitian derivative stack, and as the multiplier itself
         assert np.array_equal(apply(Q, F, symbol).samples, apply(Q, unmarked, symbol).samples)
-        build = lambda rows, xi: np.expand_dims(rows[0], grid.dim)
+        build = lambda rows, xi: rows[0][None]
         (got,), (want,) = (apply_multipliers(g, build, [symbol]) for g in (F, unmarked))
         assert np.array_equal(got, want)
 

@@ -341,7 +341,7 @@ def test_apriori_sample_takes_one_functional_reduction_per_point(monkeypatch):
                  for r in (4.0, 8.0, 16.0)]
     apriori_ratios(g, Q, solutions, [-2.0, 0.0, 1.0],
                    [(2.0, 2.0), (1.0, math.inf), (math.inf, math.inf)])
-    assert [columns for _, columns in shapes] == [1] * 9 + [3] * 18
+    assert [rows for rows, _ in shapes] == [1] * 9 + [3] * 18
 
 
 def test_apriori_ratio_zero_rhs(grid1d):
