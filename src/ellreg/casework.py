@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, besov_parts, sobolev_norm
+from .errors import ConfigError
 from .grid import Field, GridSpec, dft, lp_norm, spectral_derivative
 from .mollify import mollify, ratios, rel_changes
 from .profiles import Plateau, bump, radial_window
@@ -247,14 +248,31 @@ def w1p_inclusion_check(p: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_WINDOW = (1.0, 2.0)  # the log-singular field's window in |x|: one inside 1, zero from 2 on
+
+
 def log_singular_field(grid: GridSpec) -> Field:
     """|x|^2 log|x| in m = 2, windowed to |x| < 2: second derivatives are log-singular."""
-    win = radial_window(grid, 1.0, 2.0)  # before r2: see docs/DECISIONS.md, "One torus geometry"
+    win = radial_window(grid, *_WINDOW)  # before r2: see docs/DECISIONS.md, "One torus geometry"
     r2 = np.sum(grid.coords() ** 2, axis=-1)
     vals = np.zeros(grid.shape)
     nz = r2 > 0
     vals[nz] = r2[nz] * 0.5 * np.log(r2[nz])
     return Field(grid, (vals * win)[..., None])
+
+
+def _check_window(grid_sizes, half_period: float) -> None:
+    """ConfigError unless the coarsest of the 2-D grids samples the window off the origin.
+
+    The samples nearest the origin lie one spacing 2L/n from it.  From 2L/n >= 2 on, the
+    window is zero there, and just below 2 its ramp is subnormal: the field is zero or
+    subnormal, and a trajectory can vanish.  Decided from the numbers alone, with no field.
+    """
+    n = min(grid_sizes)
+    spacing = 2.0 * half_period / n
+    if not Plateau(*_WINDOW)(spacing) >= np.finfo(float).tiny:
+        raise ConfigError(f"the log-singular field vanishes on the {n}-point grid: spacing 2L/n = "
+                          f"{spacing:.6g} leaves no sample inside the window |x| < 2")
 
 
 def regularity_gap_experiment(grid_sizes, half_period: float) -> dict:
@@ -266,6 +284,7 @@ def regularity_gap_experiment(grid_sizes, half_period: float) -> dict:
     5%.  The W^{k,1} divergence seen in external counterexamples is
     deliberately not certified here.
     """
+    _check_window(grid_sizes, half_period)
     k = 2
     trajectories = {"w_k_2": [], "w_km1_1": [], "besov_k_1_inf": []}
     for n in grid_sizes:

@@ -38,6 +38,7 @@ from .pdo import (
 from .profiles import box_mask, radial_window
 from .resolvent import (
     ResolventProblem,
+    _spectral_parameter,
     _supporting_cube,
     apriori_ratios,
     solve_constant,
@@ -147,8 +148,8 @@ def _fields(what: str, raw, schema: dict, grid: GridSpec | None) -> dict:
 def parse_config(obj: dict) -> ExperimentConfig:
     """The one parse behind `validate` and `run`: checks a config, fills every default.
 
-    A kind's schema is the keyword parameters of its handler; a default that
-    depends on the grid is a callable of the grid.
+    A kind's schema is the keyword parameters of its handler, a grid-dependent default
+    a callable of the grid; its `refuse`, if any, then checks what the config decides.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -169,29 +170,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _, *args = inspect.signature(CATALOG[kind]["handler"]).parameters.values()
     schema = {a.name: a.default(grid) if callable(a.default) else a.default for a in args}
     params = _fields("parameters", obj.get("parameters", {}), schema, grid)
-    if params.get("method") == "frozen":  # its rhs fixture must lie in the solve's cube
-        if params["rhs"] == "random":
-            raise ConfigError("method 'frozen' needs a localized rhs fixture: "
-                              "the random rhs is global")
-        try:
-            _supporting_cube(_fixture_field(grid, params["rhs"]), params["x0_index"],
-                             params["delta"])
-        except SupportViolation as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "patch-equivalence":  # here delta is the partition spacing, not a cube radius
-        try:
-            partition_count(grid, params["delta"])
-        except IncommensurableDelta as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "example-a":  # its eps are widths on the witness's reference grid
-        lo, hi = eps_range(casework.witness_grid(params["n_ref"]))
-        if bad := [eps for eps in params["eps"] if not lo <= eps < hi]:
-            raise ConfigError(f"eps must lie in [{lo:.4g}, {hi:.4g}) on the n_ref grid, "
-                              f"got {brief(bad[0])}")
-    if kind in ("mollify-convergence", "uniform-convergence"):  # their sweeps must be non-empty
-        try:
-            admissible_eps_sequence(grid, 1)
-        except EpsilonOutOfRange as exc:
+    if refuse := CATALOG[kind]["refuse"]:
+        try:  # the library's own predicates, which decide from the numbers alone
+            refuse(grid, **params)
+        except (EpsilonOutOfRange, IncommensurableDelta, SupportViolation, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
     seed = _coerce("seed", obj.get("seed", 0), 0, grid)
     output_dir = _coerce("output_dir", obj.get("output_dir", kind), kind, grid)
@@ -239,14 +221,18 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
 
 # ---------------------------------------------------------------------------
 # Experiment handlers: each returns (results_dict, [(table_name, header, rows)]).
-# The keyword parameters are the kind's schema, whose defaults are only read:
-# parse_config coerces and fills in every one, and the handler gets them all.
+# Its keyword parameters are the kind's schema, whose defaults are only read: parse_config
+# coerces and fills in every one, then calls the kind's refuse(grid, **params), beside it.
 # ---------------------------------------------------------------------------
 
 
 def _error_csv(name: str, table) -> tuple:
     """One mollifier sweep's (eps, error) table."""
     return name, ["eps", "error"], [[row["eps"], row["error"]] for row in table.rows]
+
+
+def _refuse_sweep(grid: GridSpec, **_):
+    admissible_eps_sequence(grid, 1)  # a sweep must hold at least one eps
 
 
 def _run_mollify(
@@ -299,6 +285,15 @@ def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacia
     return results, [_error_csv("uniform_errors", table)]
 
 
+def _refuse_resolvent(grid: GridSpec, method, operator, r, theta0, rhs, x0_index, delta):
+    _spectral_parameter(r, operator.op.order, theta0)
+    if method == "frozen":  # its rhs fixture must lie in the solve's cube
+        if rhs == "random":
+            raise ConfigError("method 'frozen' needs a localized rhs fixture: "
+                              "the random rhs is global")
+        _supporting_cube(_fixture_field(grid, rhs), x0_index, delta)
+
+
 def _run_resolvent(
     cfg: ExperimentConfig,
     method="constant",
@@ -309,10 +304,8 @@ def _run_resolvent(
     x0_index=lambda grid: (grid.points_per_axis // 2,) * grid.dim,
     delta=lambda grid: grid.half_period / 2.0,  # the fixtures are windowed out to radius L/2
 ):
-    if rhs == "random":
-        g = random_band_limited_field(cfg.grid, 1, _rng(cfg.seed))
-    else:
-        g = _fixture_field(cfg.grid, rhs)
+    g = (random_band_limited_field(cfg.grid, 1, _rng(cfg.seed)) if rhs == "random"
+         else _fixture_field(cfg.grid, rhs))
     problem = ResolventProblem(operator.op, theta0, r, g)
     if method == "constant":
         report = solve_constant(problem)
@@ -329,6 +322,11 @@ def _run_resolvent(
         "g_linf": lp_norm(g, math.inf),
     }
     return results, []
+
+
+def _refuse_apriori(grid: GridSpec, r, operator, theta0, **_):
+    for radius in r:
+        _spectral_parameter(radius, operator.op.order, theta0)
 
 
 def _run_apriori(
@@ -371,6 +369,10 @@ def _run_besov(cfg: ExperimentConfig, alpha=[-1.0, 0.0, 0.5, 1.0, 2.0], p=2.0, q
     return results, [("besov_norms", ["alpha", "norm"], rows)]
 
 
+def _refuse_patch(grid: GridSpec, delta, **_):
+    partition_count(grid, delta)  # here delta is the partition spacing, not a cube radius
+
+
 def _run_patch(
     cfg: ExperimentConfig, delta=lambda grid: grid.half_period / 2.0, beta=1.0, p=2.0, count=5
 ):
@@ -392,6 +394,15 @@ def _run_patch(
     }
     header = ["sample", "global_norm", "patch_norm", "ratio"]
     return results, [("patch_equivalence", header, rows)]
+
+
+def _refuse_example_a(grid: GridSpec, n_ref, eps, **_):
+    if grid.dim != 1:  # casework.hardy_average takes 1-D fields, which it samples on the grid
+        raise ConfigError(f"example-a needs a 1-D grid for its Hardy ratios, got dim {grid.dim}")
+    lo, hi = eps_range(casework.witness_grid(n_ref))  # widths on the witness's reference grid
+    if bad := [e for e in eps if not lo <= e < hi]:
+        raise ConfigError(f"eps must lie in [{lo:.4g}, {hi:.4g}) on the n_ref grid, "
+                          f"got {brief(bad[0])}")
 
 
 def _run_example_a(
@@ -423,10 +434,12 @@ def _run_example_a(
     return results, tables
 
 
+def _refuse_gap(grid: GridSpec, grid_sizes):
+    casework._check_window(grid_sizes, grid.half_period)
+
+
 def _run_gap(cfg: ExperimentConfig, grid_sizes=[64, 128, 256]):
-    report = casework.regularity_gap_experiment(
-        grid_sizes=grid_sizes, half_period=cfg.grid.half_period
-    )
+    report = casework.regularity_gap_experiment(grid_sizes, cfg.grid.half_period)
     traj = report["trajectories"]
     rows = list(zip(report["grid_sizes"], traj["w_k_2"], traj["w_km1_1"], traj["besov_k_1_inf"]))
     header = ["points_per_axis", "w_2_2", "w_1_1", "besov_2_1_inf"]
@@ -448,25 +461,25 @@ def _run_calibrate(cfg: ExperimentConfig):
 
 
 CATALOG = {
-    kind: {"handler": handler, "topic": topic}
-    for kind, handler, topic in [
-        ("mollify-convergence", _run_mollify,
+    kind: {"handler": handler, "refuse": refuse, "topic": topic}
+    for kind, handler, refuse, topic in [
+        ("mollify-convergence", _run_mollify, _refuse_sweep,
          "smoothing error P f_eps - P f in L^p on a window, swept over eps"),
-        ("uniform-convergence", _run_uniform,
+        ("uniform-convergence", _run_uniform, _refuse_sweep,
          "sup-norm smoothing error for smooth data, with measured decay order"),
-        ("resolvent-solve", _run_resolvent,
+        ("resolvent-solve", _run_resolvent, _refuse_resolvent,
          "solve r^n e^{i theta0} u - Q u = g by multiplier or fixed-point iteration"),
-        ("apriori-sweep", _run_apriori,
+        ("apriori-sweep", _run_apriori, _refuse_apriori,
          "measured a-priori quotients over a random corpus and parameter grid"),
-        ("besov-norm", _run_besov,
+        ("besov-norm", _run_besov, None,
          "Besov norms of a single Fourier mode across the smoothness scale"),
-        ("patch-equivalence", _run_patch,
+        ("patch-equivalence", _run_patch, _refuse_patch,
          "partition-of-unity patch norms against the global norm"),
-        ("example-a", _run_example_a,
+        ("example-a", _run_example_a, _refuse_example_a,
          "graph-space non-density witness for -x d^3 + (x-1) d^2, plus Hardy ratios"),
-        ("regularity-gap", _run_gap,
+        ("regularity-gap", _run_gap, _refuse_gap,
          "refinement trajectories of Sobolev and Besov norms of a log-singular field"),
-        ("calibrate", _run_calibrate,
+        ("calibrate", _run_calibrate, None,
          "measured constants (parameter-ellipticity, trace) for the test fixtures"),
     ]
 }

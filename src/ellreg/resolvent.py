@@ -51,9 +51,18 @@ class SolveReport:
         }
 
 
+def _spectral_parameter(r: float, n: int, theta0: float) -> complex:
+    """r^n e^{i theta0}, the one formula of every solve, or OverflowError when r^n is not a
+    finite float: parse_config applies it to a config's r, before any solve."""
+    try:
+        return float(r) ** n * np.exp(1j * theta0)
+    except OverflowError:
+        raise OverflowError(f"r={r:g}: r^{n} overflows a float") from None
+
+
 def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None) -> float:
     """Max-norm of r^n e^{i theta0} u - Q u - g (on `mask`), recomputed from scratch."""
-    lam = problem.r**problem.Q.order * np.exp(1j * problem.theta0)
+    lam = _spectral_parameter(problem.r, problem.Q.order, problem.theta0)
     res = lam * u - apply(problem.Q, u) - problem.g
     return lp_norm(res, math.inf, mask=mask)
 
@@ -76,7 +85,7 @@ def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
     """
     if not A.is_constant_coefficient():
         raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
-    mats, _, bad = _resolvent_blocks(r**A.order * np.exp(1j * theta0), _lattice_symbol(A))
+    mats, _, bad = _resolvent_blocks(_spectral_parameter(r, A.order, theta0), _lattice_symbol(A))
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), A.grid.shape)
         raise SingularSymbol(A.grid.freqs()[idx])

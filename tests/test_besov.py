@@ -150,6 +150,30 @@ def test_seminorm_of_a_plane_wave_over_all_eight_directions(dim, n, k, alpha, q)
         assert abs(got - want) <= 1e-12 * want, (p, got, want)
 
 
+def jump_field(n):
+    # f = 1_{|x|<1} on [-pi, pi).  Each shell rho = L / 2^j is a lattice shift, which moves each
+    # sampled jump by exactly rho, so ||Delta^2_rho f||_1 = 4 rho at every shell, pi/2 included:
+    # every shell quotient rho^-1 ||Delta^2_rho f||_1 is 4.  A jump lies in B^{1/p}_{p,inf} and
+    # in no B^{1/p}_{p,q} with q < inf (Triebel 1983)
+    return field_from_function(GridSpec(1, n, math.pi),
+                               lambda x: (np.abs(x[..., 0]) < 1.0).astype(float))
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
+def test_a_jump_keeps_its_endpoint_part_at_every_resolution(n):
+    got = besov_parts(jump_field(n), BesovParams(1.0, 1.0, INF))[1]
+    assert got == pytest.approx(4.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_a_jump_grows_like_log_n_below_the_endpoint(n, q):
+    # in 1-D the one kept direction carries the whole weight 2 ln 2, over log2 N shells
+    want = 4.0 * (2.0 * math.log(2.0) * math.log2(n)) ** (1.0 / q)
+    got = besov_parts(jump_field(n), BesovParams(1.0, 1.0, q))[1]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
 @pytest.mark.parametrize("s", [1.0 / 64.0, 64.0])
 @pytest.mark.parametrize("alpha,p,q", [(0.5, 2.0, 2.0), (1.5, 1.0, 1.0), (0.9, INF, INF)])

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from ellreg import casework
+from ellreg.errors import ConfigError
 from ellreg.grid import Field, GridSpec, random_band_limited_field, spectral_derivative
 from ellreg.mollify import mollify
 from ellreg.pdo import apply, operator_from_description
@@ -191,6 +193,18 @@ def test_regularity_gap_experiment_verdicts():
     for verdict in rep["verdicts"].values():
         assert verdict["stable"]
     assert "not certified" in rep["note"]
+
+
+def test_regularity_gap_refuses_a_grid_that_misses_the_window():
+    # 2L/n >= 2 puts every sample off the origin where the window |x| < 2 is zero, so the field
+    # is zero; just below 2 the window's ramp is subnormal there, and the norms vanish as well
+    for half_period, sizes, n in [(100.0, [4, 8], 4), (64.0, [128, 64], 64), (63.957, [64], 64)]:
+        with pytest.raises(ConfigError, match=f"field vanishes on the {n}-point grid"):
+            casework.regularity_gap_experiment(sizes, half_period)
+    assert not np.any(casework.log_singular_field(GridSpec(2, 64, 64.0)).samples)
+    for half_period in (63.0, 63.9548):  # the window at the nearest sample: 3.6e-14, 9.3e-308
+        rep = casework.regularity_gap_experiment([64], half_period)
+        assert all(traj[0] > 0.0 for traj in rep["trajectories"].values())
 
 
 def test_regularity_gap_smooth_data_trivially_stable():

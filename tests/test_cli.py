@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -435,7 +436,7 @@ PROBES = [
     ("delta-subnormal", "patch-equivalence", {"parameters": {"delta": 5e-324}}, 2),
     ("delta-past-the-cap", "patch-equivalence", {"parameters": {"delta": math.pi / 2**19}}, 2),
     ("alpha-nan-result", "besov-norm", {"parameters": {"alpha": [400.0]}}, 3),
-    ("r-overflow", "resolvent-solve", {"parameters": {"r": 1e200}}, 3),
+    ("r-overflow", "resolvent-solve", {"parameters": {"r": 1e200}}, 2),
     ("constant-variable-op", "resolvent-solve", {"parameters": {"operator": _VARIABLE_OP}}, 3),
     ("neumann-variable-op", "resolvent-solve",
      {"parameters": {"operator": _VARIABLE_OP, "method": "neumann"}}, 3),
@@ -451,6 +452,18 @@ PROBES = [
      {"parameters": {"method": "frozen", "rhs": "smooth", "delta": 0.01}}, 2),
     ("frozen-smooth-delta-1", "resolvent-solve",
      {"parameters": {"method": "frozen", "rhs": "smooth", "delta": 1.0}}, 2),
+    # the Hardy ratios sample 1-D fields on the grid: a 2-D grid ended in a ValueError traceback
+    ("example-a-2d", "example-a", {"grid": {"dim": 2, "points_per_axis": 16}}, 2),
+    # a regularity-gap spacing 2L/n that leaves the field's window |x| < 2 unsampled: the
+    # field is zero, and its relative changes once divided by zero (exit 3).  At L = 63.957
+    # the window's ramp is subnormal at the nearest sample, and the norms vanish as well
+    *[(f"gap-empty-window-{name}", "regularity-gap",
+       {"grid": {"half_period": L}, "parameters": {"grid_sizes": sizes}}, 2)
+      for name, L, sizes in [("100-4", 100.0, [4, 8]), ("100-64", 100.0, [64, 128]),
+                             ("64-64", 64.0, [64, 128]), ("subnormal", 63.957, [64, 128])]],
+    # r^n overflows a float: each once ended in OverflowError (exit 3)
+    ("r-overflow-1e300", "resolvent-solve", {"parameters": {"r": 1e300}}, 2),
+    ("apriori-r-overflow", "apriori-sweep", {"parameters": {"r": [4.0, 1e200]}}, 2),
 ]
 
 
@@ -464,6 +477,25 @@ def test_bad_configs_exit_with_one_line_and_write_nothing(tmp_path, capsys, kind
     argv = ["run", path, "--output-root", str(tmp_path)]
     _assert_one_line_failure(capsys, code, argv, "config error" if code == 2 else "experiment error")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("kind, change", [p[1:3] for p in PROBES if p[3] == 2],
+                         ids=[p[0] for p in PROBES if p[3] == 2])
+def test_validate_prints_the_config_error_that_run_prints(tmp_path, capsys, kind, change):
+    path = _write_config(tmp_path, {"kind": kind, "grid": {"points_per_axis": 64}, **change})
+    assert main(["validate", path]) == 2
+    line = capsys.readouterr().err
+    assert main(["run", path, "--output-root", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_refusals_stop_at_their_boundaries(tmp_path):
+    # r^2 = 1e300 is a float, and a spacing 126/64 < 2 samples the window
+    for name, kind, grid, parameters in [
+            ("r", "resolvent-solve", {"points_per_axis": 64}, {"r": 1e150}),
+            ("gap", "regularity-gap", {"half_period": 63.0}, {"grid_sizes": [64, 128]})]:
+        cfg = {"kind": kind, "grid": grid, "parameters": parameters, "output_dir": name}
+        assert main(["run", _write_config(tmp_path, cfg), "--output-root", str(tmp_path)]) == 0
 
 
 _JSON = st.recursive(
@@ -531,6 +563,16 @@ def test_handlers_read_no_parameters_by_hand():
     source = pathlib.Path(cli.__file__).read_text()
     assert not re.search(r"parameters\.get\(", source)
     assert "default" not in {key for entry in CATALOG.values() for key in entry}
+
+
+def test_parse_config_names_no_kind_and_maps_library_errors_in_one_except():
+    # a kind's config-only checks live in its CATALOG entry's refuse, beside its handler
+    source = inspect.getsource(parse_config)
+    assert "method" not in source and not [kind for kind in CATALOG if kind in source]
+    caught = re.findall(r"except \(?([\w, ]+?)\)? as", source)
+    library = [c for c in caught if "SupportViolation" in c]
+    assert len(library) == 1 and len(caught) == 2  # the other maps GridSpec's ValueError
+    assert {"EpsilonOutOfRange", "IncommensurableDelta"} <= set(library[0].split(", "))
 
 
 def test_mollify_convergence_sweeps_each_fixture_once(tmp_path, transform_calls):

@@ -19,6 +19,7 @@ from ellreg.profiles import box_window
 from ellreg.resolvent import (
     ResolventProblem,
     _fixed_point,
+    _spectral_parameter,
     _l2,
     apriori_ratios,
     residual,
@@ -355,3 +356,14 @@ def test_report_as_dict(grid1d, rng):
     problem = neg_laplacian_problem(grid1d, 8.0, rng)
     d = solve_constant(problem).as_dict()
     assert set(d) == {"residual_linf", "iterations", "contraction_estimate"}
+
+
+def test_spectral_parameter_refuses_an_overflowing_r(grid1d, rng):
+    # the one formula r^n e^{i theta0} of every solve, which parse_config applies to a config's r
+    assert _spectral_parameter(8.0, 2, math.pi) == 8.0**2 * np.exp(1j * math.pi)
+    assert _spectral_parameter(1e150, 2, 0.0) == 1e150**2  # a float, if not quite 1e300
+    problem = ResolventProblem(neg_laplacian(grid1d), math.pi, 1e200,
+                               random_band_limited_field(grid1d, 1, rng))
+    for call in (lambda: _spectral_parameter(1e200, 2, 0.0), lambda: solve_constant(problem)):
+        with pytest.raises(OverflowError, match=r"r=1e\+200: r\^2 overflows a float"):
+            call()
