@@ -204,9 +204,8 @@ def _named_operator(grid: GridSpec, name) -> PDOperator:
     if name == "neg-laplacian":
         return neg_laplacian(grid)
     if name == "neg-laplacian-plus-one":
-        Q = neg_laplacian(grid)
-        Q.coeffs[(0,) * grid.dim] = np.ones(grid.shape + (1, 1), dtype=np.complex128)
-        return Q
+        lap = neg_laplacian(grid)
+        return PDOperator(grid, 2, 1, 1, {**lap.coeffs, (0,) * grid.dim: np.ones((1, 1))})
     if name == "neg-d2-drift":
         if grid.dim != 1:
             raise ConfigError("neg-d2-drift is one-dimensional")

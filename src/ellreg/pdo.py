@@ -8,13 +8,15 @@ pointwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ChannelMismatch, GridMismatch
-from .grid import Field, GridSpec, monomial, spectral_derivatives
+from .grid import Field, GridSpec, dft, idft, monomial, multiply, spectral_derivatives
 
 
 def multi_indices(dim: int, max_order: int):
@@ -31,9 +33,9 @@ def mi_order(alpha) -> int:
     return sum(alpha)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PDOperator:
-    """Sum over alpha of C_alpha(x) d^alpha, C_alpha an (l1 x l0) matrix field."""
+    """Sum over alpha of C_alpha(x) d^alpha, C_alpha an (l1 x l0) matrix field; read-only."""
 
     grid: GridSpec
     order: int
@@ -54,11 +56,12 @@ class PDOperator:
             arr = np.asarray(arr, dtype=np.complex128)
             expected = self.grid.shape + (self.out_channels, self.in_channels)
             if arr.shape == (self.out_channels, self.in_channels):
-                arr = np.broadcast_to(arr, expected).copy()
+                arr = np.broadcast_to(arr, expected)
             if arr.shape != expected:
                 raise ValueError(f"coefficient for {alpha} has shape {arr.shape}")
-            clean[alpha] = arr
-        self.coeffs = clean
+            clean[alpha] = arr = arr.copy()
+            arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def coefficient(self, alpha) -> np.ndarray:
         alpha = tuple(int(a) for a in alpha)
@@ -69,12 +72,25 @@ class PDOperator:
         return [a for a in self.coeffs if mi_order(a) == self.order]
 
     def is_constant_coefficient(self) -> bool:
-        """Every coefficient equal to its first sample, to 1e-10 relative."""
-        for arr in self.coeffs.values():
-            flat = arr.reshape(-1, self.out_channels, self.in_channels)
-            if np.max(np.abs(flat - flat[0])) > 1e-10 * (1.0 + np.max(np.abs(flat))):
-                return False
-        return True
+        """Every coefficient exactly equal to its sample at the origin index."""
+        origin = (0,) * self.grid.dim
+        return all((arr == arr[origin]).all() for arr in self.coeffs.values())
+
+    @functools.cached_property
+    def symbol(self) -> np.ndarray | None:
+        """The full symbol sum_alpha C_alpha (i xi)^alpha on the lattice, built once and
+        read-only: (*shape,) for one channel, (*shape, l1, l0) otherwise; None when a
+        coefficient varies."""
+        if not self.is_constant_coefficient():
+            return None
+        origin, xi = (0,) * self.grid.dim, self.grid.freqs()
+        sym = np.zeros(self.grid.shape + (self.out_channels, self.in_channels), dtype=np.complex128)
+        for alpha, arr in self.coeffs.items():
+            sym += monomial(xi, alpha)[..., None, None] * arr[origin]
+        if self.out_channels == self.in_channels == 1:
+            sym = sym[..., 0, 0]
+        sym.flags.writeable = False
+        return sym
 
     def frozen_at(self, x_index) -> "PDOperator":
         """Constant-coefficient operator with all coefficients evaluated at x_index."""
@@ -106,7 +122,8 @@ def neg_laplacian(grid: GridSpec, channels: int = 1) -> PDOperator:
 
 
 def apply(P: PDOperator, f, factor: np.ndarray | None = None) -> Field:
-    """P f for a Field f, or for a SpectralField f whose coefficients `factor` multiplies first."""
+    """P f for a Field f, or for a SpectralField f whose coefficients `factor` multiplies first;
+    a constant P multiplies the spectrum by P.symbol, one inverse transform for all its terms."""
     if f.grid != P.grid:
         raise GridMismatch("operator and field grids differ")
     channels = (f.samples if isinstance(f, Field) else f.coefficients).shape[-1]
@@ -114,8 +131,12 @@ def apply(P: PDOperator, f, factor: np.ndarray | None = None) -> Field:
         raise ChannelMismatch(f"field has {channels} channels, operator expects {P.in_channels}")
     # only a plain Field's zero-order term reads samples; a spectrum's is stacked as alpha = 0
     samples = f.samples if isinstance(f, Field) and factor is None else None
+    stacked = [a for a in P.coeffs if samples is None or any(a)]
+    if stacked and P.symbol is not None:  # a transform is taken anyway: take it of the symbol
+        F = dft(f) if isinstance(f, Field) else f
+        return idft(multiply(F if factor is None else multiply(F, factor), P.symbol))
     out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
-    stacks = spectral_derivatives(f, [a for a in P.coeffs if samples is None or any(a)], factor)
+    stacks = spectral_derivatives(f, stacked, factor)
     derivs = (d for stack in stacks for d in stack)  # each (l, *shape)
     for alpha, coeff in P.coeffs.items():
         if samples is None or any(alpha):

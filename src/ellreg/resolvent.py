@@ -16,7 +16,7 @@ import numpy as np
 
 from .besov import BesovParams, batch_norms, besov_norms
 from .errors import NotContracting, SingularSymbol, SupportViolation, VariableCoefficients, ZeroRHS
-from .grid import Field, SpectralField, dft, idft, lp_norm, monomial, multiply, power_means
+from .grid import Field, SpectralField, dft, idft, lp_norm, multiply, power_means
 from .pdo import PDOperator, _resolvent_blocks, apply, mi_order
 from .profiles import box_mask, box_window
 
@@ -67,29 +67,22 @@ def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None
     return lp_norm(res, math.inf, mask=mask)
 
 
-def _lattice_symbol(P: PDOperator) -> np.ndarray:
-    """The full symbol sum_alpha C_alpha(origin) (i xi)^alpha on the lattice, (*shape, l1, l0)."""
-    grid = P.grid
-    origin, xi = (0,) * grid.dim, grid.freqs()
-    sym = np.zeros(grid.shape + (P.out_channels, P.in_channels), dtype=np.complex128)
-    for alpha, arr in P.coeffs.items():
-        sym += monomial(xi, alpha)[..., None, None] * arr[origin]
-    return sym
-
-
 def _resolvent_multiplier(A: PDOperator, r: float, theta0: float):
-    """(r^n e^{i theta0} - symbol of A)^{-1} on the lattice; raises on singularity.
+    """(r^n e^{i theta0} - A.symbol)^{-1} on the lattice, scalar for one channel; raises on
+    singularity.
 
     A must have constant coefficients.  Singular frequencies are found by the
     scale-free test of `pdo._resolvent_blocks`.
     """
-    if not A.is_constant_coefficient():
+    if A.symbol is None:
         raise VariableCoefficients("the exactly inverted part A of Q = A + D must be constant")
-    mats, _, bad = _resolvent_blocks(_spectral_parameter(r, A.order, theta0), _lattice_symbol(A))
+    l = A.in_channels
+    lam = _spectral_parameter(r, A.order, theta0)
+    mats, _, bad = _resolvent_blocks(lam, A.symbol.reshape(A.grid.shape + (l, l)))
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), A.grid.shape)
         raise SingularSymbol(A.grid.freqs()[idx])
-    return 1.0 / mats if A.in_channels == 1 else np.linalg.inv(mats)
+    return 1.0 / mats[..., 0, 0] if l == 1 else np.linalg.inv(mats)
 
 
 def _l2(F: SpectralField) -> float:
@@ -138,8 +131,8 @@ def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: fl
     D = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels,
                    {a: d for a, C in Q.coeffs.items() if np.any(d := C - A.coefficient(a))})
     if D.coeffs:
-        if np.ndim(cutoff) == 0 and D.is_constant_coefficient():
-            M = cutoff * (_lattice_symbol(D) @ minv)
+        if np.ndim(cutoff) == 0 and D.symbol is not None:
+            M = cutoff * (D.symbol * minv if Q.in_channels == 1 else D.symbol @ minv)
 
             def correction(H):
                 return multiply(H, M)

@@ -1,15 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ellreg import pdo
+from ellreg.errors import VariableCoefficients
 from ellreg.grid import (
     GridSpec,
     apply_multiplier,
     dft,
     field_from_function,
     random_band_limited_field,
+    spectral_derivative,
+    spectral_derivatives,
 )
 from ellreg.pdo import (
     PDOperator,
@@ -22,6 +26,7 @@ from ellreg.pdo import (
     symbol_field,
     unit_directions,
 )
+from ellreg.resolvent import ResolventProblem, solve_constant
 
 
 def variable_operator(grid):
@@ -263,3 +268,128 @@ def test_parameter_ellipticity_constant_coefficient_takes_one_point(monkeypatch,
     monkeypatch.setattr(pdo.PDOperator, "is_constant_coefficient", lambda self: False)
     assert one_point == parameter_ellipticity_constant(Q, theta0)
     assert one_point[1] == (theta0 != 0.0)
+
+
+def per_term_sum(P, f):
+    """sum_alpha C_alpha d^alpha f, each derivative by spectral_derivative: apply's oracle."""
+    out = 0.0
+    for alpha, coeff in P.coeffs.items():
+        out = out + np.einsum("...ij,...j->...i", coeff, spectral_derivative(f, alpha).samples)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("factor", [None, "scalar", "matrix"])
+@pytest.mark.parametrize("spectrum", [False, True], ids=["field", "spectrum"])
+def test_constant_apply_is_the_per_term_sum(dim, channels, order, factor, spectrum, rng):
+    # P has a random constant l x l matrix at every |alpha| <= order, the zero-order term
+    # included; P (m f^) is P applied to the samples of m f^
+    grid = GridSpec(dim, 16 if dim == 2 else 32, math.pi)
+    shape = (channels, channels)
+    coeffs = {alpha: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for alpha in multi_indices(dim, order)}
+    P = operator_from_constant(grid, coeffs, order)
+    f = random_band_limited_field(grid, channels, rng)
+    m = {None: None,
+         "scalar": 1.0 / (1j + 4.0 + np.sum(grid.freqs() ** 2, axis=-1)),
+         "matrix": rng.standard_normal(grid.shape + shape) + 0j}[factor]
+    want = per_term_sum(P, f if m is None else apply_multiplier(f, m))
+    got = apply(P, dft(f) if spectrum else f, m).samples
+    assert P.symbol is not None
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_variable_apply_sums_the_derivative_stack_bit_for_bit(rng):
+    # a variable P keeps the coefficient products over one stacked derivative transform,
+    # its zero-order term read from the samples
+    grid = GridSpec(1, 64, math.pi)
+    P = variable_operator(grid)
+    f = random_band_limited_field(grid, 1, rng)
+    derivs = iter(next(spectral_derivatives(f, [(2,), (1,)])))
+    want = np.zeros(grid.shape + (1,), dtype=np.complex128)
+    for alpha, coeff in P.coeffs.items():
+        d = f.samples if alpha == (0,) else next(derivs)
+        want += np.einsum("...ij,...j->...i" if alpha == (0,) else "...ij,j...->...i", coeff, d)
+    assert P.symbol is None
+    assert np.array_equal(apply(P, f).samples, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_constant_apply_takes_one_inverse_transform_of_the_spectrum(
+        monkeypatch, transform_calls, dim, channels, rng):
+    # -Delta + d_0 + 1 on a spectrum: three or four terms, one idft of l N^m points (one 1-D
+    # transform per axis), where the derivative stack inverted one row per term
+    grid = GridSpec(dim, 16, math.pi)
+    eye, first = np.eye(channels), tuple(int(a == 0) for a in range(dim))
+    lap = neg_laplacian(grid, channels).coeffs
+    P = PDOperator(grid, 2, channels, channels, {**lap, first: eye, (0,) * dim: eye})
+    F = dft(random_band_limited_field(grid, channels, rng))
+    points = []
+
+    def counted(G, _idft=pdo.idft):
+        points.append(G.coefficients.size)
+        return _idft(G)
+
+    monkeypatch.setattr(pdo, "idft", counted)
+    transform_calls.clear()
+    apply(P, F)
+    assert points == [channels * grid.num_points]
+    assert transform_calls == ["ifft"] * dim
+
+
+def test_constant_zero_order_apply_to_samples_takes_no_transform(transform_calls, grid1d, rng):
+    f = random_band_limited_field(grid1d, 2, rng)
+    P = operator_from_constant(grid1d, {(0,): np.array([[1.0, 2.0], [0.5, 1j]])}, 0)
+    transform_calls.clear()
+    got = apply(P, f).samples
+    assert transform_calls == []
+    assert np.array_equal(got, np.einsum("ij,...j->...i", P.coeffs[(0,)][0], f.samples))
+
+
+def test_the_symbol_is_built_once_per_operator(monkeypatch, grid1d, rng):
+    calls = []
+
+    def counted(xi, alpha, _monomial=pdo.monomial):
+        calls.append(alpha)
+        return _monomial(xi, alpha)
+
+    monkeypatch.setattr(pdo, "monomial", counted)
+    P = operator_from_constant(grid1d, {(2,): -1.0, (1,): 2.0, (0,): 1.0}, 2)
+    f = random_band_limited_field(grid1d, 1, rng)
+    for _ in range(3):
+        apply(P, f)
+        apply(P, dft(f), np.ones(grid1d.shape))
+    assert sorted(calls) == [(0,), (1,), (2,)]
+    assert P.symbol.shape == grid1d.shape and not P.symbol.flags.writeable
+
+
+@pytest.mark.parametrize("grid, desc", [
+    (GridSpec(1, 64, 1e-11), {"order": 1, "entries": [{"alpha": [1], "coeff": {"token": "x"}}]}),
+    (GridSpec(1, 64, math.pi),
+     {"order": 2, "entries": [{"alpha": [2], "coeff": [[-1.0]]},
+                              {"alpha": [0], "coeff": {"token": "x", "scale": 1e-12}}]}),
+], ids=["x-d-on-a-tiny-torus", "tiny-x-token"])
+def test_constancy_is_free_of_scale(grid, desc):
+    # coefficients far below 1 that vary are variable: a constant operator is exactly constant
+    Q = operator_from_description(grid, desc)
+    assert not Q.is_constant_coefficient()
+    assert Q.symbol is None
+    g = random_band_limited_field(grid, 1, np.random.Generator(np.random.PCG64(0)))
+    with pytest.raises(VariableCoefficients):
+        solve_constant(ResolventProblem(Q, math.pi, 2.0, g))
+
+
+def test_operators_are_read_only(grid1d):
+    c2 = np.full(grid1d.shape + (1, 1), -1.0 + 0j)
+    P = PDOperator(grid1d, 2, 1, 1, {(2,): c2})
+    with pytest.raises(TypeError):
+        P.coeffs[(0,)] = np.ones(grid1d.shape + (1, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        P.coeffs[(2,)][0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.coeffs = {}
+    c2[0] = 5.0  # the caller's array stays its own: the operator holds a copy
+    assert P.coeffs[(2,)][0, 0, 0] == -1.0

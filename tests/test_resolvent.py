@@ -296,8 +296,7 @@ def test_contraction_estimate_is_the_closed_form_increment_ratio():
     # ||M^K G|| / ||M^(K-1) G||.  Increments taken between iterates carried G's rounding,
     # 7.6e-4 off at worst here; the corrections' own differences stay within 1.5e-5
     grid = GridSpec(1, 1024, math.pi)
-    Q = neg_laplacian(grid)
-    Q.coeffs[(0,)] = np.ones(grid.shape + (1, 1), dtype=np.complex128)
+    Q = operator_from_constant(grid, {(2,): -1.0, (0,): 1.0}, order=2)
     for r in (6.0, 12.0):
         m = 1.0 / (r**2 * np.exp(1j * math.pi) - grid.freqs()[..., 0] ** 2)
         for seed in range(8):
