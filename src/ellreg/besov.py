@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +61,6 @@ def _moduli(symbol, *args) -> np.ndarray:
     return np.abs(symbol(*args))
 
 
-def _exponents(tops: np.ndarray) -> np.ndarray:
-    """The exponents e of tops = d * 2^e, d in [1/2, 1), for non-negative tops; 0 at zero, and an
-    inf counts as the largest float."""
-    return np.frexp(np.fmin(tops, sys.float_info.max))[1]
-
-
 @dataclass
 class _Run:
     """The spectrum F of `count` fields side by side on the channel axis, as _batches makes it."""
@@ -76,30 +69,27 @@ class _Run:
     count: int
 
     @functools.cached_property
-    def power(self) -> tuple:
-        """(e, w): per field, the _exponents e of its largest coefficient modulus, and
-        w = sum_l |c_xi,l / 2^e|^2 on the lattice, one contiguous row per field (count, lattice)."""
-        c = self.F.coefficients.reshape(self.F.grid.num_points, self.count, -1)
-        e = _exponents(np.abs(c).max(axis=(0, 2)))
-        re, im = (np.ldexp(part, -e[:, None]) for part in (c.real, c.imag))
-        return e, np.ascontiguousarray((re * re + im * im).sum(axis=-1).T)
+    def amplitudes(self) -> np.ndarray:
+        """Per field, the channel 2-norm of its coefficients on the lattice, one contiguous row
+        per field (count, lattice)."""
+        c = np.abs(self.F.coefficients.reshape(self.F.grid.num_points, self.count, -1))
+        a = c[..., 0] if c.shape[-1] == 1 else _grid.power_means(c, 1.0, [2])[0]
+        return np.ascontiguousarray(a.T)
 
 
 def _parseval_norms(run: _Run, build, rows, factors) -> list:
     """The L^2 norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
-    factor), one array per factor of `factors`, with no inverse transform: by Parseval,
-
-        h^m sum_x |idft(m F)|^2 = (2L)^m sum_xi |m(xi)|^2 sum_l |c_xi,l|^2.
+    factor), one array per factor of `factors`, with no inverse transform (_parseval).
 
     The moduli |m| are built here in chunks of rows that hold at most _STACK_POINTS values per
-    field, or of one row (_parseval_sums), so that a field's norms are the same alone or in a
-    batch, and whichever stacks share the call.
+    field; each (row, field) is its own power_means row, so that a field's norms are the same
+    alone or in a batch, and whichever stacks share the call.
     """
     xi = run.F.grid.freqs()
-    per = max(1, _grid._STACK_POINTS // run.power[1].size)
+    per = max(1, _grid._STACK_POINTS // run.amplitudes.size)
     scales = _scales(factors, xi)
-    return _parseval_finish(run, [_parseval_sums(run, _moduli(build, rows[i:i + per], xi), scales)
-                                  for i in range(0, len(rows), per)], len(factors))
+    return _joined_rows([_parseval(run, _moduli(build, rows[i:i + per], xi), scales)
+                         for i in range(0, len(rows), per)], len(factors), run.count)
 
 
 def _scales(factors, xi) -> list:
@@ -107,39 +97,31 @@ def _scales(factors, xi) -> list:
     return [None if f is None else _moduli(f, xi).reshape(-1) for f in factors]
 
 
-def _parseval_sums(run: _Run, moduli: np.ndarray, scales: list) -> tuple:
-    """(sums, exponents) of one chunk of rows, moduli |m| (n, *lattice), under each factor's
-    `scales`: sums (run.count, factors, n) of w |m factor / 2^x|^2 over the lattice, where x
-    (factors, n), the exponents, are those of each (factor, row)'s maximum modulus.
+def _parseval(run: _Run, moduli: np.ndarray, scales: list) -> list:
+    """The L^2 norms (n, run.count) of one chunk of rows, moduli |m| (n, *lattice), under each
+    factor's `scales`, one array per factor.  By Parseval,
 
-    The moduli and each field's coefficients (_Run.power) are divided by the powers of two of
-    their maxima (exact), so that no square overflows or underflows, as power_means keeps the
-    samples' sums; moduli that overflow give NaN sums, as the inverse transforms of their
-    products give NaN samples.  Each (field, factor, row) is one contiguous sum.
+        h^m sum_x |idft(m F)|^2 = (2L)^m sum_xi |m(xi)|^2 sum_l |c_xi,l|^2,
+
+    so each is the power_means at p = 2 of the values |m factor| a (run.amplitudes), weight
+    (2L)^m: one contiguous row per (row, field), scaled by its own maximum.  Moduli that
+    overflow give NaN norms, as the inverse transforms of their products give NaN samples.
     """
-    power = run.power[1]
     moduli = moduli.reshape(len(moduli), -1)
-    sums = np.empty((run.count, len(scales), len(moduli)))
-    exponents = np.empty((len(scales), len(moduli)), dtype=np.intc)  # ldexp's own type: no casts
-    for j, scale in enumerate(scales):
+    norms = []
+    for scale in scales:
         m = moduli if scale is None else moduli * scale
-        tops = m.max(axis=-1)
-        exponents[j] = _exponents(tops)
-        m = np.ldexp(m, -exponents[j, :, None])
-        m *= m
-        sums[:, j] = (power[:, None, :] * m).sum(axis=-1)
-        sums[:, j][:, np.isinf(tops)] = np.nan
-    return sums, exponents
+        n = _grid.power_means(m[:, None] * run.amplitudes, run.F.grid.volume, [2])[0]
+        n[np.isinf(m).any(axis=-1)] = np.nan
+        norms.append(n)
+    return norms
 
 
-def _parseval_finish(run: _Run, parts: list, factors: int) -> list:
-    """The L^2 norms (rows, run.count), one array per factor, from the _parseval_sums of every
-    chunk of rows, in order."""
-    e = run.power[0]
-    sums = np.concatenate([np.empty((run.count, factors, 0))] + [s for s, _ in parts], axis=-1)
-    exponents = np.concatenate([np.empty((factors, 0), np.intc)] + [x for _, x in parts], axis=-1)
-    norms = np.ldexp((run.F.grid.volume * sums) ** 0.5, exponents + e[:, None, None])
-    return list(norms.transpose(1, 2, 0))
+def _joined_rows(chunks: list, width: int, count: int) -> list:
+    """The norms (rows, count) of consecutive chunks of rows, each chunk a list of `width`
+    arrays (n, count): one array per place, its chunks joined in order."""
+    return [np.concatenate([np.empty((0, count))] + [chunk[i] for chunk in chunks])
+            for i in range(width)]
 
 
 def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
@@ -156,7 +138,7 @@ def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
     if not others:
         return [{2.0: n} for n in _parseval_norms(run, build, rows, factors)]
     l2, scales, half = 2.0 in ps, None, False
-    reduced, lattice = [[] for _ in factors], []  # per factor the chunks' norms; lattice sums
+    reduced, lattice = [[] for _ in factors], []  # per factor the chunks' norms; lattice norms
     for m, stacks in _multiplier_chunks(run.F, build, rows, factors):
         for chunks in reduced:
             # the stacks hold the run's fields side by side on the channel axis, each field's
@@ -169,12 +151,11 @@ def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
             half = True
         elif l2:
             scales = _scales(factors, grid.freqs()) if scales is None else scales
-            lattice.append(_parseval_sums(run, np.abs(m), scales))
-    norms = [{p: np.concatenate([np.empty((0, count))] + [chunk[i] for chunk in chunks])
-              for i, p in enumerate(others)} for chunks in reduced]
+            lattice.append(_parseval(run, np.abs(m), scales))
+    norms = [dict(zip(others, _joined_rows(chunks, len(others), count))) for chunks in reduced]
     if l2:
         l2_norms = (_parseval_norms(run, build, rows, factors) if half
-                    else _parseval_finish(run, lattice, len(factors)))
+                    else _joined_rows(lattice, len(factors), count))
         for n, lattice_norms in zip(norms, l2_norms):
             n[2.0] = lattice_norms
     return norms

@@ -262,17 +262,23 @@ def log_singular_field(grid: GridSpec) -> Field:
 
 
 def _check_window(grid_sizes, half_period: float) -> None:
-    """ConfigError unless the coarsest of the 2-D grids samples the window off the origin.
+    """ConfigError unless the coarsest of the 2-D grids samples the window off the origin, and
+    the field's norms stay normal floats.
 
     The samples nearest the origin lie one spacing 2L/n from it.  From 2L/n >= 2 on, the
     window is zero there, and just below 2 its ramp is subnormal: the field is zero or
-    subnormal, and a trajectory can vanish.  Decided from the numbers alone, with no field.
+    subnormal, and a trajectory can vanish.  At a tiny L the W^{k-1,1} norm, which scales like
+    L^3 log(1/L), is subnormal from L^3 < tiny on (L below about 2.8e-103), and zero soon
+    after.  Decided from the numbers alone, with no field.
     """
-    n = min(grid_sizes)
+    n, tiny = min(grid_sizes), np.finfo(float).tiny
     spacing = 2.0 * half_period / n
-    if not Plateau(*_WINDOW)(spacing) >= np.finfo(float).tiny:
+    if not Plateau(*_WINDOW)(spacing) >= tiny:
         raise ConfigError(f"the log-singular field vanishes on the {n}-point grid: spacing 2L/n = "
                           f"{spacing:.6g} leaves no sample inside the window |x| < 2")
+    if half_period ** 3 < tiny:  # L < n here, so the cube is finite
+        raise ConfigError(f"the log-singular field's norms underflow at half period "
+                          f"{half_period:.6g}: L^3 is below the smallest normal float")
 
 
 def regularity_gap_experiment(grid_sizes, half_period: float) -> dict:

@@ -9,7 +9,6 @@ pointwise.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -20,13 +19,17 @@ from .grid import Field, GridSpec, dft, idft, monomial, multiply, spectral_deriv
 
 
 def multi_indices(dim: int, max_order: int):
-    """All alpha in N^dim with |alpha| <= max_order."""
-    out = []
-    for total in range(max_order + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
+    """All alpha in N^dim, dim >= 1, with |alpha| <= max_order: order by order, each order's in
+    lexicographic order."""
+    return [alpha for total in range(max_order + 1) for alpha in _compositions(total, dim)]
+
+
+def _compositions(total: int, dim: int) -> list:
+    """The alpha in N^dim with |alpha| = total, in lexicographic order."""
+    if dim == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions(total - first, dim - 1)]
 
 
 def mi_order(alpha) -> int:

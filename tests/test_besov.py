@@ -150,13 +150,22 @@ def test_seminorm_of_a_plane_wave_over_all_eight_directions(dim, n, k, alpha, q)
         assert abs(got - want) <= 1e-12 * want, (p, got, want)
 
 
-def jump_field(n):
-    # f = 1_{|x|<1} on [-pi, pi).  Each shell rho = L / 2^j is a lattice shift, which moves each
-    # sampled jump by exactly rho, so ||Delta^2_rho f||_1 = 4 rho at every shell, pi/2 included:
-    # every shell quotient rho^-1 ||Delta^2_rho f||_1 is 4.  A jump lies in B^{1/p}_{p,inf} and
-    # in no B^{1/p}_{p,q} with q < inf (Triebel 1983)
-    return field_from_function(GridSpec(1, n, math.pi),
+def jump_field(n, dim=1):
+    # f = 1_{|x_1|<1} on [-pi, pi)^m.  Each shell rho = L / 2^j is a lattice shift, which moves
+    # each sampled jump by exactly rho, so ||Delta^2_rho f||_1 = 4 rho at every shell, pi/2
+    # included: every shell quotient rho^-1 ||Delta^2_rho f||_1 is 4.  A jump lies in
+    # B^{1/p}_{p,inf} and in no B^{1/p}_{p,q} with q < inf (Triebel 1983)
+    return field_from_function(GridSpec(dim, n, math.pi),
                                lambda x: (np.abs(x[..., 0]) < 1.0).astype(float))
+
+
+def shell_quotients(f, p):
+    """rho^(-1/p) ||Delta^2_rho f||_p (shells, kept directions), from the samples of the inverse
+    transforms of the second-difference stacks."""
+    radii, _, rows = _difference_table(f.grid)
+    norms = np.concatenate([lp_norms(stack, [p], grid=f.grid)[0]
+                            for stack in apply_multipliers(f, _difference_multipliers, rows[1:])])
+    return norms.reshape(len(radii), -1) / radii[:, None] ** (1.0 / p)
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
@@ -172,6 +181,38 @@ def test_a_jump_grows_like_log_n_below_the_endpoint(n, q):
     want = 4.0 * (2.0 * math.log(2.0) * math.log2(n)) ** (1.0 / q)
     got = besov_parts(jump_field(n), BesovParams(1.0, 1.0, q))[1]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
+def test_a_jump_is_exact_shell_by_shell(n):
+    # p = 1: every shell quotient is 4, the h/2 shell (not a lattice shift) included.
+    # p = 2: Delta^2_rho f is +-1 on 2 rho per jump, so a shell quotient rho^-1/2 ||.||_2 is 2
+    # while rho is a lattice shift and the two jumps' stencils stay apart (rho <= 1); the
+    # lattice sums and the samples agree on it
+    f = jump_field(n)
+    radii, _, rows = _difference_table(f.grid)
+    assert shell_quotients(f, 1.0)[:, 0] == pytest.approx(np.full(len(radii), 4.0), rel=1e-12)
+    exact = (radii >= f.grid.spacing) & (radii <= 1.0)
+    (lattice,) = _parseval_norms(_joined([f]), _difference_multipliers, rows, [None])
+    for quotients in (shell_quotients(f, 2.0)[:, 0], lattice[1:, 0] / radii**0.5):
+        assert quotients[exact] == pytest.approx(np.full(exact.sum(), 2.0), rel=1e-12)
+    assert exact.sum() == len(radii) - 2  # all but pi/2 and h/2
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_a_stripe_is_exact_along_the_axes(n):
+    # f = 1_{|x_1|<1} on [-pi, pi)^2: two jump lines of length 2 pi, so along x_1 every shell
+    # quotient is 2 * 2 pi * 2 = 8 pi, along x_2 it is 0, and the B^1_{1,inf} part is 8 pi.
+    # The diagonals are no lattice shifts, and are not exact (docs/DECISIONS.md)
+    f = jump_field(n, dim=2)
+    radii, _, rows = _difference_table(f.grid)
+    quotients = shell_quotients(f, 1.0)
+    directions = rows[1:1 + quotients.shape[1], :-1] / radii[0]  # the kept ones, shell by shell
+    along, across = (np.flatnonzero(np.isclose(np.abs(directions[:, d]), 1.0))[0] for d in (0, 1))
+    assert np.max(np.abs(quotients[:, along] - 8.0 * math.pi)) <= 1e-13 * 8.0 * math.pi
+    assert np.max(quotients[:, across]) <= 1e-13 * 8.0 * math.pi
+    got = besov_parts(f, BesovParams(1.0, 1.0, INF))[1]
+    assert got == pytest.approx(8.0 * math.pi, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])

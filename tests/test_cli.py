@@ -461,6 +461,11 @@ PROBES = [
        {"grid": {"half_period": L}, "parameters": {"grid_sizes": sizes}}, 2)
       for name, L, sizes in [("100-4", 100.0, [4, 8]), ("100-64", 100.0, [64, 128]),
                              ("64-64", 64.0, [64, 128]), ("subnormal", 63.957, [64, 128])]],
+    # a tiny half period: the W^{k-1,1} norm, like L^3 log(1/L), underflows to zero, and its
+    # relative changes once divided by zero (exit 3)
+    *[(f"gap-tiny-half-period-{L:g}", "regularity-gap",
+       {"grid": {"half_period": L}, "parameters": {"grid_sizes": [16, 32]}}, 2)
+      for L in (1e-110, 1e-150)],
     # r^n overflows a float: each once ended in OverflowError (exit 3)
     ("r-overflow-1e300", "resolvent-solve", {"parameters": {"r": 1e300}}, 2),
     ("apriori-r-overflow", "apriori-sweep", {"parameters": {"r": [4.0, 1e200]}}, 2),
@@ -490,10 +495,11 @@ def test_validate_prints_the_config_error_that_run_prints(tmp_path, capsys, kind
 
 
 def test_refusals_stop_at_their_boundaries(tmp_path):
-    # r^2 = 1e300 is a float, and a spacing 126/64 < 2 samples the window
+    # r^2 = 1e300 is a float, a spacing 126/64 < 2 samples the window, and (1e-100)^3 is normal
     for name, kind, grid, parameters in [
             ("r", "resolvent-solve", {"points_per_axis": 64}, {"r": 1e150}),
-            ("gap", "regularity-gap", {"half_period": 63.0}, {"grid_sizes": [64, 128]})]:
+            ("gap", "regularity-gap", {"half_period": 63.0}, {"grid_sizes": [64, 128]}),
+            ("gap-tiny", "regularity-gap", {"half_period": 1e-100}, {"grid_sizes": [16, 32]})]:
         cfg = {"kind": kind, "grid": grid, "parameters": parameters, "output_dir": name}
         assert main(["run", _write_config(tmp_path, cfg), "--output-root", str(tmp_path)]) == 0
 

@@ -217,6 +217,25 @@ def test_power_means_round_as_the_plain_sums_at_p_1_2_inf(rng):
         assert np.array_equal(got, want)
 
 
+def test_frexp_and_ldexp_are_named_only_in_power_means():
+    # one overflow-safe power sum: no other function of src/ellreg scales by powers of two
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "ellreg"
+    places = set()
+
+    def visit(node, path, outer):
+        for child in ast.iter_child_nodes(node):
+            inner = outer or (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                              else None)
+            name = getattr(child, "id", None) or getattr(child, "attr", None) or (
+                child.name if isinstance(child, ast.alias) else None)
+            if name in ("frexp", "ldexp"):
+                places.add((path.name, outer))
+            visit(child, path, inner)
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert places == {("grid.py", "power_means")}, sorted(places, key=str)
+
+
 def test_lp_norms_reduce_one_magnitude_under_every_exponent(rng):
     grid = GridSpec(2, 16, 2.0)
     stack = np.stack([np.moveaxis(random_band_limited_field(grid, 2, rng).samples, -1, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,20 @@ def variable_operator(grid):
 
 def test_multi_index_helpers():
     assert multi_indices(2, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_multi_indices_are_the_filtered_product_in_its_order(dim):
+    # the reference: every order's filtered cube, in itertools.product's order
+    for order in range(9):
+        want = [alpha for total in range(order + 1)
+                for alpha in itertools.product(range(total + 1), repeat=dim) if sum(alpha) == total]
+        assert multi_indices(dim, order) == want
+
+
+def test_multi_indices_count_at_a_large_order():
+    # |alpha| <= k in N^m: C(k + m, m) indices
+    assert len(multi_indices(3, 60)) == math.comb(63, 3)
 
 
 def test_apply_single_mode(grid1d):
