@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid  # _STACK_POINTS read through the module: one constant for every chunk
-from .grid import (Field, Hermitian, SpectralField, _check_same, _monomials, _multiplier_chunks,
-                   _power_product, apply_multiplier, dft, lp_norms, monomial, power_means)
+from .grid import (Field, Hermitian, SpectralField, _check_same, _multiplier_chunks, _power_product,
+                   apply_multiplier, dft, lp_norms, monomial, power_means)
 from .pdo import multi_indices, mi_order, unit_directions
 
 
@@ -47,6 +47,12 @@ def _bessel(gamma: float, xi) -> np.ndarray:
 def bessel_lift(gamma: float, f: Field) -> Field:
     """Convolution with the Bessel potential: multiplier (1+|xi|^2)^(-gamma/2)."""
     return apply_multiplier(f, _bessel(gamma, f.grid.freqs()))
+
+
+@Hermitian
+def _monomials(alphas, xi) -> np.ndarray:
+    """The derivative stack's build: (i xi)^alpha for each alpha of `alphas`."""
+    return np.stack([monomial(xi, a) for a in alphas])
 
 
 def _moduli(symbol, *args) -> np.ndarray:
@@ -78,8 +84,8 @@ class _Run:
 
 
 def _parseval_norms(run: _Run, build, rows, factors) -> list:
-    """The L^2 norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
-    factor), one array per factor of `factors`, with no inverse transform (_parseval).
+    """The L^2 norms (len(rows), run.count) of the sample stacks that _multiplier_chunks(run.F,
+    build, rows, factors) yields, one array per factor, with no inverse transform (_parseval).
 
     The moduli |m| are built here in chunks of rows that hold at most _STACK_POINTS values per
     field; each (row, field) is its own power_means row, so that a field's norms are the same
@@ -125,12 +131,12 @@ def _joined_rows(chunks: list, width: int, count: int) -> list:
 
 
 def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
-    """The L^p norms (len(rows), run.count) of the stacks apply_multipliers(run.F, build, rows,
-    factor) for each factor of `factors` and each p of `ps`, one dict per factor: p = 2 of every
+    """The L^p norms (len(rows), run.count) of the sample stacks of _multiplier_chunks(run.F,
+    build, rows, factors) for each factor and each p of `ps`, one dict per factor: p = 2 of every
     factor by Parseval, any other p from the samples of the inverse transforms, which only those
-    take.  Each chunk of rows is built once for every factor (_multiplier_chunks), and on the
-    whole lattice its lattice sums take the moduli of that build too; the real route builds on
-    half-lattice pieces, so its lattice sums build their own (_parseval_norms).
+    take.  Each chunk of rows is built once for every factor, and on the whole lattice its
+    lattice sums take the moduli of that build too; the real route builds on half-lattice
+    pieces, so its lattice sums build their own (_parseval_norms).
 
     Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
     """
@@ -257,7 +263,7 @@ def batch_norms(fields, points) -> list:
     The fields share one grid and one channel count.  Runs of them go through one transform
     and one stack set per _stack_set side by side on the channel axis (_batches), so that a
     run shares every multiplier build, inverse transform and reduction.  A run takes the
-    real route of apply_multipliers only if all its fields are real: the program's batches
+    real route of _multiplier_chunks only if all its fields are real: the program's batches
     are all real or all complex (patches share their field's realness, resolvent solutions
     are complex).  A field may be a SpectralField only in a batch of one.
     """
@@ -288,7 +294,7 @@ def _stack_set(alpha: float) -> tuple:
 def _batches(fields):
     """A _Run per run of consecutive `fields`: the spectrum of the run's samples side by side on
     the channel axis.  A run's samples hold at most _STACK_POINTS complex points,
-    so that a run, like a chunk of apply_multipliers, stays within 1 MB; a larger field runs
+    so that a run, like a chunk of _multiplier_chunks, stays within 1 MB; a larger field runs
     alone.  A field on another grid or with another channel count than the first is refused,
     as Field arithmetic refuses it, and so is a SpectralField in a batch of more than one."""
     run, size, first = [], 0, None

@@ -101,6 +101,15 @@ def _lattice(grid: GridSpec):
     return freqs, phase
 
 
+def multi_index(alpha, dim: int) -> tuple:
+    """alpha as a tuple of ints, or ValueError unless it is a multi-index of a dim-dimensional
+    grid: dim entries, each a non-negative integer (a bool or a float is none)."""
+    if len(alpha) != dim or not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                                    and a >= 0 for a in alpha):
+        raise ValueError(f"{alpha!r} is not a multi-index of {dim} non-negative integers")
+    return tuple(int(a) for a in alpha)
+
+
 def monomial(xi: np.ndarray, alpha) -> np.ndarray:
     """(i xi)^alpha over the last axis: one frequency vector or a whole lattice, as the unit
     i^|alpha| times the real _power_product."""
@@ -154,7 +163,7 @@ class SpectralField:
     """Fourier coefficients on the frequency lattice, FFT ordering.
 
     `source` holds the samples dft transformed, when dft made the spectrum.  `real` says
-    they are real; apply_multipliers asks only when its symbols could take the real route,
+    they are real; _multiplier_chunks asks only when its symbols could take the real route,
     and the answer is kept for the spectrum's later stacks.
     """
 
@@ -202,7 +211,7 @@ def dft(f: Field) -> SpectralField:
 
 
 def idft(F):
-    """Samples of a SpectralField, as a Field; of a _Stack of apply_multipliers, as its
+    """Samples of a SpectralField, as a Field; of a _Stack of _multiplier_chunks, as its
     row-major sample array (k, *shape), one contiguous plane per row of products."""
     if isinstance(F, _Stack):
         return _stack_inverse(F)
@@ -280,43 +289,33 @@ class Hermitian(functools.partial):
     """A symbol family, bound like functools.partial, with m(-xi) = conj(m(xi)) at every real xi.
 
     `Hermitian(func, *args)(*rows, xi)` is `func(*args, *rows, xi)`: the family's values at
-    the frequencies xi (*lattice, dim) that apply_multipliers asks for, which are the whole
+    the frequencies xi (*lattice, dim) that _multiplier_chunks asks for, which are the whole
     lattice or, for a real field, its half lattice and its Nyquist hyperplanes.  A family is
     declared where it is defined, with `@Hermitian`; binding it, `Hermitian(family, *args)`,
     keeps it Hermitian.
     """
 
 
-def apply_multipliers(f, build, params, factor=None):
-    """Yield the samples of idft(m * factor * dft(f)) for the multipliers m of `params`.
+def _multiplier_chunks(f, build, params, factors):
+    """The samples of idft(m * factor * dft(f)) for the multipliers m of `params`, under each
+    factor of `factors`, with one build per chunk for all of them.
 
     `f` is a Field or its SpectralField, so that stacks can share one forward transform.
-    The multipliers of consecutive `params` rows come as one row-major array, scalar
-    (n, *shape) or matrix (n, *shape, l1, l0): `build(rows, xi)` at the frequencies xi of the
-    lattice.  `factor` multiplies dft(f) once: a lattice array, scalar (*shape,) or matrix
-    (*shape, l, l), or a scalar Hermitian symbol `factor(xi)`.  Each chunk of at most
-    _STACK_POINTS complex points of the whole lattice goes back through one stacked inverse
-    transform and is yielded as one fresh sample stack (n, l, *shape): one contiguous plane per
-    (row, channel), which the inverse transforms in place and lp_norms sums as one row.
+    The multipliers of consecutive `params` rows come as one row-major array (n, *shape):
+    `build(rows, xi)` at the frequencies xi of the lattice.  A factor is None or a scalar
+    symbol `factor(xi)`, and multiplies dft(f) once.  Per chunk of at most _STACK_POINTS
+    complex points of the whole lattice, yields (m, stacks): the chunk's multipliers m on the
+    whole lattice, or None on the real route; and an iterator of the chunk's sample stacks
+    (n, l, *shape), one per factor, in order, to be read before the next chunk.  A stack holds
+    one contiguous plane per (row, channel), which the inverse transforms in place and
+    lp_norms sums as one row.
 
     The spectrum of a real field times Hermitian symbols is Hermitian off the Nyquist
-    hyperplanes, so when f is real and build and factor are Hermitian, the products are
-    built on the half lattice and the leading axes' Nyquist hyperplanes only, and idft
-    inverts them with irfft (_half_inverse).  Everything else takes the whole lattice.
-    """
-    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
-        yield from stacks
-
-
-def _multiplier_chunks(f, build, params, factors):
-    """apply_multipliers under each of `factors`, with one build per chunk for all of them.
-
-    Per chunk of `params` rows, yields (m, stacks): the chunk's multipliers m (n, *shape) on
-    the whole lattice, or None on the real route, which builds them on the pieces of
-    _half_pieces; and an iterator of the chunk's sample stacks, one per factor, in order, to be
-    read before the next chunk.  On the whole lattice each product is transformed in place into
-    the stack it yields; the real route's products are work arrays, made once per call and
-    reused, and its samples are new arrays.
+    hyperplanes, so when f is real and build and every factor are Hermitian, the products are
+    built on the half lattice and the leading axes' Nyquist hyperplanes only (_half_pieces),
+    in work arrays made once per call and reused, and idft inverts them with irfft
+    (_half_inverse) into new arrays.  Everything else takes the whole lattice, where each
+    product is transformed in place into the stack it yields.
     """
     if len(params) == 0:  # no rows: no coefficients to make ready
         return
@@ -330,11 +329,8 @@ def _multiplier_chunks(f, build, params, factors):
     def rows_first(factor, s):
         # the piece's coefficients times the origin phase and the factor, channels first
         c = F.coefficients[s] * phase[s][..., None]
-        values = factor(xi[s]) if isinstance(factor, Hermitian) else factor
-        if values is not None and values.ndim == grid.dim:
-            c *= values[..., None]  # in place: c is the piece's own
-        elif values is not None:
-            c = _times(values, c, grid.dim)
+        if factor is not None:
+            c *= factor(xi[s])[..., None]  # in place: c is the piece's own
         return np.ascontiguousarray(c.transpose((grid.dim,) + tuple(range(grid.dim))))
 
     coeffs = [[rows_first(factor, s) for s in pieces] for factor in factors]
@@ -342,39 +338,23 @@ def _multiplier_chunks(f, build, params, factors):
     buffers = [None] * len(pieces)  # the real route's work arrays, sized by its first chunk
     for start in range(0, len(params), per):
         ms = [build(params[start:start + per], xi[s]) for s in pieces]
-        if real and buffers[0] is None:  # (rows, output channels, *piece)
-            shape = (len(ms[0]), ms[0].shape[-2] if ms[0].ndim > grid.dim + 1 else F.channels)
-            buffers = [np.empty(shape + c.shape[1:], dtype=np.complex128) for c in coeffs[0]]
+        if real and buffers[0] is None:  # (rows, channels, *piece)
+            buffers = [np.empty(ms[0].shape[:1] + c.shape, dtype=np.complex128)
+                       for c in coeffs[0]]
         # each stack is made as it is read: map binds this chunk's ms and keeps no stack
         stacks = map(functools.partial(_stack_samples, grid, ms, buffers, real), coeffs)
         yield None if real else ms[0], stacks
 
 
 def _stack_samples(grid: GridSpec, ms: list, buffers: list, real: bool, cs: list) -> np.ndarray:
-    """The sample stack (n, l, *shape) of the multipliers `ms` times the coefficients `cs`, piece
-    by piece, each piece's products made in its buffer of `buffers`, or in a new array where
-    that is None."""
-    products = [_stack_times(m, c, None if b is None else b[:len(m)])
+    """The sample stack (n, l, *shape) of the multipliers `ms` (n, *piece) times the
+    row-major coefficients `cs` (l, *piece), piece by piece, each piece's products made in its
+    buffer of `buffers`, or in a new array where that is None."""
+    products = [np.multiply(m[:, None], c, out=None if b is None else b[:len(m)])
                 for m, c, b in zip(ms, cs, buffers)]
     rows = [p.reshape((-1,) + p.shape[2:]) for p in products]
     samples = idft(_Stack(grid, rows[0], tuple(rows[1:]) if real else None))
     return samples.reshape(products[0].shape[:2] + grid.shape)
-
-
-def _stack_times(m: np.ndarray, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """m * c (n, l1, *lattice), in `out` if given: a stack of multipliers, scalar (n, *lattice)
-    or matrix (n, *lattice, l1, l0), times row-major coefficients c (l0, *lattice)."""
-    if m.ndim == c.ndim:
-        return np.multiply(m[:, None], c, out=out)
-    return np.einsum("n...ij,j...->ni...", m, c, out=out)
-
-
-def _times(m: np.ndarray, F: np.ndarray, dim: int) -> np.ndarray:
-    """m * F for coefficients F (*lattice, l) and one lattice multiplier m, scalar (*lattice,)
-    or matrix (*lattice, l, l), giving (*lattice, l)."""
-    if m.ndim == dim:
-        return F * m[..., None]
-    return np.einsum("...ij,...j->...i", m, F)
 
 
 def _half_pieces(grid: GridSpec) -> tuple:
@@ -387,7 +367,7 @@ def _half_pieces(grid: GridSpec) -> tuple:
 
 @dataclass
 class _Stack:
-    """Row-major products (k, *lattice) of apply_multipliers, already times the origin phase
+    """Row-major products (k, *lattice) of _multiplier_chunks, already times the origin phase
     exp(i pi k), for idft, which transforms `coefficients` in place: on the whole lattice, or,
     with `planes`, a real field's products with Hermitian symbols on the pieces of
     _half_pieces, `coefficients` on the half lattice and `planes[d]` on leading axis d's
@@ -462,7 +442,9 @@ def _half_inverse(F: _Stack) -> np.ndarray:
 
 def multiply(F: SpectralField, values: np.ndarray) -> SpectralField:
     """The spectrum values * F of one lattice array: scalar (*shape,) or matrix (*shape, l, l)."""
-    return SpectralField(F.grid, _times(values, F.coefficients, F.grid.dim))
+    if values.ndim == F.grid.dim:
+        return SpectralField(F.grid, F.coefficients * values[..., None])
+    return SpectralField(F.grid, np.einsum("...ij,...j->...i", values, F.coefficients))
 
 
 def apply_multiplier(f, values: np.ndarray) -> Field:
@@ -470,23 +452,10 @@ def apply_multiplier(f, values: np.ndarray) -> Field:
     return idft(multiply(f if isinstance(f, SpectralField) else dft(f), values))
 
 
-def spectral_derivatives(f, alphas, factor=None):
-    """Stacks (n, l, *shape) of the band-limited d^alpha f; f, factor as in apply_multipliers."""
-    alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
-    if any(len(alpha) != f.grid.dim for alpha in alphas):
-        raise ValueError("multi-index length must equal grid dimension")
-    return apply_multipliers(f, _monomials, alphas, factor)
-
-
-@Hermitian
-def _monomials(alphas, xi) -> np.ndarray:
-    return np.stack([monomial(xi, a) for a in alphas])
-
-
-def spectral_derivative(f: Field, alpha) -> Field:
-    """Exact band-limited partial derivative of multi-index alpha."""
-    (stack,) = spectral_derivatives(f, [alpha])
-    return Field(f.grid, np.moveaxis(stack[0], 0, -1))
+def spectral_derivative(f, alpha) -> Field:
+    """Exact band-limited partial derivative of multi-index alpha; f a Field or its
+    SpectralField."""
+    return apply_multiplier(f, monomial(f.grid.freqs(), multi_index(alpha, f.grid.dim)))
 
 
 def translate(f: Field, h) -> Field:

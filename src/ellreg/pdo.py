@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ChannelMismatch, GridMismatch
-from .grid import Field, GridSpec, dft, idft, monomial, multiply, spectral_derivatives
+from .grid import Field, GridSpec, dft, idft, monomial, multi_index, multiply
 
 
 def multi_indices(dim: int, max_order: int):
@@ -49,11 +49,7 @@ class PDOperator:
     def __post_init__(self):
         clean = {}
         for alpha, arr in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.grid.dim:
-                raise ValueError("multi-index length must equal grid dimension")
-            if min(alpha) < 0:
-                raise ValueError(f"multi-index {alpha} has a negative entry")
+            alpha = multi_index(alpha, self.grid.dim)
             if mi_order(alpha) > self.order:
                 raise ValueError(f"|{alpha}| exceeds declared order {self.order}")
             arr = np.asarray(arr, dtype=np.complex128)
@@ -125,27 +121,21 @@ def neg_laplacian(grid: GridSpec, channels: int = 1) -> PDOperator:
 
 
 def apply(P: PDOperator, f, factor: np.ndarray | None = None) -> Field:
-    """P f for a Field f, or for a SpectralField f whose coefficients `factor` multiplies first;
-    a constant P multiplies the spectrum by P.symbol, one inverse transform for all its terms."""
+    """P f for a Field f, or for a SpectralField f, whose coefficients the lattice array `factor`
+    multiplies first: a constant P multiplies the spectrum by P.symbol, one inverse transform
+    for all its terms; a variable P sums C_alpha idft((i xi)^alpha F), one per term."""
     if f.grid != P.grid:
         raise GridMismatch("operator and field grids differ")
-    channels = (f.samples if isinstance(f, Field) else f.coefficients).shape[-1]
-    if channels != P.in_channels:
-        raise ChannelMismatch(f"field has {channels} channels, operator expects {P.in_channels}")
-    # only a plain Field's zero-order term reads samples; a spectrum's is stacked as alpha = 0
-    samples = f.samples if isinstance(f, Field) and factor is None else None
-    stacked = [a for a in P.coeffs if samples is None or any(a)]
-    if stacked and P.symbol is not None:  # a transform is taken anyway: take it of the symbol
-        F = dft(f) if isinstance(f, Field) else f
-        return idft(multiply(F if factor is None else multiply(F, factor), P.symbol))
-    out = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128)
-    stacks = spectral_derivatives(f, stacked, factor)
-    derivs = (d for stack in stacks for d in stack)  # each (l, *shape)
+    if f.channels != P.in_channels:
+        raise ChannelMismatch(f"field has {f.channels} channels, operator expects {P.in_channels}")
+    F = dft(f) if isinstance(f, Field) else f
+    if factor is not None:
+        F = multiply(F, factor)
+    if P.symbol is not None:
+        return idft(multiply(F, P.symbol))
+    out, xi = np.zeros(P.grid.shape + (P.out_channels,), dtype=np.complex128), P.grid.freqs()
     for alpha, coeff in P.coeffs.items():
-        if samples is None or any(alpha):
-            out += np.einsum("...ij,j...->...i", coeff, next(derivs))
-        else:
-            out += np.einsum("...ij,...j->...i", coeff, samples)
+        out += np.einsum("...ij,...j->...i", coeff, idft(multiply(F, monomial(xi, alpha))).samples)
     return Field(P.grid, out)
 
 
@@ -241,6 +231,13 @@ def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:
     return (scale * vals)[..., None, None].astype(np.complex128)
 
 
+def _integer(value, name: str, least: int) -> int:
+    """value, a JSON integer (not a bool, a float or a string) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return value
+
+
 def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
     """Build an operator from {order, channels, entries: [{alpha, coeff}]}.
 
@@ -248,11 +245,11 @@ def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
     pairs) or a token spec {"token": ..., "scale": ..., "axis": ...} drawn
     from a small closed-form whitelist.
     """
-    order = int(desc["order"])
-    channels = int(desc.get("channels", 1))
+    order = _integer(desc["order"], "order", 0)
+    channels = _integer(desc.get("channels", 1), "channels", 1)
     coeffs: dict = {}
     for entry in desc["entries"]:
-        alpha = tuple(int(a) for a in entry["alpha"])
+        alpha = tuple(entry["alpha"])  # PDOperator refuses what is not a multi-index
         cspec = entry["coeff"]
         if isinstance(cspec, dict):
             arr = _eval_token(grid, cspec)

@@ -32,7 +32,7 @@ from ellreg.grid import (
     GridSpec,
     Hermitian,
     SpectralField,
-    apply_multipliers,
+    _multiplier_chunks,
     dft,
     field_from_function,
     lp_norm,
@@ -46,6 +46,12 @@ from ellreg.pdo import mi_order, multi_indices, unit_directions
 from ellreg.profiles import Plateau
 
 INF = math.inf
+
+
+def apply_multipliers(f, build, params, factor=None):
+    """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
+    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
+        yield from stacks
 
 
 def mode(grid, k):
@@ -579,7 +585,7 @@ def test_batch_norms_refuse_a_spectrum_among_other_fields(grid1d, rng):
 
 
 def inverse_route_l2(F, build, rows, factor, count):
-    """Oracle: the L^2 norms (n, count) of apply_multipliers' sample stacks, stack by stack."""
+    """Oracle: the L^2 norms (n, count) of the sample stacks, stack by stack."""
     return np.concatenate([
         lp_norms(stack.reshape((len(stack), count, -1) + F.grid.shape), [2.0], grid=F.grid)[0]
         for stack in apply_multipliers(F, build, rows, factor)])

@@ -280,7 +280,9 @@ LONG_VALUES = {
         "order": order, "entries": [{"alpha": [2], "coeff": coeff}]}}} for name, order, coeff in [
             ("long-token", 2, {"token": "z" * 3000}),
             ("long-string-coeff", 2, "z" * 3000),
-            ("long-order", "x" * 3000, -1.0)]},
+            ("long-order", "x" * 3000, -1.0),
+            # a JSON integer: r^n once printed n in full, 301 digits
+            ("huge-order", 10**300, [[-1.0]])]},
 }
 
 
@@ -413,6 +415,16 @@ PROBES = [
     ("grid-sizes-huge", "regularity-gap", {"parameters": {"grid_sizes": [65536]}}, 2),
     ("alpha-negative", "resolvent-solve",
      {"parameters": {"operator": {"order": 2, "entries": [{"alpha": [-1], "coeff": [[1]]}]}}}, 2),
+    # order, channels and each alpha entry are JSON integers: each of these once ran, as
+    # order 2, order 1 or one channel, or failed on a coefficient's shape (channels 0)
+    *[(f"operator-{name}", "resolvent-solve", {"parameters": {"operator": {
+        "order": 2, "entries": [{"alpha": [2], "coeff": [[-1.0]]}], **change}}}, 2)
+      for name, change in [
+          ("order-float", {"order": 2.7}), ("order-str", {"order": "2"}),
+          ("channels-str", {"channels": "1"}), ("channels-0", {"channels": 0}),
+          ("alpha-float", {"entries": [{"alpha": [1.5], "coeff": [[-1.0]]}]}),
+          ("alpha-str", {"entries": [{"alpha": ["2"], "coeff": [[-1.0]]}]}),
+          ("alpha-bool", {"entries": [{"alpha": [True], "coeff": [[-1.0]]}]})]],
     ("grid-list", "besov-norm", {"grid": [64]}, 2),
     ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
     ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),

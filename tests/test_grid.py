@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellreg import resolvent
+from ellreg.besov import _monomials
 from ellreg.errors import ChannelMismatch, GridMismatch
 from ellreg.grid import (
     _STACK_POINTS,
@@ -21,21 +22,31 @@ from ellreg.grid import (
     SpectralField,
     _multiplier_chunks,
     apply_multiplier,
-    apply_multipliers,
     dft,
     field_from_function,
     idft,
     lp_norm,
     lp_norms,
     monomial,
+    multi_index,
     power_means,
     random_band_limited_field,
     spectral_derivative,
-    spectral_derivatives,
     translate,
 )
 from ellreg.mollify import mollifier_symbol
 from ellreg.pdo import apply, multi_indices, neg_laplacian
+
+
+def apply_multipliers(f, build, params, factor=None):
+    """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
+    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
+        yield from stacks
+
+
+def spectral_derivatives(f, alphas):
+    """The derivative stacks (n, l, *shape) of the d^alpha f, alpha in `alphas`."""
+    return apply_multipliers(f, _monomials, alphas)
 
 
 def naive_dft(f):
@@ -263,6 +274,21 @@ def test_spectral_derivative_2d(grid2d):
     assert np.max(np.abs(d.samples - exact.samples)) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [(-1,), (1.5,), (1.0,), (True,), ("1",), (1, 0), ()])
+def test_spectral_derivative_refuses_what_is_not_a_multi_index(grid1d, alpha):
+    # (-1,) once gave -i f, and (1.5,) the first derivative
+    f = field_from_function(grid1d, lambda x: np.sin(3.0 * x[..., 0]))
+    with pytest.raises(ValueError, match="not a multi-index"):
+        spectral_derivative(f, alpha)
+
+
+def test_a_multi_index_is_a_tuple_of_non_negative_integers():
+    assert multi_index([0, 2], 2) == (0, 2) and type(multi_index((np.int64(3),), 1)[0]) is int
+    for alpha in [(-1, 0), (1.5, 0), (2.0, 0), (True, 0), (np.bool_(True), 0), ("1", 0), (1,)]:
+        with pytest.raises(ValueError, match="not a multi-index of 2 non-negative integers"):
+            multi_index(alpha, 2)
+
+
 def test_translate_by_grid_step_is_roll(grid1d, rng):
     f = random_band_limited_field(grid1d, 1, rng)
     shifted = translate(f, [grid1d.spacing])
@@ -433,7 +459,7 @@ def test_real_fields_under_resolvent_and_mollifier_symbols_take_the_complex_rout
     Q = neg_laplacian(grid)
     minv = resolvent._resolvent_multiplier(Q, 2.0, 0.5)
     for symbol in (minv, mollifier_symbol(grid, 0.5)):
-        # as a factor of a Hermitian derivative stack, and as the multiplier itself
+        # as the factor of apply, and as the multiplier of a stack
         assert np.array_equal(apply(Q, F, symbol).samples, apply(Q, unmarked, symbol).samples)
         build = lambda rows, xi: rows[0][None]
         (got,), (want,) = (apply_multipliers(g, build, [symbol]) for g in (F, unmarked))

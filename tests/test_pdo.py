@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from ellreg import pdo
-from ellreg.errors import VariableCoefficients
+from ellreg.errors import ChannelMismatch, VariableCoefficients
 from ellreg.grid import (
+    Field,
     GridSpec,
     apply_multiplier,
     dft,
     field_from_function,
     random_band_limited_field,
+    idft,
+    monomial,
+    multiply,
     spectral_derivative,
-    spectral_derivatives,
 )
 from ellreg.pdo import (
     PDOperator,
@@ -269,6 +272,13 @@ def test_operator_order_validation(grid1d):
         PDOperator(grid1d, 1, 1, 1, {(-1,): np.ones((1, 1))})
 
 
+@pytest.mark.parametrize("alpha", [(1.5,), (1.0,), (True,), ("1",), (0, 1)])
+def test_operator_refuses_what_is_not_a_multi_index(grid1d, alpha):
+    # (1.5,) once became the first derivative
+    with pytest.raises(ValueError, match="not a multi-index"):
+        PDOperator(grid1d, 2, 1, 1, {alpha: np.ones((1, 1))})
+
+
 @pytest.mark.parametrize("theta0", [math.pi, 1.0, 0.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_parameter_ellipticity_constant_coefficient_takes_one_point(monkeypatch, theta0, dim):
@@ -316,19 +326,53 @@ def test_constant_apply_is_the_per_term_sum(dim, channels, order, factor, spectr
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_variable_apply_sums_the_derivative_stack_bit_for_bit(rng):
-    # a variable P keeps the coefficient products over one stacked derivative transform,
-    # its zero-order term read from the samples
-    grid = GridSpec(1, 64, math.pi)
-    P = variable_operator(grid)
-    f = random_band_limited_field(grid, 1, rng)
-    derivs = iter(next(spectral_derivatives(f, [(2,), (1,)])))
+def variable_operator_nd(grid):
+    """x_0 d_0 - (1 + 0.3 cos x_0) Delta + 2 on any grid: 2 + dim terms, every term but the
+    zero-order one variable."""
+    x = grid.coords()[..., 0][..., None, None].astype(np.complex128)
+    first = tuple(int(a == 0) for a in range(grid.dim))
+    lap = neg_laplacian(grid).coeffs
+    coeffs = {alpha: (1.0 + 0.3 * np.cos(x)) * c for alpha, c in lap.items()}
+    return PDOperator(grid, 2, 1, 1, {**coeffs, first: x, (0,) * grid.dim: np.full((1, 1), 2.0)})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_variable_apply_sums_one_inverse_transform_per_term_bit_for_bit(dim, rng):
+    # a variable P on a spectrum, whose coefficients a scalar factor multiplies once: the sum
+    # of C_alpha idft((i xi)^alpha m F), the zero-order term transformed like the others
+    grid = GridSpec(dim, 16 if dim == 2 else 64, math.pi)
+    P = variable_operator_nd(grid)
+    F = dft(random_band_limited_field(grid, 1, rng))
+    m = 1.0 / (1j + 4.0 + np.sum(grid.freqs() ** 2, axis=-1))
     want = np.zeros(grid.shape + (1,), dtype=np.complex128)
     for alpha, coeff in P.coeffs.items():
-        d = f.samples if alpha == (0,) else next(derivs)
-        want += np.einsum("...ij,...j->...i" if alpha == (0,) else "...ij,j...->...i", coeff, d)
+        d = idft(multiply(multiply(F, m), monomial(grid.freqs(), alpha))).samples
+        want += np.einsum("...ij,...j->...i", coeff, d)
     assert P.symbol is None
-    assert np.array_equal(apply(P, f).samples, want)
+    assert np.array_equal(apply(P, F, m).samples, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spectrum", [False, True], ids=["field", "spectrum"])
+def test_variable_apply_takes_one_inverse_transform_per_term(transform_calls, dim, spectrum, rng):
+    # one idft per term (one 1-D transform per axis each), and one dft for a Field
+    grid = GridSpec(dim, 16, math.pi)
+    P = variable_operator_nd(grid)
+    f = random_band_limited_field(grid, 1, rng)
+    f = dft(f) if spectrum else f
+    transform_calls.clear()
+    apply(P, f)
+    assert P.symbol is None and len(P.coeffs) == 2 + dim
+    assert transform_calls == ["fft"] * dim * (not spectrum) + ["ifft"] * dim * len(P.coeffs)
+
+
+def test_apply_checks_channels_before_it_transforms(transform_calls, grid1d, rng):
+    f = random_band_limited_field(grid1d, 2, rng)
+    transform_calls.clear()
+    for g in (f, Field(grid1d, f.samples[..., :1])):
+        with pytest.raises(ChannelMismatch):
+            apply(neg_laplacian(grid1d, 3 - g.channels), g)
+    assert transform_calls == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -353,15 +397,6 @@ def test_constant_apply_takes_one_inverse_transform_of_the_spectrum(
     apply(P, F)
     assert points == [channels * grid.num_points]
     assert transform_calls == ["ifft"] * dim
-
-
-def test_constant_zero_order_apply_to_samples_takes_no_transform(transform_calls, grid1d, rng):
-    f = random_band_limited_field(grid1d, 2, rng)
-    P = operator_from_constant(grid1d, {(0,): np.array([[1.0, 2.0], [0.5, 1j]])}, 0)
-    transform_calls.clear()
-    got = apply(P, f).samples
-    assert transform_calls == []
-    assert np.array_equal(got, np.einsum("ij,...j->...i", P.coeffs[(0,)][0], f.samples))
 
 
 def test_the_symbol_is_built_once_per_operator(monkeypatch, grid1d, rng):
