@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 from reprlib import repr as brief  # a bounded repr: config errors echo values in one short line
 from textwrap import shorten  # a bounded, one-line exception text
 
@@ -94,6 +94,9 @@ _RANGES = {
     "method": (lambda v, g: v in ("constant", "neumann", "frozen"), "constant, neumann or frozen"),
     "fixture": (lambda v, g: v in _FIXTURES, f"one of {list(_FIXTURES)}"),
     "rhs": (lambda v, g: v == "random" or v in _FIXTURES, f"random or one of {list(_FIXTURES)}"),
+    # a run writes under its output root only
+    "output_dir": (lambda v, g: not PurePath(v).is_absolute() and ".." not in PurePath(v).parts,
+                   "a relative path with no '..' part"),
 }
 
 
@@ -259,15 +262,18 @@ def _run_mollify(
         for i, spelling in enumerate(fixture_ops):
             by_case[fixture, spelling] = sweeps[i * len(p):(i + 1) * len(p)]
     results = {"eps_seq": [float(e) for e in eps_seq], "cases": []}
-    tables = []
-    for case in cases:
+    tables = {}  # by name: equal cases share their tables, written and listed once
+    for i, case in enumerate(cases):
         operator, fixture = case["operator"], case["fixture"]
         sweeps = by_case[fixture, json.dumps(operator.spec, sort_keys=True)]
-        tables += [_error_csv(f"mollify_{operator.spec}_{fixture}_p{exponent}", table)
-                   for exponent, table in zip(p, sweeps)]
+        # a named operator keeps its name; a description's repr may be any length
+        label = operator.spec if isinstance(operator.spec, str) else f"case{i}"
+        for exponent, table in zip(p, sweeps):
+            name = f"mollify_{label}_{fixture}_p{exponent}"
+            tables[name] = _error_csv(name, table)
         by_p = {str(exponent): table.as_dict() for exponent, table in zip(p, sweeps)}
         results["cases"].append({"operator": operator, "fixture": fixture, "by_p": by_p})
-    return results, tables
+    return results, list(tables.values())
 
 
 def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacian", eps_count=6):

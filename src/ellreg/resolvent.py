@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from reprlib import repr as brief  # an order past the float range is too long to print
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def _spectral_parameter(r: float, n: int, theta0: float) -> complex:
     try:
         return float(r) ** n * np.exp(1j * theta0)
     except OverflowError:
-        raise OverflowError(f"r={r:g}: r^{n:.6g} overflows a float") from None
+        raise OverflowError(f"r={r:g}: r^{brief(n)} overflows a float") from None
 
 
 def residual(problem: ResolventProblem, u: Field, mask: np.ndarray | None = None) -> float:

@@ -282,7 +282,9 @@ LONG_VALUES = {
             ("long-string-coeff", 2, "z" * 3000),
             ("long-order", "x" * 3000, -1.0),
             # a JSON integer: r^n once printed n in full, 301 digits
-            ("huge-order", 10**300, [[-1.0]])]},
+            ("huge-order", 10**300, [[-1.0]]),
+            # past the float range: the message itself once failed to format the order
+            ("huge-order-past-floats", 10**400, [[-1.0]])]},
 }
 
 
@@ -444,6 +446,8 @@ PROBES = [
     ("x0-index-short", "resolvent-solve", {"grid": {"dim": 2, "points_per_axis": 64},
                                            "parameters": {"x0_index": [3]}}, 2),
     ("output-dir-int", "besov-norm", {"output_dir": 5}, 2),
+    # a run writes under its output root only: this one once wrote beside it, with exit 0
+    ("output-dir-parent", "calibrate", {"output_dir": "../escaped"}, 2),
     ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 2),
     ("delta-subnormal", "patch-equivalence", {"parameters": {"delta": 5e-324}}, 2),
     ("delta-past-the-cap", "patch-equivalence", {"parameters": {"delta": math.pi / 2**19}}, 2),
@@ -625,3 +629,28 @@ def test_mollify_convergence_repeated_case_keeps_its_rows(tmp_path, transform_ca
     assert len(transform_calls) == 1 + 3  # warm: the symbols come from the memo
     first, second = json.loads((out / "results.json").read_text())["results"]["cases"]
     assert first == second and len(first["by_p"]["2.0"]["rows"]) == 3
+    # the two cases share their one table, written and listed once
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tables"] == ["mollify_derivative_kink_p2.0"]
+
+
+def test_mollify_tables_of_a_described_operator_are_named_by_its_case(tmp_path):
+    # six token entries once named a table after the description's repr, longer than a file
+    # name may be: run wrote results.json, then ended in OSError (exit 1)
+    entries = [{"alpha": [1], "coeff": {"token": "x", "scale": 0.1 * k}} for k in range(1, 7)]
+    cases = [{"operator": {"order": 1, "entries": entries}, "fixture": "kink"},
+             {"operator": "identity", "fixture": "kink"}, {"operator": "identity", "fixture": "kink"}]
+    path = _write_config(tmp_path, {"kind": "mollify-convergence", "grid": {"points_per_axis": 256},
+                                    "parameters": {"cases": cases}, "output_dir": "six"})
+    assert main(["run", path, "--output-root", str(tmp_path)]) == 0
+    names = [f"mollify_{label}_kink_p{p}" for label in ("case0", "identity") for p in (1.0, 2.0)]
+    assert json.loads((tmp_path / "six" / "manifest.json").read_text())["tables"] == names
+    assert sorted(p.name for p in (tmp_path / "six").glob("*.csv")) == [f"{n}.csv" for n in names]
+
+
+def test_an_absolute_output_dir_is_refused_and_nothing_is_written(tmp_path, capsys):
+    # under both commands, and before the run: the root and the absolute directory stay unmade
+    path = _write_config(tmp_path, {"kind": "calibrate", "output_dir": str(tmp_path / "abs")})
+    for argv in (["validate", path], ["run", path, "--output-root", str(tmp_path / "root")]):
+        _assert_one_line_failure(capsys, 2, argv, "output_dir must be a relative path")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

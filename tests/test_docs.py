@@ -1,0 +1,98 @@
+"""The design record cites only what exists: its section titles, and the program names it spells.
+
+A citation is `docs/DECISIONS.md`, "<title>" (or "…", "…" for several), a title that may be a
+prefix of the heading, as "No symbol calculus" is.  Code, tests, README.md and ROADMAP.md cite
+the record's `## ` headings; CHANGES.md may also cite a title of the record's earlier layout,
+which the record's last table maps to the sections that now hold its rules.
+"""
+
+import importlib
+import json
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DECISIONS = (ROOT / "docs" / "DECISIONS.md").read_text()
+MODULES = sorted(p.stem for p in (ROOT / "src" / "ellreg").glob("*.py") if p.stem != "__init__")
+
+# the file's name, a few words (", ", " gains ", " (", a line break), then a run of quoted titles
+_CITATION = re.compile(r'DECISIONS(?:\.md)?`?[^"`]{0,30}?((?:"[^"]+"(?:,\s*)?)+)')
+_OLD_TITLES = "## Old section titles"
+
+
+def _citations(text: str) -> list:
+    return [" ".join(title.split()) for run in _CITATION.findall(text)
+            for title in re.findall(r'"([^"]+)"', run)]
+
+
+def _headings() -> list:
+    return re.findall(r"^## (.+)$", DECISIONS, flags=re.M)
+
+
+def _title_map() -> dict:
+    """The last table: each old title -> the new section titles that hold its rules."""
+    table = DECISIONS[DECISIONS.index(_OLD_TITLES):]
+    rows = [line.strip("|").split("|") for line in table.splitlines() if line.startswith("| ")]
+    return {old.strip(): [s.strip() for s in new.split(";")] for old, new in rows[1:]}
+
+
+def _cited_in(*patterns) -> list:
+    files = [f for pattern in patterns for f in sorted(ROOT.glob(pattern))
+             if f.name != pathlib.Path(__file__).name]  # whose patterns spell the form
+    return [(f.relative_to(ROOT).as_posix(), title) for f in files
+            for title in _citations(f.read_text(encoding="utf-8"))]
+
+
+def test_every_cited_section_is_a_heading():
+    headings = _headings()
+    cited = _cited_in("src/**/*.py", "tests/**/*.py", "README.md", "ROADMAP.md")
+    assert cited  # the casework and ROADMAP citations at least
+    missing = [(f, t) for f, t in cited if not any(h.startswith(t) for h in headings)]
+    assert not missing, missing
+
+
+def test_changes_cite_a_heading_or_an_old_title():
+    titles = _headings() + list(_title_map())
+    cited = _cited_in("CHANGES.md")
+    missing = [t for _, t in cited if not any(h.startswith(t) for h in titles)]
+    assert not missing, missing
+
+
+def test_old_titles_map_to_headings():
+    headings, mapping = set(_headings()), _title_map()
+    assert len(mapping) >= 25
+    assert not [s for sections in mapping.values() for s in sections if s not in headings]
+
+
+def _dotted_names(text: str) -> set:
+    """Backticked names `module.attr...` or `ellreg.module...` of an ellreg module, less the
+    perfbench metric names (`grid.transforms`), which name counters, not attributes."""
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        name = re.match(r"[\w.]*", span).group().rstrip(".")
+        parts = name.split(".")
+        prefixed = parts[0] == "ellreg"
+        parts = parts[1:] if prefixed else parts
+        if (parts and parts[0] in MODULES and (len(parts) > 1 or prefixed)
+                and not name.endswith(".py") and name not in metrics):
+            names.add(".".join(parts))
+    return names
+
+
+@pytest.mark.parametrize("doc", ["docs/DECISIONS.md", "README.md"])
+def test_dotted_program_names_resolve(doc):
+    names = _dotted_names((ROOT / doc).read_text(encoding="utf-8"))
+    assert names
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"ellreg.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr)
+    assert not missing, missing
