@@ -85,42 +85,32 @@ class _Run:
 
 def _parseval_norms(run: _Run, build, rows, factors) -> list:
     """The L^2 norms (len(rows), run.count) of the sample stacks that _multiplier_chunks(run.F,
-    build, rows, factors) yields, one array per factor, with no inverse transform (_parseval).
-
-    The moduli |m| are built here in chunks of rows that hold at most _STACK_POINTS values per
-    field; each (row, field) is its own power_means row, so that a field's norms are the same
-    alone or in a batch, and whichever stacks share the call.
-    """
-    xi = run.F.grid.freqs()
-    per = max(1, _grid._STACK_POINTS // run.amplitudes.size)
-    scales = _scales(factors, xi)
-    return _joined_rows([_parseval(run, _moduli(build, rows[i:i + per], xi), scales)
-                         for i in range(0, len(rows), per)], len(factors), run.count)
-
-
-def _scales(factors, xi) -> list:
-    """The moduli |factor(xi)| (lattice,) of `factors`, None for no factor."""
-    return [None if f is None else _moduli(f, xi).reshape(-1) for f in factors]
-
-
-def _parseval(run: _Run, moduli: np.ndarray, scales: list) -> list:
-    """The L^2 norms (n, run.count) of one chunk of rows, moduli |m| (n, *lattice), under each
-    factor's `scales`, one array per factor.  By Parseval,
+    build, rows, factors) yields, one array per factor, with no inverse transform.  By Parseval,
 
         h^m sum_x |idft(m F)|^2 = (2L)^m sum_xi |m(xi)|^2 sum_l |c_xi,l|^2,
 
     so each is the power_means at p = 2 of the values |m factor| a (run.amplitudes), weight
-    (2L)^m: one contiguous row per (row, field), scaled by its own maximum.  Moduli that
-    overflow give NaN norms, as the inverse transforms of their products give NaN samples.
+    (2L)^m.  The moduli |m| are built in chunks of rows that hold at most _STACK_POINTS values
+    per field; each (row, field) is its own power_means row, scaled by its own maximum, so that
+    a field's norms are the same alone or in a batch, and whichever stacks share the call.
+    Moduli that overflow give NaN norms, as the inverse transforms of their products give NaN
+    samples.
     """
-    moduli = moduli.reshape(len(moduli), -1)
-    norms = []
-    for scale in scales:
-        m = moduli if scale is None else moduli * scale
-        n = _grid.power_means(m[:, None] * run.amplitudes, run.F.grid.volume, [2])[0]
-        n[np.isinf(m).any(axis=-1)] = np.nan
-        norms.append(n)
-    return norms
+    grid, xi = run.F.grid, run.F.grid.freqs()
+    per = max(1, _grid._STACK_POINTS // run.amplitudes.size)
+    scales = [None if f is None else _moduli(f, xi).reshape(-1) for f in factors]
+    chunks = []
+    for start in range(0, len(rows), per):
+        moduli = _moduli(build, rows[start:start + per], xi)
+        moduli = moduli.reshape(len(moduli), -1)
+        norms = []
+        for scale in scales:
+            m = moduli if scale is None else moduli * scale
+            n = _grid.power_means(m[:, None] * run.amplitudes, grid.volume, [2])[0]
+            n[np.isinf(m).any(axis=-1)] = np.nan
+            norms.append(n)
+        chunks.append(norms)
+    return _joined_rows(chunks, len(factors), run.count)
 
 
 def _joined_rows(chunks: list, width: int, count: int) -> list:
@@ -133,19 +123,15 @@ def _joined_rows(chunks: list, width: int, count: int) -> list:
 def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
     """The L^p norms (len(rows), run.count) of the sample stacks of _multiplier_chunks(run.F,
     build, rows, factors) for each factor and each p of `ps`, one dict per factor: p = 2 of every
-    factor by Parseval, any other p from the samples of the inverse transforms, which only those
-    take.  Each chunk of rows is built once for every factor, and on the whole lattice its
-    lattice sums take the moduli of that build too; the real route builds on half-lattice
-    pieces, so its lattice sums build their own (_parseval_norms).
+    factor from the lattice (_parseval_norms), any other p from the samples of the inverse
+    transforms, which only those take.  Each chunk of rows is built once for every factor.
 
     Each stack is reduced once, under every p, as it comes, so no two stacks are held at once.
     """
     others, grid, count = [p for p in ps if p != 2.0], run.F.grid, run.count
-    if not others:
-        return [{2.0: n} for n in _parseval_norms(run, build, rows, factors)]
-    l2, scales, half = 2.0 in ps, None, False
-    reduced, lattice = [[] for _ in factors], []  # per factor the chunks' norms; lattice norms
-    for m, stacks in _multiplier_chunks(run.F, build, rows, factors):
+    reduced = [[] for _ in factors]  # per factor, the chunks' norms
+    # p = 2 alone takes no inverse transform, so no chunk is built for it here
+    for stacks in (_multiplier_chunks(run.F, build, rows, factors) if others else ()):
         for chunks in reduced:
             # the stacks hold the run's fields side by side on the channel axis, each field's
             # channel 2-norm its own; each is let go before the next one is made
@@ -153,17 +139,10 @@ def _stack_norms(run: _Run, build, rows, factors, ps) -> list:
             chunks.append(lp_norms(stack.reshape((len(stack), count, -1) + grid.shape), others,
                                    grid=grid))
             del stack
-        if m is None:
-            half = True
-        elif l2:
-            scales = _scales(factors, grid.freqs()) if scales is None else scales
-            lattice.append(_parseval(run, np.abs(m), scales))
     norms = [dict(zip(others, _joined_rows(chunks, len(others), count))) for chunks in reduced]
-    if l2:
-        l2_norms = (_parseval_norms(run, build, rows, factors) if half
-                    else _joined_rows(lattice, len(factors), count))
-        for n, lattice_norms in zip(norms, l2_norms):
-            n[2.0] = lattice_norms
+    if 2.0 in ps:
+        for n, l2 in zip(norms, _parseval_norms(run, build, rows, factors)):
+            n[2.0] = l2
     return norms
 
 

@@ -78,6 +78,19 @@ _FIXTURES = {
     "wave": lambda r, x: np.cos(3.0 * x[..., 0]),
 }
 
+
+def _subdirectory(path: str, grid) -> bool:
+    """Whether a run can write under its output root only, at `path`: a relative path with no
+    '..' part, no NUL byte and no name over 255 bytes (NAME_MAX) in the file system's encoding."""
+    pure = PurePath(path)
+    try:
+        names = [os.fsencode(name) for name in pure.parts]
+    except UnicodeEncodeError:  # a lone surrogate has no bytes
+        return False
+    return (not pure.is_absolute() and ".." not in pure.parts and "\0" not in path
+            and all(len(name) <= 255 for name in names))
+
+
 # The range of every scalar of a parameter, by name: (test on the grid, what it asks)
 _EXPONENT = (lambda v, g: v >= 1.0, '>= 1 or "inf"')
 _RANGES = {
@@ -94,9 +107,8 @@ _RANGES = {
     "method": (lambda v, g: v in ("constant", "neumann", "frozen"), "constant, neumann or frozen"),
     "fixture": (lambda v, g: v in _FIXTURES, f"one of {list(_FIXTURES)}"),
     "rhs": (lambda v, g: v == "random" or v in _FIXTURES, f"random or one of {list(_FIXTURES)}"),
-    # a run writes under its output root only
-    "output_dir": (lambda v, g: not PurePath(v).is_absolute() and ".." not in PurePath(v).parts,
-                   "a relative path with no '..' part"),
+    "output_dir": (_subdirectory,
+                   "a relative path with no '..' part, NUL byte or name over 255 bytes"),
 }
 
 
@@ -522,7 +534,11 @@ def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables)
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     tables = [(name, header, _sanitize(rows)) for name, header, rows in tables]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError, RecursionError) as exc:  # too long or deep under the root
+        reason = getattr(exc, "strerror", None) or shorten(str(exc), 100)
+        raise ConfigError(f"cannot make output directory {brief(str(out_dir))}: {reason}") from None
     with open(out_dir / "results.json", "w", newline="\n") as fh:
         fh.write(text)
     for name, header, rows in tables:

@@ -304,8 +304,7 @@ def _multiplier_chunks(f, build, params, factors):
     The multipliers of consecutive `params` rows come as one row-major array (n, *shape):
     `build(rows, xi)` at the frequencies xi of the lattice.  A factor is None or a scalar
     symbol `factor(xi)`, and multiplies dft(f) once.  Per chunk of at most _STACK_POINTS
-    complex points of the whole lattice, yields (m, stacks): the chunk's multipliers m on the
-    whole lattice, or None on the real route; and an iterator of the chunk's sample stacks
+    complex points of the whole lattice, yields an iterator of the chunk's sample stacks
     (n, l, *shape), one per factor, in order, to be read before the next chunk.  A stack holds
     one contiguous plane per (row, channel), which the inverse transforms in place and
     lp_norms sums as one row.
@@ -342,8 +341,7 @@ def _multiplier_chunks(f, build, params, factors):
             buffers = [np.empty(ms[0].shape[:1] + c.shape, dtype=np.complex128)
                        for c in coeffs[0]]
         # each stack is made as it is read: map binds this chunk's ms and keeps no stack
-        stacks = map(functools.partial(_stack_samples, grid, ms, buffers, real), coeffs)
-        yield None if real else ms[0], stacks
+        yield map(functools.partial(_stack_samples, grid, ms, buffers, real), coeffs)
 
 
 def _stack_samples(grid: GridSpec, ms: list, buffers: list, real: bool, cs: list) -> np.ndarray:

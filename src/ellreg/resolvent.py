@@ -53,10 +53,14 @@ class SolveReport:
 
 
 def _spectral_parameter(r: float, n: int, theta0: float) -> complex:
-    """r^n e^{i theta0}, the one formula of every solve, or OverflowError when r^n is not a
-    finite float: parse_config applies it to a config's r, before any solve."""
+    """r^n e^{i theta0}, the one formula of every solve, or OverflowError when n or r^n is not
+    a finite float: parse_config applies it to a config's r, before any solve."""
     try:
-        return float(r) ** n * np.exp(1j * theta0)
+        order = float(n)  # as float ** int converts n, whatever r is
+    except OverflowError:
+        raise OverflowError(f"order {brief(n)} is past the float range") from None
+    try:
+        return float(r) ** order * np.exp(1j * theta0)
     except OverflowError:
         raise OverflowError(f"r={r:g}: r^{brief(n)} overflows a float") from None
 

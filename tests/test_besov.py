@@ -50,7 +50,7 @@ INF = math.inf
 
 def apply_multipliers(f, build, params, factor=None):
     """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
-    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
+    for stacks in _multiplier_chunks(f, build, params, [factor]):
         yield from stacks
 
 
@@ -701,20 +701,21 @@ def test_one_difference_build_per_chunk_and_piece_for_every_top_derivative(monke
     assert sum(calls) == 2 * len(_difference_table(grid)[2])
 
 
-def test_one_build_per_chunk_for_p2_and_another_p_on_the_whole_lattice(monkeypatch):
-    # 14 rows on 8192 complex points, 8 per chunk: the inverse route's two chunk builds also
-    # give the lattice sums of p = 2, which alone build their own
+def test_mixed_p_builds_each_row_for_the_samples_and_again_for_the_lattice(monkeypatch):
+    # 14 rows on 3 channels of 8192 complex points, 2 per chunk of the samples: p != 2 builds
+    # each row once for the inverse transforms, p = 2 once for its lattice sums, and a call
+    # with both does both
     grid = GridSpec(1, 8192, math.pi)
     f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(4)))
     rows = _difference_table(grid)[2]
     chunks = -(-len(rows) // (grid_module._STACK_POINTS // f.samples.size))
-    assert chunks > 1
+    assert len(rows) == 14 and chunks > 1
     calls = counted_difference_builds(monkeypatch)
-    for ps, builds in (([1.0, 2.0, INF], chunks), ([1.0], chunks), ([2.0], None)):
+    for ps, builds in (([1.0, 2.0, INF], 2), ([1.0], 1), ([2.0], 1)):
         calls.clear()
         besov_norms(f, [BesovParams(0.5, p, 2.0) for p in ps])
-        assert sum(calls) == len(rows)
-        assert builds is None or len(calls) == builds, (ps, calls)
+        assert sum(calls) == builds * len(rows), (ps, calls)
+        assert ps != [1.0] or len(calls) == chunks, calls  # one build per chunk of the samples
 
 
 @pytest.mark.parametrize("f", [

@@ -448,6 +448,12 @@ PROBES = [
     ("output-dir-int", "besov-norm", {"output_dir": 5}, 2),
     # a run writes under its output root only: this one once wrote beside it, with exit 0
     ("output-dir-parent", "calibrate", {"output_dir": "../escaped"}, 2),
+    # names no file system can make: each once passed `validate`, then ended `run` in a
+    # traceback (exit 1) after the experiment ran
+    ("output-dir-nul", "calibrate", {"output_dir": "a\u0000b"}, 2),
+    ("output-dir-long-name", "calibrate", {"output_dir": "x" * 300}, 2),
+    ("output-dir-long-utf8-name", "calibrate", {"output_dir": "\u00e9" * 128}, 2),  # 256 bytes
+    ("output-dir-lone-surrogate", "calibrate", {"output_dir": "a\ud800"}, 2),
     ("delta-incommensurable", "patch-equivalence", {"parameters": {"delta": 1.0}}, 2),
     ("delta-subnormal", "patch-equivalence", {"parameters": {"delta": 5e-324}}, 2),
     ("delta-past-the-cap", "patch-equivalence", {"parameters": {"delta": math.pi / 2**19}}, 2),
@@ -646,6 +652,18 @@ def test_mollify_tables_of_a_described_operator_are_named_by_its_case(tmp_path):
     names = [f"mollify_{label}_kink_p{p}" for label in ("case0", "identity") for p in (1.0, 2.0)]
     assert json.loads((tmp_path / "six" / "manifest.json").read_text())["tables"] == names
     assert sorted(p.name for p in (tmp_path / "six").glob("*.csv")) == [f"{n}.csv" for n in names]
+
+
+@pytest.mark.parametrize("output_dir", ["a/" * 2100, "a/" * 1500], ids=["too-long", "too-deep"])
+def test_an_output_dir_too_long_under_its_root_fails_run_with_one_line(tmp_path, capsys,
+                                                                        output_dir):
+    # each name is short, so only the made path is refused: past PATH_MAX, or nested past
+    # the recursion of mkdir(parents=True)
+    path = _write_config(tmp_path, {"kind": "calibrate", "output_dir": output_dir})
+    assert main(["validate", path]) == 0 and capsys.readouterr().out == "ok\n"
+    argv = ["run", path, "--output-root", str(tmp_path / "root")]
+    _assert_one_line_failure(capsys, 2, argv, "config error: cannot make output directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_an_absolute_output_dir_is_refused_and_nothing_is_written(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The design record cites only what exists: its section titles, and the program names it spells.
+"""The design record cites only what exists: its section titles, and the program names it spells;
+and the comments and docstrings of the program and its tests name only private names that exist.
 
 A citation is `docs/DECISIONS.md`, "<title>" (or "…", "…" for several), a title that may be a
 prefix of the heading, as "No symbol calculus" is.  Code, tests, README.md and ROADMAP.md cite
@@ -6,10 +7,14 @@ the record's `## ` headings; CHANGES.md may also cite a title of the record's ea
 which the record's last table maps to the sections that now hold its rules.
 """
 
+import ast
 import importlib
+import inspect
+import io
 import json
 import pathlib
 import re
+import tokenize
 
 import pytest
 
@@ -96,3 +101,58 @@ def test_dotted_program_names_resolve(doc):
                 break
             obj = getattr(obj, attr)
     assert not missing, missing
+
+
+# a name with one leading underscore, not the subscript of a norm such as ||w||_p or |sym|_F
+_PRIVATE = re.compile(r"(?<![\w|])_[A-Za-z]\w*")
+
+
+def _ellreg_names() -> set:
+    """The names each ellreg module and each of its classes defines."""
+    names = set()
+    for stem in MODULES + ["__init__"]:
+        module = importlib.import_module("ellreg" if stem == "__init__" else f"ellreg.{stem}")
+        names.update(vars(module))
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__.startswith("ellreg"):
+                names.update(dir(obj), getattr(obj, "__annotations__", {}))
+    return names
+
+
+def _bound(tree: ast.AST) -> set:
+    """The names a file binds: defs, classes, arguments, imports, assigned names and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _prose(source: str, tree: ast.AST) -> str:
+    """The comments and the module, class and function docstrings of a file."""
+    comments = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                if t.type == tokenize.COMMENT]
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return "\n".join(comments + [d for d in docs if d])
+
+
+def test_private_names_in_comments_and_docstrings_exist():
+    # a fold or a rename leaves no comment naming the function it removed
+    known = _ellreg_names()
+    files = sorted([*(ROOT / "src" / "ellreg").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    stale = []
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        names = set(_PRIVATE.findall(_prose(source, tree))) - known - _bound(tree)
+        stale += [(path.name, name) for name in sorted(names)]
+    assert not stale, stale

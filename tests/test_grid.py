@@ -40,7 +40,7 @@ from ellreg.pdo import apply, multi_indices, neg_laplacian
 
 def apply_multipliers(f, build, params, factor=None):
     """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
-    for _, stacks in _multiplier_chunks(f, build, params, [factor]):
+    for stacks in _multiplier_chunks(f, build, params, [factor]):
         yield from stacks
 
 
@@ -394,7 +394,7 @@ def test_stacks_of_several_chunks_keep_their_values_once_all_are_made(real):
     factors = [None, Hermitian(monomial, alpha=(1, 0)), Hermitian(monomial, alpha=(1, 1))]
     stacks = [list(apply_multipliers(f, gaussians, ts, factor)) for factor in factors]
     shared = [[] for _ in factors]
-    for _, chunk in _multiplier_chunks(f, gaussians, ts, factors):
+    for chunk in _multiplier_chunks(f, gaussians, ts, factors):
         for held, stack in zip(shared, chunk):
             held.append(stack)
     assert len(ts) * f.samples.size > 2 * _STACK_POINTS and len(shared[0]) > 2

@@ -366,6 +366,8 @@ def test_spectral_parameter_refuses_an_overflowing_r(grid1d, rng):
     for call in (lambda: _spectral_parameter(1e200, 2, 0.0), lambda: solve_constant(problem)):
         with pytest.raises(OverflowError, match=r"r=1e\+200: r\^2 overflows a float"):
             call()
-    # an order past the float range is named too, in a bounded repr
-    with pytest.raises(OverflowError, match=r"r=8: r\^1000+\.\.\.0+ overflows a float"):
-        _spectral_parameter(8.0, 10**400, math.pi)
+    # an order past the float range is named as such, in a bounded repr, whatever r is:
+    # 0.5^n underflows and 1^n is 1, so no r^n overflows there
+    for r in (8.0, 1.0, 0.5):
+        with pytest.raises(OverflowError, match=r"^order 1000+\.\.\.0+ is past the float range$"):
+            _spectral_parameter(r, 10**400, math.pi)
