@@ -524,6 +524,10 @@ def _sanitize(obj):
     return obj
 
 
+# Linux's PATH_MAX, the terminating NUL included: no longer path names a file
+_PATH_MAX = 4096
+
+
 def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables):
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -534,18 +538,10 @@ def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables)
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     tables = [(name, header, _sanitize(rows)) for name, header, rows in tables]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError, RecursionError) as exc:  # too long or deep under the root
-        reason = getattr(exc, "strerror", None) or shorten(str(exc), 100)
-        raise ConfigError(f"cannot make output directory {brief(str(out_dir))}: {reason}") from None
-    with open(out_dir / "results.json", "w", newline="\n") as fh:
-        fh.write(text)
-    for name, header, rows in tables:
-        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    names = ["results.json", "manifest.json", *(f"{name}.csv" for name, _, _ in tables)]
+    if len(os.fsencode(out_dir)) + 1 + max(len(os.fsencode(n)) for n in names) >= _PATH_MAX:
+        raise ConfigError(f"cannot make output directory {brief(str(out_dir))}: "
+                          f"its artifact paths reach the {_PATH_MAX}-byte path limit")
     manifest = {
         "kind": cfg.kind,
         "topic": CATALOG[cfg.kind]["topic"],
@@ -553,9 +549,26 @@ def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables)
         "schema_version": SCHEMA_VERSION,
         "tables": sorted(name for name, _, _ in tables),
     }
-    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / "results.json"
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        for name, header, rows in tables:
+            path = out_dir / f"{name}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        path = out_dir / "manifest.json"
+        with open(path, "w", newline="\n") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except (OSError, ValueError, RecursionError) as exc:  # too deep under the root, or unwritable
+        reason = getattr(exc, "strerror", None) or shorten(str(exc), 100)
+        what = "make output directory" if path is out_dir else "write"
+        raise ConfigError(f"cannot {what} {brief(str(path))}: {reason}") from None
 
 
 def run_experiment(cfg: ExperimentConfig, output_root: str | None = None) -> Path:

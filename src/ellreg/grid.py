@@ -312,9 +312,8 @@ def _multiplier_chunks(f, build, params, factors):
     The spectrum of a real field times Hermitian symbols is Hermitian off the Nyquist
     hyperplanes, so when f is real and build and every factor are Hermitian, the products are
     built on the half lattice and the leading axes' Nyquist hyperplanes only (_half_pieces),
-    in work arrays made once per call and reused, and idft inverts them with irfft
-    (_half_inverse) into new arrays.  Everything else takes the whole lattice, where each
-    product is transformed in place into the stack it yields.
+    and idft inverts them with irfft (_half_inverse) into new arrays.  Everything else takes
+    the whole lattice, where each product is transformed in place into the stack it yields.
     """
     if len(params) == 0:  # no rows: no coefficients to make ready
         return
@@ -334,22 +333,16 @@ def _multiplier_chunks(f, build, params, factors):
 
     coeffs = [[rows_first(factor, s) for s in pieces] for factor in factors]
     del factors  # only the products are needed by the chunks
-    buffers = [None] * len(pieces)  # the real route's work arrays, sized by its first chunk
     for start in range(0, len(params), per):
         ms = [build(params[start:start + per], xi[s]) for s in pieces]
-        if real and buffers[0] is None:  # (rows, channels, *piece)
-            buffers = [np.empty(ms[0].shape[:1] + c.shape, dtype=np.complex128)
-                       for c in coeffs[0]]
         # each stack is made as it is read: map binds this chunk's ms and keeps no stack
-        yield map(functools.partial(_stack_samples, grid, ms, buffers, real), coeffs)
+        yield map(functools.partial(_stack_samples, grid, ms, real), coeffs)
 
 
-def _stack_samples(grid: GridSpec, ms: list, buffers: list, real: bool, cs: list) -> np.ndarray:
+def _stack_samples(grid: GridSpec, ms: list, real: bool, cs: list) -> np.ndarray:
     """The sample stack (n, l, *shape) of the multipliers `ms` (n, *piece) times the
-    row-major coefficients `cs` (l, *piece), piece by piece, each piece's products made in its
-    buffer of `buffers`, or in a new array where that is None."""
-    products = [np.multiply(m[:, None], c, out=None if b is None else b[:len(m)])
-                for m, c, b in zip(ms, cs, buffers)]
+    row-major coefficients `cs` (l, *piece), piece by piece."""
+    products = [m[:, None] * c for m, c in zip(ms, cs)]
     rows = [p.reshape((-1,) + p.shape[2:]) for p in products]
     samples = idft(_Stack(grid, rows[0], tuple(rows[1:]) if real else None))
     return samples.reshape(products[0].shape[:2] + grid.shape)

@@ -666,6 +666,26 @@ def test_an_output_dir_too_long_under_its_root_fails_run_with_one_line(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_an_artifact_path_past_the_limit_is_refused_before_any_directory_is_made(
+        tmp_path, capsys, monkeypatch):
+    # the 4,088-byte directory could be made, but none of its files could be opened in it
+    monkeypatch.chdir(tmp_path)
+    output_dir = "/".join(["x" * 250] * 16 + ["y" * 70])
+    path = _write_config(tmp_path, {"kind": "calibrate", "output_dir": output_dir})
+    assert main(["validate", path]) == 0 and capsys.readouterr().out == "ok\n"
+    argv = ["run", path, "--output-root", "r"]
+    _assert_one_line_failure(capsys, 2, argv, "its artifact paths reach the 4096-byte path limit")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_an_artifact_that_cannot_be_opened_fails_run_with_one_line(tmp_path, capsys):
+    (tmp_path / "root" / "calibrate" / "results.json").mkdir(parents=True)
+    path = _write_config(tmp_path, {"kind": "calibrate", "output_dir": "calibrate"})
+    argv = ["run", path, "--output-root", str(tmp_path / "root")]
+    _assert_one_line_failure(capsys, 2, argv, "results.json': Is a directory")
+    assert [p.name for p in (tmp_path / "root" / "calibrate").iterdir()] == ["results.json"]
+
+
 def test_an_absolute_output_dir_is_refused_and_nothing_is_written(tmp_path, capsys):
     # under both commands, and before the run: the root and the absolute directory stay unmade
     path = _write_config(tmp_path, {"kind": "calibrate", "output_dir": str(tmp_path / "abs")})

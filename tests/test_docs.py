@@ -1,5 +1,7 @@
 """The design record cites only what exists: its section titles, and the program names it spells;
-and the comments and docstrings of the program and its tests name only private names that exist.
+the comments and docstrings of the program and its tests name only private names that exist;
+and README.md is the package's map: one short bullet per module, every exported name, and no
+private name, leaving the rules to the record.
 
 A citation is `docs/DECISIONS.md`, "<title>" (or "…", "…" for several), a title that may be a
 prefix of the heading, as "No symbol calculus" is.  Code, tests, README.md and ROADMAP.md cite
@@ -20,6 +22,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DECISIONS = (ROOT / "docs" / "DECISIONS.md").read_text()
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = sorted(p.stem for p in (ROOT / "src" / "ellreg").glob("*.py") if p.stem != "__init__")
 
 # the file's name, a few words (", ", " gains ", " (", a line break), then a run of quoted titles
@@ -101,6 +104,28 @@ def test_dotted_program_names_resolve(doc):
                 break
             obj = getattr(obj, attr)
     assert not missing, missing
+
+
+def test_readme_names_every_exported_name_by_its_module():
+    ellreg = importlib.import_module("ellreg")
+    exported = [name for name in ellreg.__all__ if name != "__version__"]
+    named = _dotted_names(README)
+    missing = [name for name in exported
+               if f"{getattr(ellreg, name).__module__.split('.')[-1]}.{name}" not in named]
+    assert not missing, missing
+
+
+def test_readme_tour_has_one_short_bullet_per_module():
+    # a bullet names its module's entry points and cites the record: it restates no rule
+    tour = README[README.index("## Library tour"):README.index("## Command line")]
+    bullets = re.findall(r"^- `ellreg\.\w+`.*\n(?:  .*\n)*", tour, flags=re.M)
+    assert sorted(re.match(r"- `ellreg\.(\w+)`", b).group(1) for b in bullets) == MODULES
+    long = [b.split("`")[1] for b in bullets if b.count("\n") > 6]
+    assert not long, long
+
+
+def test_readme_names_no_private_program_name():
+    assert not _PRIVATE.findall(README)
 
 
 # a name with one leading underscore, not the subscript of a norm such as ||w||_p or |sym|_F

@@ -382,9 +382,8 @@ def test_multiplier_stack_matches_one_at_a_time(rng):
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_stacks_of_several_chunks_keep_their_values_once_all_are_made(real):
-    # the real route makes its products in work arrays reused from chunk to chunk, and both
-    # routes share each chunk's one build among the factors: every stack, held until the last
-    # is made, still equals what its own multiplier gives through apply_multiplier
+    # both routes share each chunk's one build among the factors: every stack, held until the
+    # last is made, still equals what its own multiplier gives through apply_multiplier
     grid = GridSpec(2, 64, 2.5)
     f = random_band_limited_field(grid, 3, np.random.Generator(np.random.PCG64(8)))
     if real:
