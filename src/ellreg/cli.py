@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -528,43 +529,36 @@ def _sanitize(obj):
 _PATH_MAX = 4096
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
 def write_artifacts(out_dir: Path, cfg: ExperimentConfig, results: dict, tables):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "grid": asdict(cfg.grid),
-        "results": _sanitize(results),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    tables = [(name, header, _sanitize(rows)) for name, header, rows in tables]
-    names = ["results.json", "manifest.json", *(f"{name}.csv" for name, _, _ in tables)]
-    if len(os.fsencode(out_dir)) + 1 + max(len(os.fsencode(n)) for n in names) >= _PATH_MAX:
+    """Render every artifact, then write each as a new file: an old one is unlinked, never
+    truncated or renamed over, and a symlink in its place is replaced, not followed."""
+    payload = {"schema_version": SCHEMA_VERSION, "kind": cfg.kind, "seed": cfg.seed,
+               "grid": asdict(cfg.grid), "results": _sanitize(results)}
+    manifest = {"kind": cfg.kind, "topic": CATALOG[cfg.kind]["topic"], "rng": "numpy PCG64",
+                "schema_version": SCHEMA_VERSION, "tables": sorted(name for name, _, _ in tables)}
+    csvs = {f"{name}.csv": _csv_text(header, _sanitize(rows)) for name, header, rows in tables}
+    artifacts = {"results.json": _json_text(payload), **csvs, "manifest.json": _json_text(manifest)}
+    if len(os.fsencode(out_dir)) + 1 + max(map(len, map(os.fsencode, artifacts))) >= _PATH_MAX:
         raise ConfigError(f"cannot make output directory {brief(str(out_dir))}: "
                           f"its artifact paths reach the {_PATH_MAX}-byte path limit")
-    manifest = {
-        "kind": cfg.kind,
-        "topic": CATALOG[cfg.kind]["topic"],
-        "rng": "numpy PCG64",
-        "schema_version": SCHEMA_VERSION,
-        "tables": sorted(name for name, _, _ in tables),
-    }
     path = out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "results.json"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-        for name, header, rows in tables:
-            path = out_dir / f"{name}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        path = out_dir / "manifest.json"
-        with open(path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        for name, text in artifacts.items():
+            path = out_dir / name
+            path.unlink(missing_ok=True)
+            with open(path, "x", newline="") as fh:
+                fh.write(text)
     except (OSError, ValueError, RecursionError) as exc:  # too deep under the root, or unwritable
         reason = getattr(exc, "strerror", None) or shorten(str(exc), 100)
         what = "make output directory" if path is out_dir else "write"

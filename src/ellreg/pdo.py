@@ -9,7 +9,9 @@ pointwise.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
+from reprlib import repr as brief  # a bounded repr, also of a deeply nested list
 from types import MappingProxyType
 
 import numpy as np
@@ -213,8 +215,8 @@ _TOKENS = ("x", "x-1", "const", "product")
 
 def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:
     token = spec["token"]
-    axis = int(spec.get("axis", 0))
-    scale = complex(spec.get("scale", 1.0))
+    axis = _integer(spec.get("axis", 0), "axis", 0, below=grid.dim)
+    scale = _number(spec.get("scale", 1.0), "scale")
     x = grid.coords()[..., axis]
     if token == "x":
         vals = x
@@ -231,19 +233,29 @@ def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:
     return (scale * vals)[..., None, None].astype(np.complex128)
 
 
-def _integer(value, name: str, least: int) -> int:
-    """value, a JSON integer (not a bool, a float or a string) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+def _integer(value, name: str, least: int, below: int | None = None) -> int:
+    """value, a JSON integer (not a bool, a float or a string) in [least, below)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < least
+            or below is not None and value >= below):
+        bound = "" if below is None else f" and < {below}"
+        raise ValueError(f"{name} must be an integer >= {least}{bound}, not {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """value, a finite JSON number (not a bool or a string)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, not {brief(value)}")
+    return float(value)
 
 
 def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
     """Build an operator from {order, channels, entries: [{alpha, coeff}]}.
 
-    A coeff is either a constant matrix (nested list of numbers or [re, im]
-    pairs) or a token spec {"token": ..., "scale": ..., "axis": ...} drawn
-    from a small closed-form whitelist.
+    A coeff is either a constant matrix (nested list of finite numbers, or of
+    [re, im] pairs of them) or a token spec {"token": ..., "scale": ..., "axis": ...}
+    drawn from a small closed-form whitelist, its scale a finite number and its
+    axis an integer in [0, dim).  No number is read from a string or a bool.
     """
     order = _integer(desc["order"], "order", 0)
     channels = _integer(desc.get("channels", 1), "channels", 1)
@@ -256,8 +268,12 @@ def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
             if channels != 1:
                 raise ValueError("token coefficients are scalar-channel only")
         else:
-            mat = np.asarray(cspec, dtype=float)
+            entries = np.asarray(cspec, dtype=object)  # a ragged list has list entries
+            mat = np.reshape([_number(v, "a coefficient entry") for v in entries.ravel()],
+                             entries.shape)
             if mat.ndim == 3:  # [re, im] pairs
+                if mat.shape[-1] != 2:
+                    raise ValueError(f"a complex entry is an [re, im] pair, not {brief(cspec)}")
                 mat = mat[..., 0] + 1j * mat[..., 1]
             arr = np.atleast_2d(mat).astype(np.complex128)
         if alpha in coeffs:

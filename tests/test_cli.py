@@ -426,7 +426,18 @@ PROBES = [
           ("channels-str", {"channels": "1"}), ("channels-0", {"channels": 0}),
           ("alpha-float", {"entries": [{"alpha": [1.5], "coeff": [[-1.0]]}]}),
           ("alpha-str", {"entries": [{"alpha": ["2"], "coeff": [[-1.0]]}]}),
-          ("alpha-bool", {"entries": [{"alpha": [True], "coeff": [[-1.0]]}]})]],
+          ("alpha-bool", {"entries": [{"alpha": [True], "coeff": [[-1.0]]}]}),
+          # a token's axis is an integer in [0, dim), its scale and each coefficient entry a
+          # finite JSON number, a complex entry an [re, im] pair: each of these once passed
+          # `validate`, then ran as axis 0, the last axis, scale 2, 1+0j or 1, or failed `run`
+          *[(name, {"entries": [{"alpha": [2], "coeff": coeff}]}) for name, coeff in [
+              ("axis-float", {"token": "x", "axis": 0.5}),
+              ("axis-str", {"token": "x", "axis": "0"}),
+              ("axis-negative", {"token": "x", "axis": -1}),
+              ("scale-str", {"token": "x", "scale": "2"}),
+              ("scale-str-nan", {"token": "x", "scale": "nan"}),
+              ("coeff-triple", [[[1, 0, 99]]]), ("coeff-str", [["1"]]), ("coeff-bool", True),
+              ("coeff-str-nan", [["nan"]]), ("coeff-str-inf", [["inf"]])]]]],
     ("grid-list", "besov-norm", {"grid": [64]}, 2),
     ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
     ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),
@@ -684,6 +695,34 @@ def test_an_artifact_that_cannot_be_opened_fails_run_with_one_line(tmp_path, cap
     argv = ["run", path, "--output-root", str(tmp_path / "root")]
     _assert_one_line_failure(capsys, 2, argv, "results.json': Is a directory")
     assert [p.name for p in (tmp_path / "root" / "calibrate").iterdir()] == ["results.json"]
+
+
+def test_a_rerun_makes_new_files_and_leaves_links_to_the_old_ones_alone(tmp_path):
+    # each artifact is unlinked and made anew, never truncated and rewritten in place
+    root, links = tmp_path / "root", tmp_path / "links"
+    links.mkdir()
+    obj = {"kind": "besov-norm", "grid": {"points_per_axis": 64}, "seed": 1, "output_dir": "out"}
+    assert main(["run", _write_config(tmp_path, obj), "--output-root", str(root)]) == 0
+    first = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    for name in first:
+        os.link(root / "out" / name, links / name)
+    obj["seed"] = 2
+    assert main(["run", _write_config(tmp_path, obj), "--output-root", str(root)]) == 0
+    assert {p.name: p.read_bytes() for p in links.iterdir()} == first
+    assert (root / "out" / "results.json").read_bytes() != first["results.json"]
+
+
+def test_a_results_json_symlink_is_replaced_and_its_target_left_alone(tmp_path):
+    # a run writes under its output root only: the old in-place write went through the link
+    outside = tmp_path / "outside.json"
+    outside.write_text("not an artifact\n")
+    (tmp_path / "root" / "calibrate").mkdir(parents=True)
+    results = tmp_path / "root" / "calibrate" / "results.json"
+    results.symlink_to(outside)
+    path = _write_config(tmp_path, {"kind": "calibrate"})
+    assert main(["run", path, "--output-root", str(tmp_path / "root")]) == 0
+    assert outside.read_text() == "not an artifact\n"
+    assert not results.is_symlink() and json.loads(results.read_text())["kind"] == "calibrate"
 
 
 def test_an_absolute_output_dir_is_refused_and_nothing_is_written(tmp_path, capsys):

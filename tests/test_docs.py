@@ -1,7 +1,7 @@
-"""The design record cites only what exists: its section titles, and the program names it spells;
-the comments and docstrings of the program and its tests name only private names that exist;
-and README.md is the package's map: one short bullet per module, every exported name, and no
-private name, leaving the rules to the record.
+"""The design record cites only what exists (its section titles, and the program names it spells)
+and stays within 1,000 lines; the comments and docstrings of the program and its tests name only
+private names that exist; and README.md is the package's map: one short bullet per module, every
+exported name, and no private name, leaving the rules to the record.
 
 A citation is `docs/DECISIONS.md`, "<title>" (or "…", "…" for several), a title that may be a
 prefix of the heading, as "No symbol calculus" is.  Code, tests, README.md and ROADMAP.md cite
@@ -72,6 +72,11 @@ def test_old_titles_map_to_headings():
     headings, mapping = set(_headings()), _title_map()
     assert len(mapping) >= 25
     assert not [s for sections in mapping.values() for s in sections if s not in headings]
+
+
+def test_the_record_stays_within_its_line_bound():
+    # the standing rules only: a rule that grows replaces text rather than adding it
+    assert len(DECISIONS.splitlines()) <= 1000
 
 
 def _dotted_names(text: str) -> set:

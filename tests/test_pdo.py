@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -263,6 +264,26 @@ def test_operator_from_description_product_token(grid1d):
     A = operator_from_description(grid1d, desc)
     x = grid1d.coords()[..., 0]
     assert np.max(np.abs(A.coefficient((1,))[..., 0, 0] - x * (x - 1.0))) < 1e-14
+
+
+def test_operator_from_description_reads_a_pair_as_re_plus_i_im(grid2d):
+    desc = {"order": 2, "channels": 2,
+            "entries": [{"alpha": [2, 0], "coeff": [[[-1, 0.5], [0, 0]], [[0, 0], [-2.5, -3]]]}]}
+    A = operator_from_description(grid2d, desc)
+    assert np.array_equal(A.coefficient((2, 0)), np.broadcast_to(
+        np.array([[-1 + 0.5j, 0], [0, -2.5 - 3j]]), grid2d.shape + (2, 2)))
+
+
+@pytest.mark.parametrize("coeff", [
+    {"token": "x", "axis": 2}, {"token": "x", "scale": 1e400}, {"token": "x", "scale": [1, 0]},
+    [[[1.0]]], [[[1, 0, 0]]], [[10**400]], [[math.nan]], [[None]], [[1], [1, 2]],
+    functools.reduce(lambda v, _: [v], range(900), 1.0)],
+    ids=["axis-past-dim", "scale-inf", "scale-pair", "pair-of-one", "pair-of-three",
+         "entry-past-floats", "entry-nan", "entry-null", "ragged", "nested-900-deep"])
+def test_operator_from_description_refuses_what_is_not_a_finite_number(grid2d, coeff):
+    desc = {"order": 2, "entries": [{"alpha": [2, 0], "coeff": coeff}]}
+    with pytest.raises(ValueError, match="finite number|integer >= 0 and < 2|pair"):
+        operator_from_description(grid2d, desc)
 
 
 def test_operator_order_validation(grid1d):
