@@ -24,10 +24,11 @@ import numpy as np
 
 from . import casework
 from .besov import BesovParams, besov_norms
-from .mollify import admissible_eps_sequence, eps_range, mollifier_convergence_tables
+from .mollify import (admissible_eps_sequence, eps_range, mollifier_convergence_experiment,
+                      mollifier_convergence_tables)
 from .errors import (ConfigError, EllregError, EpsilonOutOfRange, ExperimentError,
                      IncommensurableDelta, SupportViolation)
-from .grid import Field, GridSpec, field_from_function, lp_norm, random_band_limited_field
+from .grid import Field, GridSpec, dft, field_from_function, lp_norm, random_band_limited_field
 from .localize import build_partition, global_and_patch_norm, partition_count
 from .pdo import (
     PDOperator,
@@ -263,22 +264,13 @@ def _run_mollify(
 ):
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
     mask = _window_mask(cfg.grid)
-    # one sweep per fixture over its distinct operators: fixture -> operator spelling -> operator
-    ops = {}
-    for case in cases:
-        spelling = json.dumps(case["operator"].spec, sort_keys=True)
-        ops.setdefault(case["fixture"], {}).setdefault(spelling, case["operator"].op)
-    by_case = {}  # (fixture, operator spelling) -> its tables, one per exponent
-    for fixture, fixture_ops in ops.items():
-        f = _fixture_field(cfg.grid, fixture)
-        sweeps = mollifier_convergence_tables(list(fixture_ops.values()), f, p, eps_seq, mask)
-        for i, spelling in enumerate(fixture_ops):
-            by_case[fixture, spelling] = sweeps[i * len(p):(i + 1) * len(p)]
+    fixtures = dict.fromkeys(case["fixture"] for case in cases)  # in order of first appearance
+    spectra = {name: dft(_fixture_field(cfg.grid, name)) for name in fixtures}
     results = {"eps_seq": [float(e) for e in eps_seq], "cases": []}
     tables = {}  # by name: equal cases share their tables, written and listed once
     for i, case in enumerate(cases):
         operator, fixture = case["operator"], case["fixture"]
-        sweeps = by_case[fixture, json.dumps(operator.spec, sort_keys=True)]
+        sweeps = mollifier_convergence_tables(operator.op, spectra[fixture], p, eps_seq, mask)
         # a named operator keeps its name; a description's repr may be any length
         label = operator.spec if isinstance(operator.spec, str) else f"case{i}"
         for exponent, table in zip(p, sweeps):
@@ -292,8 +284,8 @@ def _run_mollify(
 def _run_uniform(cfg: ExperimentConfig, fixture="smooth", operator="neg-laplacian", eps_count=6):
     f = _fixture_field(cfg.grid, fixture)
     eps_seq = admissible_eps_sequence(cfg.grid, count=eps_count)
-    (table,) = mollifier_convergence_tables([operator.op], f, [math.inf], eps_seq,
-                                            _window_mask(cfg.grid))
+    table = mollifier_convergence_experiment(operator.op, f, math.inf, eps_seq,
+                                             _window_mask(cfg.grid))
     results = {
         "operator": operator,
         "fixture": fixture,

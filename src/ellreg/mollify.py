@@ -115,13 +115,12 @@ class ErrorTable:
         }
 
 
-def mollifier_convergence_tables(ops, f: Field, ps, eps_seq, window_mask) -> list:
-    """The mollifier_convergence_experiment of each (P, p) in ops x ps, one symbol per eps."""
-    F = dft(f)  # P f_eps - P f is P (K_eps - 1) F: one transform per (eps, P), nothing cancels
-    tables = [ErrorTable(norm_kind=f"L{p}(window)") for _ in ops for p in ps]
+def mollifier_convergence_tables(P: PDOperator, f, ps, eps_seq, window_mask) -> list:
+    """P's mollifier_convergence_experiment under each p of ps; f a Field or its SpectralField."""
+    F = dft(f) if isinstance(f, Field) else f  # P f_eps - P f = P (K_eps - 1) F: nothing cancels
+    tables = [ErrorTable(norm_kind=f"L{p}(window)") for p in ps]
     for eps in eps_seq:
-        factor = mollifier_symbol(f.grid, eps) - 1.0
-        errors = [e for P in ops for e in lp_norms(apply(P, F, factor), ps, mask=window_mask)]
+        errors = lp_norms(apply(P, F, mollifier_symbol(f.grid, eps) - 1.0), ps, mask=window_mask)
         for table, err in zip(tables, errors):
             table.rows.append({"eps": float(eps), "error": float(err)})
     return tables
@@ -129,4 +128,4 @@ def mollifier_convergence_tables(ops, f: Field, ps, eps_seq, window_mask) -> lis
 
 def mollifier_convergence_experiment(P: PDOperator, f, p, eps_seq, window_mask) -> ErrorTable:
     """Errors ||P f_eps - P f||_{L^p(window)} along an epsilon sweep."""
-    return mollifier_convergence_tables([P], f, [p], eps_seq, window_mask)[0]
+    return mollifier_convergence_tables(P, f, [p], eps_seq, window_mask)[0]

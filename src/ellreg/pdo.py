@@ -215,6 +215,7 @@ _TOKENS = ("x", "x-1", "const", "product")
 
 def _eval_token(grid: GridSpec, spec: dict) -> np.ndarray:
     token = spec["token"]
+    _known(spec, ("token", "axis", "scale") + (("factors",) if token == "product" else ()), "token")
     axis = _integer(spec.get("axis", 0), "axis", 0, below=grid.dim)
     scale = _number(spec.get("scale", 1.0), "scale")
     x = grid.coords()[..., axis]
@@ -249,19 +250,27 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _known(spec: dict, keys: tuple, what: str) -> None:
+    """Refuse a key of spec outside `keys`: a misspelt key is never silently dropped."""
+    if unknown := set(spec) - set(keys):
+        raise ValueError(f"unknown {what} keys {brief(sorted(unknown))}; allowed: {keys}")
+
+
 def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
     """Build an operator from {order, channels, entries: [{alpha, coeff}]}.
 
     A coeff is either a constant matrix (nested list of finite numbers, or of
     [re, im] pairs of them) or a token spec {"token": ..., "scale": ..., "axis": ...}
     drawn from a small closed-form whitelist, its scale a finite number and its
-    axis an integer in [0, dim).  No number is read from a string or a bool.
+    axis an integer in [0, dim).  No number is read from a string or a bool; no key is ignored.
     """
+    _known(desc, ("order", "channels", "entries"), "description")
     order = _integer(desc["order"], "order", 0)
     channels = _integer(desc.get("channels", 1), "channels", 1)
     coeffs: dict = {}
     for entry in desc["entries"]:
         alpha = tuple(entry["alpha"])  # PDOperator refuses what is not a multi-index
+        _known(entry, ("alpha", "coeff"), "entry")
         cspec = entry["coeff"]
         if isinstance(cspec, dict):
             arr = _eval_token(grid, cspec)

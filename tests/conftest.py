@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ellreg.grid import GridSpec
+from ellreg.grid import GridSpec, _multiplier_chunks
 
 mollify = importlib.import_module("ellreg.mollify")  # the package's `mollify` is the function
 
@@ -46,3 +46,9 @@ def transform_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def apply_multipliers(f, build, params, factor=None):
+    """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
+    for stacks in _multiplier_chunks(f, build, params, [factor]):
+        yield from stacks

@@ -32,7 +32,6 @@ from ellreg.grid import (
     GridSpec,
     Hermitian,
     SpectralField,
-    _multiplier_chunks,
     dft,
     field_from_function,
     lp_norm,
@@ -45,13 +44,9 @@ from ellreg.grid import (
 from ellreg.pdo import mi_order, multi_indices, unit_directions
 from ellreg.profiles import Plateau
 
+from conftest import apply_multipliers
+
 INF = math.inf
-
-
-def apply_multipliers(f, build, params, factor=None):
-    """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
-    for stacks in _multiplier_chunks(f, build, params, [factor]):
-        yield from stacks
 
 
 def mode(grid, k):

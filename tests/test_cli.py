@@ -437,7 +437,12 @@ PROBES = [
               ("scale-str", {"token": "x", "scale": "2"}),
               ("scale-str-nan", {"token": "x", "scale": "nan"}),
               ("coeff-triple", [[[1, 0, 99]]]), ("coeff-str", [["1"]]), ("coeff-bool", True),
-              ("coeff-str-nan", [["nan"]]), ("coeff-str-inf", [["inf"]])]]]],
+              ("coeff-str-nan", [["nan"]]), ("coeff-str-inf", [["inf"]]),
+              # an unknown key is refused: each of these once ran with the key dropped
+              ("token-key", {"token": "x", "scal": 5}),
+              ("factors-not-product", {"token": "x", "factors": [{"token": "x"}]})]],
+          ("description-key", {"chanels": 3}),
+          ("entry-key", {"entries": [{"alpha": [2], "coeff": [[-1.0]], "extra": 1}]})]],
     ("grid-list", "besov-norm", {"grid": [64]}, 2),
     ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
     ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),
@@ -640,10 +645,11 @@ def test_mollify_convergence_repeated_case_keeps_its_rows(tmp_path, transform_ca
                         "parameters": {"cases": [case, case], "p": [2.0], "eps_count": 3}})
     transform_calls.clear()
     run_experiment(cfg, output_root=str(tmp_path / "cold"))
-    assert len(transform_calls) == 1 + 3 * (1 + 1)  # cold: each eps's symbol and one inverse
+    # cold: the fixture once, each eps's symbol once, and each case one inverse per eps
+    assert len(transform_calls) == 1 + 3 + 2 * 3
     transform_calls.clear()
     out = run_experiment(cfg, output_root=str(tmp_path))
-    assert len(transform_calls) == 1 + 3  # warm: the symbols come from the memo
+    assert len(transform_calls) == 1 + 2 * 3  # warm: the symbols come from the memo
     first, second = json.loads((out / "results.json").read_text())["results"]["cases"]
     assert first == second and len(first["by_p"]["2.0"]["rows"]) == 3
     # the two cases share their one table, written and listed once

@@ -37,11 +37,7 @@ from ellreg.grid import (
 from ellreg.mollify import mollifier_symbol
 from ellreg.pdo import apply, multi_indices, neg_laplacian
 
-
-def apply_multipliers(f, build, params, factor=None):
-    """The sample stacks of _multiplier_chunks under the one factor `factor`, chunk by chunk."""
-    for stacks in _multiplier_chunks(f, build, params, [factor]):
-        yield from stacks
+from conftest import apply_multipliers
 
 
 def spectral_derivatives(f, alphas):
@@ -505,3 +501,55 @@ def test_every_public_name_is_reached_from_the_program():
     unreached, allowed = public - reached, set(_REACHED_ONLY_FROM_TESTS)
     assert not unreached - allowed, f"reached only from tests: {sorted(unreached - allowed)}"
     assert not allowed - unreached, f"stale allowlist entries: {sorted(allowed - unreached)}"
+
+
+# Defaulted parameters that no call in the package or in perfbench passes, each kept for a reason
+_DEFAULTS_SET_ONLY_BY_TESTS = {
+    ("main", "argv"): "the entry point's test seam",
+    ("lp_norm", "grid"): "tests measure sample stacks with it",
+    ("neg_laplacian", "channels"): "the tests' 3-channel operators",
+    ("parameter_ellipticity_constant", "arc_samples"): "the 2001-sample dense oracle",
+    ("random_band_limited_field", "band_fraction"): "tests draw fields of other bands with it",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> dict:
+    """Each defaulted parameter of fn, with its position in a call (None if keyword-only)."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return {**{arg.arg: i - skip for i, arg in enumerate(pos) if i >= first},
+            **{arg.arg: None for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}}
+
+
+def test_every_public_default_is_set_by_the_program():
+    # a defaulted parameter of a public function, or of a public class's public method or
+    # __init__ (called by the class name), counts as set when a call in src/ellreg or in
+    # perfbench of that name passes it, by keyword or by position (a * or ** passes all)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "ellreg").glob("*.py"))
+    defaults = {}  # (callee name, parameter) -> position in a call
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defaults |= {(node.name, p): i for p, i in _defaulted(node, 0).items()}
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__"
+                                                            or not fn.name.startswith("_")):
+                        name = node.name if fn.name == "__init__" else fn.name
+                        defaults |= {(name, p): i for p, i in _defaulted(fn, 1).items()}
+    passed = set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            passed |= {(name, p) for (name, p), i in defaults.items() if name == callee and (
+                p in keywords or None in keywords
+                or i is not None and (starred or i < len(call.args)))}
+    unset, allowed = set(defaults) - passed, set(_DEFAULTS_SET_ONLY_BY_TESTS)
+    assert not unset - allowed, f"set only by tests: {sorted(unset - allowed)}"
+    assert not allowed - unset, f"stale allowlist entries: {sorted(allowed - unset)}"
