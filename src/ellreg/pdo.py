@@ -93,6 +93,12 @@ class PDOperator:
         sym.flags.writeable = False
         return sym
 
+    @functools.cached_property
+    def _split_setups(self) -> dict:
+        """The set-ups of `resolvent._split_solve` on this operator, by split and spectral
+        parameter: kept, like `symbol`, as long as the operator lives."""
+        return {}
+
     def frozen_at(self, x_index) -> "PDOperator":
         """Constant-coefficient operator with all coefficients evaluated at x_index."""
         x_index = tuple(int(i) for i in x_index)
@@ -268,7 +274,10 @@ def operator_from_description(grid: GridSpec, desc: dict) -> PDOperator:
     order = _integer(desc["order"], "order", 0)
     channels = _integer(desc.get("channels", 1), "channels", 1)
     coeffs: dict = {}
-    for entry in desc["entries"]:
+    for i, entry in enumerate(desc["entries"]):
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"entry {i} must be an object with alpha and coeff, not {brief(entry)}")
         alpha = tuple(entry["alpha"])  # PDOperator refuses what is not a multi-index
         _known(entry, ("alpha", "coeff"), "entry")
         cspec = entry["coeff"]

@@ -97,7 +97,7 @@ def _l2(F: SpectralField) -> float:
 
 def _fixed_point(correction, G: SpectralField, tol: float, max_iter: int, what: str):
     """Iterate x <- G + correction(x) on spectra from x = G until the L^2 increment is
-    <= tol (1 + ||x||_2).
+    <= tol ||x||_2, a rule free of the data's scale (a zero G stops at step 1).
 
     Returns (x, contraction, increments): the last ratio of successive increments and the
     list of all of them, each the difference of consecutive corrections measured on the
@@ -116,35 +116,59 @@ def _fixed_point(correction, G: SpectralField, tol: float, max_iter: int, what: 
                     f"{what}: not contracting (ratio {contraction:.4f})", contraction, increments
                 )
         x, c = SpectralField(G.grid, G.coefficients + c_next), c_next
-        if inc <= tol * (1.0 + _l2(x)):
+        if inc <= tol * _l2(x):
             return x, contraction, increments
     raise NotContracting(f"{what}: no convergence within {max_iter} iterations", contraction,
                          increments)
 
 
-def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: float, what: str):
-    """Solve with the split Q = A + D: A inverted exactly, D absorbed by a contraction.
+def _split_setup(problem: ResolventProblem, split, build):
+    """(D, minv, cutoff, M) of the split Q = A + D that build(Q) = (A, cutoff) makes: D = Q - A
+    (zero entries dropped), minv = (r^n e^{i theta0} - A.symbol)^{-1} and, when cutoff D is
+    constant, the step M = cutoff D minv, else None.
+
+    Built once per (Q, split, spectral parameter) and kept on Q (`PDOperator._split_setups`),
+    its arrays read-only; a build that raises keeps nothing.  The key holds the spectral
+    parameter's bits, all that the set-up reads of (r, theta0), so +0 and -0 stay apart.
+    """
+    Q = problem.Q
+    lam = _spectral_parameter(problem.r, Q.order, problem.theta0)
+    key = (split, np.complex128(lam).tobytes())
+    if (setup := Q._split_setups.get(key)) is None:
+        A, cutoff = build(Q)
+        minv = _resolvent_multiplier(A, problem.r, problem.theta0)
+        D = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels,
+                       {a: d for a, C in Q.coeffs.items() if np.any(d := C - A.coefficient(a))})
+        M = None
+        if D.coeffs and np.ndim(cutoff) == 0 and D.symbol is not None:
+            M = cutoff * (D.symbol * minv if Q.in_channels == 1 else D.symbol @ minv)
+        for arr in (minv, M, cutoff):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        setup = Q._split_setups[key] = D, minv, cutoff, M
+    return setup
+
+
+def _split_solve(problem: ResolventProblem, split, build, mask, tol: float, what: str):
+    """Solve with the split Q = A + D of `_split_setup`: A inverted exactly, D absorbed by a
+    contraction.
 
     Iterates H <- G + dft(cutoff D A^{-1} idft(H)) on the spectrum from H = G = dft(g) and
     returns u = idft(A^{-1} H), with its residual on `mask`.  When cutoff D is constant (a
-    scalar cutoff, a constant D), cutoff D A^{-1} is one lattice multiplier, built once, and a
-    step takes no transform; otherwise a step takes two.  With D = 0 this is the exact solve
-    u = A^{-1} g.
+    scalar cutoff, a constant D), cutoff D A^{-1} is the lattice multiplier M and a step takes
+    no transform; otherwise a step takes two.  With D = 0 this is the exact solve u = A^{-1} g.
     """
-    Q, G = problem.Q, dft(problem.g)
-    minv = _resolvent_multiplier(A, problem.r, problem.theta0)
-    D = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels,
-                   {a: d for a, C in Q.coeffs.items() if np.any(d := C - A.coefficient(a))})
+    D, minv, cutoff, M = _split_setup(problem, split, build)
+    G = dft(problem.g)
     if D.coeffs:
-        if np.ndim(cutoff) == 0 and D.symbol is not None:
-            M = cutoff * (D.symbol * minv if Q.in_channels == 1 else D.symbol @ minv)
+        if M is not None:
 
             def correction(H):
                 return multiply(H, M)
         else:
 
             def correction(H):
-                return dft(Field(Q.grid, cutoff * apply(D, H, minv).samples))
+                return dft(Field(D.grid, cutoff * apply(D, H, minv).samples))
 
         H, contraction, increments = _fixed_point(correction, G, tol, 200, what)
     else:
@@ -155,7 +179,13 @@ def _split_solve(problem: ResolventProblem, A: PDOperator, cutoff, mask, tol: fl
 
 def solve_constant(problem: ResolventProblem) -> SolveReport:
     """Exact multiplier solve, A = Q; all coefficients must be constant."""
-    return _split_solve(problem, problem.Q, 1.0, None, 0.0, "constant solve")
+    return _split_solve(problem, "exact", lambda Q: (Q, 1.0), None, 0.0, "constant solve")
+
+
+def _principal_part(Q: PDOperator):
+    """The Neumann split: A the principal part of Q, cutoff 1."""
+    principal = {a: arr for a, arr in Q.coeffs.items() if mi_order(a) == Q.order}
+    return PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels, principal), 1.0
 
 
 def solve_neumann_lower_order(problem: ResolventProblem) -> SolveReport:
@@ -165,10 +195,8 @@ def solve_neumann_lower_order(problem: ResolventProblem) -> SolveReport:
     NotContracting when the measured per-step contraction shows the spectral
     parameter is below the convergence threshold.
     """
-    Q = problem.Q
-    principal = {a: arr for a, arr in Q.coeffs.items() if mi_order(a) == Q.order}
-    A = PDOperator(Q.grid, Q.order, Q.in_channels, Q.out_channels, principal)
-    return _split_solve(problem, A, 1.0, None, 1e-12, f"Neumann solve at r={problem.r}")
+    return _split_solve(problem, "neumann", _principal_part, None, 1e-12,
+                        f"Neumann solve at r={problem.r}")
 
 
 def _supporting_cube(g: Field, x0_index, delta: float) -> np.ndarray:
@@ -189,13 +217,15 @@ def solve_frozen_localized(problem: ResolventProblem, x0_index, delta: float) ->
     A is Q frozen at x0 and the cutoff equals one on the support cube, where
     the residual is measured.
     """
-    grid = problem.Q.grid
     x0_index = tuple(int(i) for i in x0_index)
-    x0 = grid.coords()[x0_index]
-
     cube = _supporting_cube(problem.g, x0_index, delta)
-    phi = box_window(grid, x0, delta, min(2.0 * delta, 0.95 * grid.half_period))
-    return _split_solve(problem, problem.Q.frozen_at(x0_index), phi[..., None], cube, 1e-11,
+
+    def frozen(Q):
+        x0 = Q.grid.coords()[x0_index]
+        phi = box_window(Q.grid, x0, delta, min(2.0 * delta, 0.95 * Q.grid.half_period))
+        return Q.frozen_at(x0_index), phi[..., None]
+
+    return _split_solve(problem, ("frozen", x0_index, float(delta)), frozen, cube, 1e-11,
                         f"frozen solve at r={problem.r}")
 
 

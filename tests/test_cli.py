@@ -442,7 +442,9 @@ PROBES = [
               ("token-key", {"token": "x", "scal": 5}),
               ("factors-not-product", {"token": "x", "factors": [{"token": "x"}]})]],
           ("description-key", {"chanels": 3}),
-          ("entry-key", {"entries": [{"alpha": [2], "coeff": [[-1.0]], "extra": 1}]})]],
+          ("entry-key", {"entries": [{"alpha": [2], "coeff": [[-1.0]], "extra": 1}]}),
+          # an entry that is not an object once failed on its `alpha` read, naming neither
+          ("entry-not-object", {"entries": ["ab"]})]],
     ("grid-list", "besov-norm", {"grid": [64]}, 2),
     ("wavenumber-float", "besov-norm", {"parameters": {"wavenumber": 1e300}}, 2),
     ("grid-sizes-str", "regularity-gap", {"parameters": {"grid_sizes": "64"}}, 2),
@@ -620,9 +622,9 @@ def test_parse_config_names_no_kind_and_maps_library_errors_in_one_except():
 
 
 def test_mollify_convergence_sweeps_each_fixture_once(tmp_path, transform_calls):
-    # one sweep per fixture over its distinct operators, each eps one inverse per operator:
-    # kink 1 + 6 * 3, cubic-kink 1 + 6 * 1, and, cold, one symbol transform per distinct eps
-    # (the fixtures share the six), which the symbol memo keeps for the warm run
+    # one transform per fixture and one sweep per case on its spectrum, each eps one inverse:
+    # kink 1 + 6 * 3 (three cases), cubic-kink 1 + 6 * 1, and, cold, one symbol transform per
+    # distinct eps (the fixtures share the six), which the symbol memo keeps for the warm run
     root = pathlib.Path(__file__).resolve().parent.parent
     cfg = parse_config(json.loads((root / "configs" / "mollify-convergence.json").read_text()))
     transform_calls.clear()
